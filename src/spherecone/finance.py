@@ -184,19 +184,32 @@ def price_option(spec, construction, generator, n_points, n_replicates,
     The estimate is the mean of replicate prices; the spread field is
     the sample standard deviation of the replicate prices.
     """
-    if isinstance(construction, PathConstruction):
-        pc = construction
-    else:
-        pc = brownian_transform(spec.d_steps, spec.T, construction)
+    return _price_constructions(spec, [construction], generator, n_points,
+                                n_replicates, seed)[0]
+
+
+def _price_constructions(spec, constructions, generator, n_points,
+                         n_replicates, seed):
+    """price_option for each construction, all on one draw of normals.
+
+    The draw lives only for this call, so a caller looping over
+    generators never holds two draws at once.
+    """
+    pcs = [c if isinstance(c, PathConstruction)
+           else brownian_transform(spec.d_steps, spec.T, c)
+           for c in constructions]
     Z = normal_vectors(generator, spec.d_steps, n_points, n_replicates, seed)
-    rep_means = np.array([
-        _discounted_payoffs(spec, Z[rep], pc.transform).mean()
-        for rep in range(n_replicates)])
-    sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
-    return PriceEstimate(mean=float(rep_means.mean()),
-                         std_dev_across_replicates=sd,
-                         n_points=n_points, n_replicates=n_replicates,
-                         construction=pc.kind, generator=generator)
+    estimates = []
+    for pc in pcs:
+        rep_means = np.array([
+            _discounted_payoffs(spec, Z[rep], pc.transform).mean()
+            for rep in range(n_replicates)])
+        sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
+        estimates.append(PriceEstimate(
+            mean=float(rep_means.mean()), std_dev_across_replicates=sd,
+            n_points=n_points, n_replicates=n_replicates,
+            construction=pc.kind, generator=generator))
+    return estimates
 
 
 def mc_reference_price(spec, n_paths=2**24, seed=0, chunk=2**19):
@@ -232,7 +245,8 @@ TABLE_COLUMNS = (
 def experiment_table(spec, N_list, seed, n_replicates=128):
     """One row per total point count N: the per-column uncertainty of the
     replicate-mean price (standard error over n_replicates replicates of
-    N / n_replicates points each).
+    N / n_replicates points each).  Each generator draws its normals once
+    for all of its columns.
 
     Returns (header, rows) where each row is
     [N, se_mc, se_sobol_std, se_sobol_pca, se_sphere_std, se_sphere_pca].
@@ -245,10 +259,12 @@ def experiment_table(spec, N_list, seed, n_replicates=128):
             raise ConfigurationError(
                 f"N={N} not divisible by {n_replicates} replicates")
         per_rep = N // n_replicates
-        row = [float(N)]
-        for generator, construction in TABLE_COLUMNS:
-            est = price_option(spec, construction, generator, per_rep,
-                               n_replicates, seed)
-            row.append(est.std_error)
+        se = {}
+        for generator in GENERATORS:
+            constructions = [c for g, c in TABLE_COLUMNS if g == generator]
+            for est in _price_constructions(spec, constructions, generator,
+                                            per_rep, n_replicates, seed):
+                se[generator, est.construction] = est.std_error
+        row = [float(N)] + [se[column] for column in TABLE_COLUMNS]
         rows.append(row)
     return header, rows

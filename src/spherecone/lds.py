@@ -45,6 +45,7 @@ class DirectionNumberTable:
         self.poly_coeffs = np.asarray(poly_coeffs, dtype=np.int64)
         self.m_init = [np.asarray(m, dtype=np.int64) for m in m_init]
         self.max_dimensions = 1 + len(self.m_init)
+        self._vectors = np.empty((0, _NBITS), dtype=np.uint32)
         for s, m in zip(self.degrees, self.m_init):
             if len(m) != s:
                 raise ConfigurationError(
@@ -102,47 +103,75 @@ class DirectionNumberTable:
         return cls.from_lines(text.splitlines())
 
     def direction_vectors(self, dimension):
-        """(dimension, 32) uint32 array of direction vectors v_k = m_k 2^{32-k}."""
+        """Read-only (dimension, 32) uint32 array of direction vectors
+        v_k = m_k 2^{32-k}.
+
+        Each dimension is built once per table; later calls return a view
+        of the cached array.
+        """
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
         if dimension > self.max_dimensions:
             raise ConfigurationError(
                 f"table supports at most {self.max_dimensions} dimensions, "
                 f"requested {dimension}")
-        V = np.zeros((dimension, _NBITS), dtype=np.uint32)
-        # dimension 1: van der Corput, m_k = 1 for all k
-        V[0] = np.uint32(1) << np.arange(_NBITS - 1, -1, -1, dtype=np.uint32)
-        for j in range(1, dimension):
-            s = int(self.degrees[j - 1])
-            a = int(self.poly_coeffs[j - 1])
-            m = self.m_init[j - 1]
-            v = np.zeros(_NBITS, dtype=np.uint32)
-            for k in range(min(s, _NBITS)):
-                v[k] = np.uint32(m[k]) << np.uint32(_NBITS - 1 - k)
-            for k in range(s, _NBITS):
-                v[k] = v[k - s] ^ (v[k - s] >> np.uint32(s))
-                for i in range(1, s):
-                    if (a >> (s - 1 - i)) & 1:
-                        v[k] ^= v[k - i]
-            V[j] = v
-        return V
+        built = self._vectors.shape[0]
+        if dimension > built:
+            V = np.empty((dimension, _NBITS), dtype=np.uint32)
+            V[:built] = self._vectors
+            for j in range(built, dimension):
+                V[j] = self._vectors_of(j)
+            V.flags.writeable = False
+            self._vectors = V
+        return self._vectors[:dimension]
+
+    def _vectors_of(self, j):
+        """Direction vectors of 0-based dimension j as 32 Python ints."""
+        if j == 0:
+            # dimension 1: van der Corput, m_k = 1 for all k
+            return [1 << (_NBITS - 1 - k) for k in range(_NBITS)]
+        s = int(self.degrees[j - 1])
+        a = int(self.poly_coeffs[j - 1])
+        m = self.m_init[j - 1]
+        v = [int(m[k]) << (_NBITS - 1 - k) for k in range(min(s, _NBITS))]
+        for k in range(s, _NBITS):
+            x = v[k - s] ^ (v[k - s] >> s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    x ^= v[k - i]
+            v.append(x)
+        return v
 
 
-_DEFAULT_TABLE = None
+# the table shared by streams built without one, with the key it was read
+# under: None for the embedded data, (path, st_mtime_ns, st_size) for a
+# SPHERECONE_DIRFILE override
+_SHARED_TABLE = (None, None)
 
 
 def _default_table():
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None or os.environ.get("SPHERECONE_DIRFILE"):
-        table = DirectionNumberTable.default()
-        if not os.environ.get("SPHERECONE_DIRFILE"):
-            _DEFAULT_TABLE = table
-        return table
-    return _DEFAULT_TABLE
+    """The embedded table, or the parsed SPHERECONE_DIRFILE override.
+
+    The table is kept between calls and read again only when the variable
+    or the file it names changes, so streams share its direction vectors.
+    """
+    global _SHARED_TABLE
+    path = os.environ.get("SPHERECONE_DIRFILE")
+    key = None
+    if path:
+        st = os.stat(path)
+        key = (path, st.st_mtime_ns, st.st_size)
+    if _SHARED_TABLE[1] is None or _SHARED_TABLE[0] != key:
+        _SHARED_TABLE = (key, DirectionNumberTable.default())
+    return _SHARED_TABLE[1]
 
 
-def _parity(x):
-    return np.bitwise_count(x).astype(np.uint32) & np.uint32(1)
+# row i of a scramble matrix (output digit i, most significant first) may
+# only mix in more significant digits, and its diagonal bit is set
+_ROW_LOWER = np.array([0] + [(0xFFFFFFFF << (_NBITS - i)) & 0xFFFFFFFF
+                             for i in range(1, _NBITS)], dtype=np.uint32)
+_DIGIT_SHIFT = np.arange(_NBITS - 1, -1, -1, dtype=np.uint32)
+_ROW_DIAG = np.uint32(1) << _DIGIT_SHIFT
 
 
 class SobolStream:
@@ -186,25 +215,13 @@ class SobolStream:
         is equivalent to applying it to every generated point, since the
         construction is linear over GF(2).
         """
-        dim, nbits = V.shape
-        out = np.empty_like(V)
-        positions = np.arange(nbits, dtype=np.uint32)
-        for j in range(dim):
-            below = rng.integers(0, 2**_NBITS, size=nbits, dtype=np.uint32)
-            # keep only strictly-lower bits (digits more significant than i),
-            # then set the diagonal
-            diag = np.uint32(1) << (np.uint32(_NBITS - 1) - positions)
-            upper_mask = np.zeros(nbits, dtype=np.uint32)
-            for i in range(1, nbits):
-                upper_mask[i] = (np.uint32(0xFFFFFFFF)
-                                 << np.uint32(_NBITS - i)) & np.uint32(0xFFFFFFFF)
-            rows = (below & upper_mask) | diag
-            y = np.zeros(nbits, dtype=np.uint32)
-            for i in range(nbits):
-                bits = _parity(rows[i] & V[j])
-                y |= bits << np.uint32(_NBITS - 1 - i)
-            out[j] = y
-        return out
+        dim = V.shape[0]
+        rows = ((rng.integers(0, 2**_NBITS, size=(dim, _NBITS),
+                              dtype=np.uint32) & _ROW_LOWER) | _ROW_DIAG)
+        # bits[j, i, k]: digit i of the scrambled direction vector v_k
+        bits = np.bitwise_count(rows[:, :, None] & V[:, None, :]) & 1
+        return np.bitwise_or.reduce(
+            bits.astype(np.uint32) << _DIGIT_SHIFT[:, None], axis=1)
 
     def take(self, count):
         """Next `count` points as a (count, dimension) float64 array."""
@@ -227,11 +244,6 @@ class SobolStream:
     def next(self):
         """Next single point as a length-dimension array."""
         return self.take(1)[0]
-
-
-def sobol_next(stream):
-    """Functional alias for stream.next()."""
-    return stream.next()
 
 
 def sobol_block(dimension, count, replicate_count, seed, scramble=True,

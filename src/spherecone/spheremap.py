@@ -307,17 +307,16 @@ def stratified_sample(partition, shells, rng_seed):
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(rng_seed)])))
     M, K = partition.M, shells.K
-    dirs = np.empty((M * K, 3))
-    radii = np.empty(M * K)
-    for m in range(M):
-        t0, t1, p0, p1 = partition.cells[m]
-        u = rng.random((K, 2))
-        # cos(theta) uniform on the band gives uniform area
-        ct = np.cos(t0) + u[:, 0] * (np.cos(t1) - np.cos(t0))
-        st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-        phi = p0 + u[:, 1] * (p1 - p0)
-        for k in range(K):
-            i = m * K + k
-            dirs[i] = (st[k] * np.cos(phi[k]), st[k] * np.sin(phi[k]), ct[k])
-            radii[i] = shells.sample_radius(k + 1, rng.random())
+    # per cell: K (cos-theta, phi) pairs, then one radius quantile per shell
+    u = rng.random((M, 3 * K))
+    uc = u[:, :2 * K].reshape(M, K, 2)
+    t0, t1, p0, p1 = (partition.cells[:, i, None] for i in range(4))
+    # cos(theta) uniform on the band gives uniform area
+    ct = np.cos(t0) + uc[..., 0] * (np.cos(t1) - np.cos(t0))
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
+    phi = p0 + uc[..., 1] * (p1 - p0)
+    dirs = np.stack([st * np.cos(phi), st * np.sin(phi), ct],
+                    axis=-1).reshape(M * K, 3)
+    radii = shells.sample_radius(np.arange(1, K + 1),
+                                 u[:, 2 * K:]).reshape(M * K)
     return SpacePoints(dirs, radii)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .specfun import (inv_reg_gamma_q, reg_beta_i, reg_gamma_p, reg_gamma_q)
 from .spheremap import SpacePoint, SpacePoints, cap_measure
 
@@ -343,7 +343,8 @@ def rms_wce_iid(p):
     """The N-independent constant c with E[wce^2] = c / N for N i.i.d.
     psi-distributed points: 1 - (A/B)^mu - W(K)."""
     c = 1.0 - (p.A / p.B)**p.mu - w_kernel(p)
-    assert c > 0.0
+    if not c > 0.0:
+        raise NumericError(f"i.i.d. wce constant must be positive, got {c!r}")
     return c
 
 

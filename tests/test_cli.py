@@ -11,6 +11,7 @@ import pytest
 
 import spherecone
 from spherecone import cli, wce
+from spherecone.errors import NumericError
 from spherecone.spheremap import SpacePoints
 from spherecone.wce import KernelParams
 
@@ -223,6 +224,15 @@ class TestErrors:
         code, _, _ = run_cli(["price", "--N", "128", "--kind", "barrier",
                               "--barrier", "50"], capsys)
         assert code == 2
+
+    def test_nonpositive_iid_constant_exit_3(self, capsys, monkeypatch):
+        # c = 1 - (A/B)^mu - W(K) <= 0 must raise, also under python -O
+        monkeypatch.setattr(wce, "w_kernel", lambda p: 1.0)
+        with pytest.raises(NumericError):
+            wce.rms_wce_iid(KernelParams(1.5, 1.5, 3.0, d=2))
+        code, _, err = run_cli(["rms-wce", "--mu", "1.5", "--A", "1.5",
+                                "--B", "3"], capsys)
+        assert code == 3 and "numeric error" in err
 
     def test_bad_dirfile_exit_2(self, capsys, tmp_path):
         f = tmp_path / "dirs.txt"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spherecone.errors import ConfigurationError, DomainError
-from spherecone.finance import (CONSTRUCTIONS, GENERATORS, OptionSpec,
-                                brownian_transform, experiment_table,
+from spherecone.finance import (CONSTRUCTIONS, GENERATORS, TABLE_COLUMNS,
+                                OptionSpec, brownian_transform,
+                                experiment_table,
                                 mc_reference_price, min_matrix_eigenvalues,
                                 normal_vectors, price_option)
 
@@ -199,3 +200,14 @@ class TestExperimentTable:
         assert all(v > 0 for r in rows for v in r[1:])
         with pytest.raises(ConfigurationError):
             experiment_table(SPEC, [100], seed=0)
+
+    @pytest.mark.parametrize("spec", [SPEC, BARRIER, DIGITAL],
+                             ids=["asian", "barrier", "digital"])
+    def test_rows_equal_price_option(self, spec):
+        # one draw per generator must price exactly like a draw per column
+        N_list, reps, seed = [64, 128], 8, 4
+        _, rows = experiment_table(spec, N_list, seed, n_replicates=reps)
+        for N, row in zip(N_list, rows):
+            assert row == [float(N)] + [
+                price_option(spec, c, g, N // reps, reps, seed).std_error
+                for g, c in TABLE_COLUMNS]

@@ -1,9 +1,36 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from spherecone import lds
 from spherecone.errors import ConfigurationError, ExhaustionError
 from spherecone.lds import DirectionNumberTable, SobolStream, sobol_block
+
+
+def scramble_loop(V, rng):
+    """Per-dimension, per-digit Matousek scramble: the reference for the
+    vectorized SobolStream._scramble_vectors."""
+    dim, nbits = V.shape
+    out = np.empty_like(V)
+    diag = np.uint32(1) << np.arange(nbits - 1, -1, -1, dtype=np.uint32)
+    upper_mask = np.zeros(nbits, dtype=np.uint32)
+    for i in range(1, nbits):
+        upper_mask[i] = (0xFFFFFFFF << (32 - i)) & 0xFFFFFFFF
+    for j in range(dim):
+        below = rng.integers(0, 2**32, size=nbits, dtype=np.uint32)
+        rows = (below & upper_mask) | diag
+        y = np.zeros(nbits, dtype=np.uint32)
+        for i in range(nbits):
+            bits = np.bitwise_count(rows[i] & V[j]).astype(np.uint32) & 1
+            y |= bits << np.uint32(31 - i)
+        out[j] = y
+    return out
+
+
+def philox(*key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 class TestUnscrambled:
@@ -81,6 +108,29 @@ class TestScrambled:
                 assert counts.max() <= 2
                 assert np.sum(counts == 1) >= 2**m - 2
 
+    @pytest.mark.parametrize("dim", [1, 3, 30])
+    def test_scramble_matches_loop(self, dim):
+        V = DirectionNumberTable.default().direction_vectors(dim)
+        rng, ref_rng = philox(4, 2), philox(4, 2)
+        np.testing.assert_array_equal(SobolStream._scramble_vectors(V, rng),
+                                      scramble_loop(V, ref_rng))
+        # the digital shift drawn next comes from the same stream position
+        np.testing.assert_array_equal(
+            rng.integers(0, 2**32, size=dim, dtype=np.uint32),
+            ref_rng.integers(0, 2**32, size=dim, dtype=np.uint32))
+
+    @pytest.mark.parametrize("dim, seed, replicate, count, digest", [
+        (30, 21, 5, 64,
+         "14e6fba81db41ac2884659b3ef08a9019850b8e0391ca13c94a922995e3739f6"),
+        (192, 3, 0, 8,
+         "dffba72518b3b687ab0e7b386f42962099341d62ebc2b9359f64724d3c1ae1d5"),
+    ])
+    def test_golden_digest(self, dim, seed, replicate, count, digest):
+        # exact: every coordinate is an integer multiple of 2^-32
+        pts = SobolStream(dim, seed=seed, scramble=True,
+                          replicate=replicate).take(count)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
     def test_scrambled_mean_is_uniform(self):
         pts = SobolStream(5, seed=3, scramble=True).take(4096)
         np.testing.assert_allclose(pts.mean(axis=0), 0.5, atol=0.02)
@@ -132,6 +182,44 @@ class TestDirectionNumberTable:
         np.testing.assert_array_equal(pts, ref)
         with pytest.raises(ConfigurationError):
             SobolStream(3).take(1)
+
+    def test_env_override_parsed_once(self, tmp_path, monkeypatch):
+        f = tmp_path / "dirs.txt"
+        f.write_text("d s a m_i\n2 1 0 1\n")
+        monkeypatch.setenv("SPHERECONE_DIRFILE", str(f))
+        reads = []
+        from_file = DirectionNumberTable.from_file.__func__
+
+        def counting_from_file(cls, path):
+            reads.append(path)
+            return from_file(cls, path)
+
+        monkeypatch.setattr(DirectionNumberTable, "from_file",
+                            classmethod(counting_from_file))
+        a = SobolStream(2).take(4)
+        table = lds._default_table()
+        b = SobolStream(2).take(4)
+        np.testing.assert_array_equal(a, b)
+        assert lds._default_table() is table and len(reads) == 1
+        with pytest.raises(ConfigurationError):
+            SobolStream(3)
+        # a rewritten file (here one dimension longer) is read again
+        f.write_text("d s a m_i\n2 1 0 1\n3 2 1 1 3\n")
+        SobolStream(3).take(4)
+        assert len(reads) == 2 and lds._default_table() is not table
+        assert lds._default_table().max_dimensions == 3
+
+    def test_direction_vectors_cached_read_only(self):
+        t = DirectionNumberTable.default()
+        V5 = t.direction_vectors(5)
+        V9 = t.direction_vectors(9)
+        np.testing.assert_array_equal(t.direction_vectors(5), V5)
+        np.testing.assert_array_equal(V9[:5], V5)
+        np.testing.assert_array_equal(
+            V9, DirectionNumberTable.default().direction_vectors(9))
+        for V in (V5, V9, t.direction_vectors(3)):
+            with pytest.raises(ValueError):
+                V[0, 0] = 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):  # even m

@@ -215,7 +215,38 @@ class TestPartition:
             equal_area_partition_s2(0)
 
 
+def stratified_sample_loop(partition, shells, rng_seed):
+    """Per-point stratified sampler: the reference for the vectorized
+    stratified_sample."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([int(rng_seed)])))
+    M, K = partition.M, shells.K
+    dirs = np.empty((M * K, 3))
+    radii = np.empty(M * K)
+    for m in range(M):
+        t0, t1, p0, p1 = partition.cells[m]
+        u = rng.random((K, 2))
+        ct = np.cos(t0) + u[:, 0] * (np.cos(t1) - np.cos(t0))
+        st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
+        phi = p0 + u[:, 1] * (p1 - p0)
+        for k in range(K):
+            i = m * K + k
+            dirs[i] = (st[k] * np.cos(phi[k]), st[k] * np.sin(phi[k]), ct[k])
+            radii[i] = shells.sample_radius(k + 1, rng.random())
+    return dirs, radii
+
+
 class TestStratifiedSample:
+    @pytest.mark.parametrize("M, K", [(1, 1), (2, 3), (16, 4), (64, 8),
+                                      (300, 17)])
+    def test_matches_loop(self, M, K):
+        part = equal_area_partition_s2(M)
+        shells = radial_shells(1.5, 3.0, K)
+        pts = stratified_sample(part, shells, rng_seed=M + K)
+        dirs, radii = stratified_sample_loop(part, shells, M + K)
+        np.testing.assert_array_equal(pts.directions, dirs)
+        np.testing.assert_array_equal(pts.radii, radii)
+
     def test_shapes_and_determinism(self):
         part = equal_area_partition_s2(12)
         shells = radial_shells(1.5, 3.0, 4)
