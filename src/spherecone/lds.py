@@ -143,27 +143,17 @@ class DirectionNumberTable:
         return v
 
 
-# the table shared by streams built without one, with the key it was read
-# under: None for the embedded data, (path, st_mtime_ns, st_size) for a
-# SPHERECONE_DIRFILE override
-_SHARED_TABLE = (None, None)
+_DEFAULT_TABLE = None
 
 
 def _default_table():
-    """The embedded table, or the parsed SPHERECONE_DIRFILE override.
-
-    The table is kept between calls and read again only when the variable
-    or the file it names changes, so streams share its direction vectors.
-    """
-    global _SHARED_TABLE
-    path = os.environ.get("SPHERECONE_DIRFILE")
-    key = None
-    if path:
-        st = os.stat(path)
-        key = (path, st.st_mtime_ns, st.st_size)
-    if _SHARED_TABLE[1] is None or _SHARED_TABLE[0] != key:
-        _SHARED_TABLE = (key, DirectionNumberTable.default())
-    return _SHARED_TABLE[1]
+    global _DEFAULT_TABLE
+    if _DEFAULT_TABLE is None or os.environ.get("SPHERECONE_DIRFILE"):
+        table = DirectionNumberTable.default()
+        if not os.environ.get("SPHERECONE_DIRFILE"):
+            _DEFAULT_TABLE = table
+        return table
+    return _DEFAULT_TABLE
 
 
 # row i of a scramble matrix (output digit i, most significant first) may

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from spherecone import lds
 from spherecone.errors import ConfigurationError, ExhaustionError
 from spherecone.lds import DirectionNumberTable, SobolStream, sobol_block
 
@@ -182,32 +181,6 @@ class TestDirectionNumberTable:
         np.testing.assert_array_equal(pts, ref)
         with pytest.raises(ConfigurationError):
             SobolStream(3).take(1)
-
-    def test_env_override_parsed_once(self, tmp_path, monkeypatch):
-        f = tmp_path / "dirs.txt"
-        f.write_text("d s a m_i\n2 1 0 1\n")
-        monkeypatch.setenv("SPHERECONE_DIRFILE", str(f))
-        reads = []
-        from_file = DirectionNumberTable.from_file.__func__
-
-        def counting_from_file(cls, path):
-            reads.append(path)
-            return from_file(cls, path)
-
-        monkeypatch.setattr(DirectionNumberTable, "from_file",
-                            classmethod(counting_from_file))
-        a = SobolStream(2).take(4)
-        table = lds._default_table()
-        b = SobolStream(2).take(4)
-        np.testing.assert_array_equal(a, b)
-        assert lds._default_table() is table and len(reads) == 1
-        with pytest.raises(ConfigurationError):
-            SobolStream(3)
-        # a rewritten file (here one dimension longer) is read again
-        f.write_text("d s a m_i\n2 1 0 1\n3 2 1 1 3\n")
-        SobolStream(3).take(4)
-        assert len(reads) == 2 and lds._default_table() is not table
-        assert lds._default_table().max_dimensions == 3
 
     def test_direction_vectors_cached_read_only(self):
         t = DirectionNumberTable.default()
