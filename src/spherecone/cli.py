@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -64,9 +65,7 @@ def cmd_points(args):
                                  scramble=args.scramble, table=table)
         cube = stream.take(args.n)
     elif args.gen == "random":
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence([int(args.seed)])))
-        cube = rng.random((args.n, args.dim))
+        cube = lds._rng(args.seed).random((args.n, args.dim))
     else:
         raise ConfigurationError(f"unknown generator {args.gen!r}")
     pts = spheremap.lift_to_space(cube)
@@ -88,9 +87,7 @@ def cmd_sphere_map(args):
                                scramble=args.scramble, table=table
                                ).take(args.n)
     else:
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence([int(args.seed)])))
-        cube = rng.random((args.n, args.dim))
+        cube = lds._rng(args.seed).random((args.n, args.dim))
     pts = spheremap.map_to_sphere(cube)
     _emit_csv([f"y{i+1}" for i in range(args.dim + 1)],
               [list(map(float, row)) for row in pts], args.output)
@@ -99,11 +96,15 @@ def cmd_sphere_map(args):
 
 def _read_points(path):
     """Read a point CSV (cartesian `x1..` or polar `radius,y1..`)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-    if header and header[0] == "radius":
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data rows; rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        raise ConfigurationError(f"{path}: no points")
+    if header[0] == "radius":
         return spheremap.SpacePoints(rows[:, 1:], rows[:, 0])
     return spheremap.SpacePoints.from_cartesian(rows)
 
@@ -117,7 +118,8 @@ def cmd_wce(args):
                "double_sum_term": report.double_sum_term,
                "single_sum_term": report.single_sum_term,
                "W_K": report.W_K,
-               "n_points": report.n_points}, sys.stdout, indent=2)
+               "n_points": report.n_points,
+               "wce_sq_raw": report.wce_sq_raw}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
@@ -149,9 +151,7 @@ def _trial_points(gen, dim, n, seed, table):
         z = inv_normal_cdf(np.clip(cube, 2.0**-33, 1.0 - 2.0**-33))
         return z / np.linalg.norm(z, axis=1, keepdims=True)
     if gen == "random":
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence([int(seed)])))
-        return spheremap.map_to_sphere(rng.random((n, dim - 1)))
+        return spheremap.map_to_sphere(lds._rng(seed).random((n, dim - 1)))
     raise ConfigurationError(f"unknown generator {gen!r}")
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .lds import SobolStream
+from .lds import SobolStream, _rng
 from .specfun import inv_normal_cdf
 from .spheremap import lift_to_space
 
@@ -142,9 +142,7 @@ def normal_vectors(generator, d, n_points, n_replicates, seed):
     if generator == "mc":
         out = np.empty((n_replicates, n_points, d))
         for rep in range(n_replicates):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence([int(seed), rep])))
-            out[rep] = rng.standard_normal((n_points, d))
+            out[rep] = _rng(seed, rep).standard_normal((n_points, d))
         return out
     if n_points & (n_points - 1):
         raise ConfigurationError(
@@ -215,8 +213,7 @@ def _price_constructions(spec, constructions, generator, n_points,
 def mc_reference_price(spec, n_paths=2**24, seed=0, chunk=2**19):
     """Plain Monte Carlo reference price and its standard error."""
     pc = brownian_transform(spec.d_steps, spec.T, "standard")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed)])))
+    rng = _rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0

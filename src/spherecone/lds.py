@@ -30,6 +30,13 @@ _NBITS = 32
 _MAX_INDEX = 2**31
 
 
+def _rng(*keys):
+    """Philox generator seeded with the integer key sequence ``keys``;
+    every seeded random stream of the package comes from here."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([int(k) for k in keys])))
+
+
 class DirectionNumberTable:
     """Primitive polynomials and initial direction integers per dimension.
 
@@ -185,9 +192,7 @@ class SobolStream:
             table = _default_table()
         V = table.direction_vectors(self.dimension)
         if scramble:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([self.seed,
-                                                         self.replicate])))
+            rng = _rng(self.seed, self.replicate)
             V = self._scramble_vectors(V, rng)
             self._shift = rng.integers(0, 2**_NBITS, size=self.dimension,
                                        dtype=np.uint32)

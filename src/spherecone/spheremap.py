@@ -14,11 +14,13 @@ vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .lds import _rng
 from .specfun import (chi_quantile, inv_reg_beta_symmetric, reg_beta_i,
                       reg_gamma_q, inv_reg_gamma_q, inv_reg_gamma_p)
 
@@ -214,7 +216,15 @@ class SpherePartition:
     cells: np.ndarray
     bands: list
     M: int
-    diameter_constant: float = field(default=float("nan"))
+
+    @cached_property
+    def diameter_constant(self):
+        """Largest cell diameter times sqrt(M), computed on first read."""
+        if self.M <= 2:
+            # a whole sphere or a hemisphere: diameter 2
+            return 2.0 * np.sqrt(self.M)
+        return max(_band_diameter(t0, t1, 2.0 * np.pi / m)
+                   for t0, t1, m in self.bands) * np.sqrt(self.M)
 
     def cell_area(self, i):
         t0, t1, p0, p1 = self.cells[i]
@@ -249,13 +259,12 @@ def equal_area_partition_s2(M):
     if M == 1:
         cells = np.array([[0.0, np.pi, 0.0, 2.0 * np.pi]])
         bands = [(0.0, np.pi, 1)]
-        return SpherePartition(cells, bands, 1, diameter_constant=2.0)
+        return SpherePartition(cells, bands, 1)
     if M == 2:
         cells = np.array([[0.0, np.pi / 2, 0.0, 2.0 * np.pi],
                           [np.pi / 2, np.pi, 0.0, 2.0 * np.pi]])
         bands = [(0.0, np.pi / 2, 1), (np.pi / 2, np.pi, 1)]
-        return SpherePartition(cells, bands, 2,
-                               diameter_constant=2.0 * np.sqrt(2.0))
+        return SpherePartition(cells, bands, 2)
     # polar caps of area 1/M each
     theta_c = np.arccos(1.0 - 2.0 / M)
     n_collar_cells = M - 2
@@ -290,11 +299,7 @@ def equal_area_partition_s2(M):
     theta_s = np.arccos(-(1.0 - 2.0 / M))
     cells.append([theta_s, np.pi, 0.0, 2.0 * np.pi])
     bands.append((theta_s, np.pi, 1))
-    cells = np.asarray(cells)
-    max_diam = max(_band_diameter(t0, t1, 2.0 * np.pi / m)
-                   for t0, t1, m in bands)
-    return SpherePartition(cells, bands, M,
-                           diameter_constant=max_diam * np.sqrt(M))
+    return SpherePartition(np.asarray(cells), bands, M)
 
 
 def stratified_sample(partition, shells, rng_seed):
@@ -304,8 +309,7 @@ def stratified_sample(partition, shells, rng_seed):
     Returns SpacePoints of length M * K, ordered cell-major."""
     if partition.cells.shape[1] != 4:
         raise ConfigurationError("partition must be an S^2 partition")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(rng_seed)])))
+    rng = _rng(rng_seed)
     M, K = partition.M, shells.K
     # per cell: K (cos-theta, phi) pairs, then one radius quantile per shell
     u = rng.random((M, 3 * K))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import ConfigurationError, DomainError, NumericError
+from .lds import _rng
 from .specfun import (inv_reg_gamma_q, reg_beta_i, reg_gamma_p, reg_gamma_q)
 from .spheremap import SpacePoint, SpacePoints, cap_measure
 
@@ -58,6 +58,10 @@ __all__ = [
 
 # squared-wce values below this trigger a loud diagnostic before clamping
 _CANCEL_TOL = -1e-9
+
+# distances held at once by the tiled pairwise sums: 1 MB of doubles
+# stays in cache, and small tiles keep the diagonal blocks' triu cheap
+_TILE_ELEMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,7 @@ class WceReport:
     single_sum_term: float
     W_K: float
     n_points: int
+    wce_sq_raw: float
 
 
 def sphere_constants(d):
@@ -200,6 +205,54 @@ def kernel_psi_integral(p, rho):
     return out if np.ndim(rho) else float(out)
 
 
+def _upper_distance_row_sums(X):
+    """s_i = sum_{j > i} ||x_i - x_j|| over the rows of X, in O(N) memory.
+
+    Row tiles of at most _TILE_ELEMS distances.  A tile's squared
+    distances ||x||^2 + ||y||^2 - 2 x.y are one matmul of the rows
+    [-2x, 1, ||x||^2] with [y, ||y||^2, 1], clamped at 0; the rows' own
+    norms are used because directions may be off unit length by 1e-10.
+    """
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)[:, None]
+    one = np.ones_like(sq)
+    left = np.hstack([-2.0 * X, one, sq])
+    right = np.hstack([X, sq, one])
+    rows = max(1, _TILE_ELEMS // n)
+    out = np.empty(n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        d = left[a:b] @ right[a:].T
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        out[a:b] = (np.triu(d[:, :b - a], 1).sum(axis=1)
+                    + d[:, b - a:].sum(axis=1))
+    return out
+
+
+def _mean_distance(Y):
+    """Mean of ||y_i - y_j|| over all N^2 ordered pairs, diagonal included."""
+    return 2.0 * math.fsum(_upper_distance_row_sums(Y).tolist()) / len(Y)**2
+
+
+def _kernel_sum(radii, phi, dirs=None, c_d=0.0):
+    """sum_ij Phi(min{r_i, r_j}) (1 - c_d ||x_i - x_j||) from phi = Phi(radii),
+    rounded once by math.fsum; without directions, the radial sum alone.
+
+    Sorted by radius, every pair i < j takes the smaller point's value
+    phi_(i), so the radial part is sum_k (2(N-1-k)+1) phi_(k) and the
+    distance part needs only the row sums of the upper distance triangle.
+    """
+    order = np.argsort(radii, kind="stable")
+    w = phi[order]
+    n = len(w)
+    terms = [(2.0 * (n - 1 - np.arange(n)) + 1.0) * w]
+    if dirs is not None:
+        terms.append((-2.0 * c_d) * w
+                     * _upper_distance_row_sums(dirs[order]))
+    return math.fsum(np.concatenate(terms).tolist())
+
+
 def _finish_report(double_sum, single_sum, w_k, n):
     sq = double_sum - single_sum
     if sq < _CANCEL_TOL:
@@ -209,23 +262,21 @@ def _finish_report(double_sum, single_sum, w_k, n):
     return WceReport(wce=math.sqrt(max(sq, 0.0)),
                      double_sum_term=double_sum,
                      single_sum_term=single_sum,
-                     W_K=w_k, n_points=n)
+                     W_K=w_k, n_points=n, wce_sq_raw=sq)
 
 
 def wce_nakagami(p, X):
     """Worst-case error of the equal-weight rule on X, all radial
-    integrals in closed form.  O(N^2)."""
+    integrals in closed form.  O(N^2) time, O(N) memory."""
     radii, dirs = _as_polar(X, p)
     n = len(radii)
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
     w_k = w_kr * consts.W_KS
-    dist = squareform(pdist(dirs)) if n > 1 else np.zeros((1, 1))
-    kmat = phi_cdf(p, np.minimum.outer(radii, radii)) * (
-        1.0 - consts.C_d * dist)
-    double_sum = float(np.mean(kmat)) - w_k
+    phi = phi_cdf(p, radii)
+    double_sum = _kernel_sum(radii, phi, dirs, consts.C_d) / n**2 - w_k
     bracket = (1.0
-               - (1.0 - phi_cdf(p, radii)) * psi_tail(p, radii)
+               - (1.0 - phi) * psi_tail(p, radii)
                - (p.A / p.B)**p.mu
                * reg_gamma_p(p.mu, (p.mu / p.A) * radii**2)
                - w_kr)
@@ -269,12 +320,8 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
     n = len(radii)
     consts = sphere_constants(d)
     w_k = w_kr * consts.W_KS
-    dist = squareform(pdist(dirs)) if n > 1 else np.zeros((1, 1))
     phi_vals = np.array([Phi(r) for r in radii])
-    kmat = np.array([[phi_vals[min(i, j, key=lambda k: radii[k])]
-                      for j in range(n)] for i in range(n)])
-    kmat = kmat * (1.0 - consts.C_d * dist)
-    double_sum = float(np.mean(kmat)) - w_k
+    double_sum = _kernel_sum(radii, phi_vals, dirs, consts.C_d) / n**2 - w_k
     bracket = np.array([
         phi_vals[j] * psi_tail_fn(radii[j]) + phi_psi_integral_fn(radii[j])
         - w_kr for j in range(n)])
@@ -293,8 +340,7 @@ def mc_cone_discrepancy_oracle(p, X, n_samples, seed, chunk=100_000):
         raise ConfigurationError("need at least 10^4 samples")
     radii, dirs = _as_polar(X, p)
     n = len(radii)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed)])))
+    rng = _rng(seed)
     scale = p.mu * (1.0 / p.A - 1.0 / p.B)
     total = 0.0
     total_sq = 0.0
@@ -330,13 +376,9 @@ def wce_sphere_cap(d, Y):
             f"directions have ambient dimension {Y.shape[1]}, expected {d + 1}")
     if np.any(np.abs(np.linalg.norm(Y, axis=1) - 1.0) > 1e-10):
         raise DomainError("directions must be unit vectors")
-    n = Y.shape[0]
     consts = sphere_constants(d)
-    if n > 1:
-        mean_dist = 2.0 * pdist(Y).sum() / n**2
-    else:
-        mean_dist = 0.0
-    return math.sqrt(max(consts.C_d * (consts.W_Sd - mean_dist), 0.0))
+    return math.sqrt(max(consts.C_d * (consts.W_Sd - _mean_distance(Y)),
+                         0.0))
 
 
 def rms_wce_iid(p):
@@ -357,8 +399,7 @@ def rms_wce_fixed_directions(p, Y):
     consts = sphere_constants(p.d)
     ibeta = float(reg_beta_i(p.B / (p.A + p.B), p.mu, p.mu))
     first = (1.0 / n) * (p.A / p.B)**p.mu * (2.0 * ibeta - 1.0)
-    mean_dist = 2.0 * pdist(Y).sum() / n**2 if n > 1 else 0.0
-    second = w_kr_psi(p) * consts.C_d * (consts.W_Sd - mean_dist)
+    second = w_kr_psi(p) * consts.C_d * (consts.W_Sd - _mean_distance(Y))
     return first + second
 
 
@@ -386,20 +427,21 @@ def expected_wce_sq_permutation(p, Y, radii):
         raise DomainError("radii must be positive")
     if len(np.unique(radii)) != n:
         raise DomainError("radii must be pairwise distinct")
-    if n > 1 and pdist(Y).min() == 0.0:
+    if len(np.unique(Y, axis=0)) != n:
         raise DomainError("directions must be pairwise distinct")
     if n == 1:
         return float(wce_nakagami(p, SpacePoints(Y, radii)).wce**2)
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
-    kr = phi_cdf(p, np.minimum.outer(radii, radii))
-    diag_mean = float(np.trace(kr)) / n
-    off_mean = (float(kr.sum()) - float(np.trace(kr))) / (n * (n - 1))
-    mean_dist = 2.0 * pdist(Y).sum() / n**2
-    term1 = off_mean * consts.C_d * (consts.W_Sd - mean_dist)
+    phi = phi_cdf(p, radii)
+    kr_sum = _kernel_sum(radii, phi)
+    trace = float(phi.sum())
+    diag_mean = trace / n
+    off_mean = (kr_sum - trace) / (n * (n - 1))
+    term1 = off_mean * consts.C_d * (consts.W_Sd - _mean_distance(Y))
     term2 = (1.0 / n) * (diag_mean - off_mean) * (1.0 - consts.W_KS)
     single = _kernel_r_psi_integral(p, radii)
-    term3 = (float(np.mean(kr)) + w_kr - 2.0 * float(np.mean(single))
+    term3 = (kr_sum / n**2 + w_kr - 2.0 * float(np.mean(single))
              ) * consts.W_KS
     return term1 + term2 + term3
 
@@ -413,9 +455,9 @@ def radial_discrepancy(p, radii):
     if np.any(radii < 0):
         raise DomainError("radii must be nonnegative")
     w_kr = w_kr_psi(p)
-    kr = phi_cdf(p, np.minimum.outer(radii, radii))
+    kr_mean = _kernel_sum(radii, phi_cdf(p, radii)) / len(radii)**2
     single = _kernel_r_psi_integral(p, radii)
-    sq = float(np.mean(kr)) + w_kr - 2.0 * float(np.mean(single))
+    sq = kr_mean + w_kr - 2.0 * float(np.mean(single))
     return math.sqrt(max(sq, 0.0))
 
 
@@ -487,8 +529,7 @@ def stratified_expected_wce_sq(p, partition, shells, seed=0,
         d_phi = (phi_psi_integral(p, rho_hi) if np.isfinite(rho_hi)
                  else 1.0 - abmu) - phi_psi_integral(p, rho_lo)
         G[k - 1] = K * d_phi - H[k - 1]
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed)])))
+    rng = _rng(seed)
     dists = np.empty(len(partition.bands))
     variances = np.empty(len(partition.bands))
     weights = np.array([b[2] for b in partition.bands], dtype=float)

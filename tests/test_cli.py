@@ -103,6 +103,21 @@ class TestWceCommand:
             payload["double_sum_term"] - payload["single_sum_term"],
             abs=1e-13)
 
+    def test_raw_square_in_json(self, capsys, tmp_path):
+        path = tmp_path / "pts.csv"
+        cli.main(["points", "--dim", "3", "--n", "32", "--gen", "sphere",
+                  "--scramble", "--seed", "3", "--output", str(path)])
+        capsys.readouterr()
+        code, out, _ = run_cli(["wce", "--input", str(path),
+                                "--mu", "1.5", "--A", "1.5", "--B", "3"],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"wce", "double_sum_term", "single_sum_term",
+                                "W_K", "n_points", "wce_sq_raw"}
+        assert payload["wce_sq_raw"] == (payload["double_sum_term"]
+                                         - payload["single_sum_term"])
+
     def test_polar_csv_accepted(self, capsys, tmp_path):
         path = tmp_path / "pts.csv"
         cli.main(["points", "--dim", "3", "--n", "16", "--gen", "sphere",
@@ -127,6 +142,39 @@ class TestWceCommand:
         cube = rng.random((64, 2))
         from spherecone.spheremap import lift_to_space
         np.testing.assert_array_equal(rows, lift_to_space(cube).cartesian)
+
+
+def read_points_loop(path):
+    """Per-element CSV reader: the reference for cli._read_points."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = np.array([[float(v) for v in row] for row in reader])
+    if header and header[0] == "radius":
+        return SpacePoints(rows[:, 1:], rows[:, 0])
+    return SpacePoints.from_cartesian(rows)
+
+
+class TestReadPoints:
+    @pytest.mark.parametrize("polar", [False, True])
+    def test_matches_loop_reader(self, capsys, tmp_path, polar):
+        path = tmp_path / "pts.csv"
+        cli.main(["points", "--dim", "4", "--n", "200", "--gen", "sphere",
+                  "--scramble", "--seed", "8", "--output", str(path)]
+                 + ["--polar"] * polar)
+        capsys.readouterr()
+        got, ref = cli._read_points(path), read_points_loop(path)
+        np.testing.assert_array_equal(got.radii, ref.radii)
+        np.testing.assert_array_equal(got.directions, ref.directions)
+
+    @pytest.mark.parametrize("text", ["", "x1,x2,x3\n", "x1,x2,x3\n1,2,abc\n",
+                                      "x1,x2,x3\n1,2,3\n1,2\n"])
+    def test_empty_or_malformed_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        code, _, err = run_cli(["wce", "--input", str(path), "--mu", "1.5",
+                                "--A", "1.5", "--B", "3"], capsys)
+        assert code == 2 and "error" in err
 
 
 class TestRmsWce:

@@ -193,6 +193,17 @@ class TestPartition:
         part = equal_area_partition_s2(M)
         assert part.diameter_constant <= 7.0
 
+    # diameter constants as equal_area_partition_s2 computed them eagerly,
+    # for every partition, before the value became a cached property
+    @pytest.mark.parametrize("M, eager", [
+        (1, 2.0), (2, 2.8284271247461903), (5, 4.098780306383839),
+        (100, 5.102940328869229), (1000, 5.008873833031112)])
+    def test_diameter_constant_lazy(self, M, eager):
+        part = equal_area_partition_s2(M)
+        assert "diameter_constant" not in vars(part)
+        assert part.diameter_constant == eager
+        assert vars(part)["diameter_constant"] == eager
+
     def test_bands_cover_cells(self, ):
         part = equal_area_partition_s2(57)
         assert sum(b[2] for b in part.bands) == 57

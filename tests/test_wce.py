@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.spatial.distance import cdist, pdist, squareform
 from itertools import permutations
 
 from spherecone.errors import ConfigurationError, DomainError
@@ -139,6 +142,12 @@ class TestWce:
             r.double_sum_term - r.single_sum_term, abs=1e-14)
         assert r.W_K == pytest.approx(w_kernel(P232), rel=1e-14)
 
+    def test_raw_square_kept_when_clamped(self):
+        with pytest.warns(RuntimeWarning):
+            r = wce._finish_report(0.5, 0.5 + 1e-8, 0.1, 4)
+        assert r.wce == 0.0
+        assert r.wce_sq_raw == 0.5 - (0.5 + 1e-8)
+
     @pytest.mark.parametrize("p", P_LIST)
     def test_matches_general_quadrature_route(self, p):
         pts = random_points(p, 8, seed=3)
@@ -194,6 +203,92 @@ class TestWce:
         with pytest.raises(ConfigurationError):
             wce_isotropic_general(lambda r: phi_cdf(P232, r),
                                   lambda r: 2 * math.exp(-r), 2, pts)
+
+
+def dense_sums(p, pts, c_d):
+    """sum_ij Phi(min{r_i, r_j}), sum_ij Phi(min{r_i, r_j}) (1 - c_d
+    ||x_i - x_j||) and sum_ij ||x_i - x_j|| from the full N x N matrices:
+    the reference for the tiled O(N)-memory core."""
+    n = len(pts)
+    dist = (squareform(pdist(pts.directions)) if n > 1
+            else np.zeros((1, 1)))
+    kr = phi_cdf(p, np.minimum.outer(pts.radii, pts.radii))
+    return kr.sum(), (kr * (1.0 - c_d * dist)).sum(), dist.sum()
+
+
+class TestTiledCore:
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    def test_matches_dense(self, monkeypatch, n, rows):
+        # rows per tile: 3 and 7 leave a ragged last tile at n = 50 and
+        # 1000, 1 runs one tile per row; None keeps the module's tile size
+        if rows is not None:
+            monkeypatch.setattr(wce, "_TILE_ELEMS", rows * n)
+        p = P232
+        pts = random_points(p, n, seed=20 + n)
+        c_d = sphere_constants(p.d).C_d
+        phi = phi_cdf(p, pts.radii)
+        ref_radial, ref_kernel, ref_dist = dense_sums(p, pts, c_d)
+        assert wce._kernel_sum(pts.radii, phi) == pytest.approx(
+            ref_radial, rel=1e-12)
+        assert wce._kernel_sum(pts.radii, phi, pts.directions, c_d) == \
+            pytest.approx(ref_kernel, rel=1e-12)
+        assert wce._mean_distance(pts.directions) == pytest.approx(
+            ref_dist / n**2, rel=1e-12, abs=0)
+
+    def test_gram_distances_match_cdist(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((300, 4))
+        # off unit length within SpacePoints' 1e-10 tolerance
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X *= 1.0 + rng.uniform(-5e-11, 5e-11, size=(300, 1))
+        X[7] = X[3]  # a coincident pair: the clamp keeps it finite
+        ref = np.triu(cdist(X, X), 1).sum(axis=1)
+        got = wce._upper_distance_row_sums(X)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-7)
+        np.testing.assert_allclose(np.delete(got, 3), np.delete(ref, 3),
+                                   rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 10**6),
+           ties=st.booleans())
+    def test_permutation_invariance(self, data, n, seed, ties):
+        p = P232
+        pts = random_points(p, n, seed)
+        radii = np.round(pts.radii, 1) if ties else pts.radii
+        perm = np.array(data.draw(st.permutations(range(n))))
+        a = wce_nakagami(p, SpacePoints(pts.directions, radii))
+        b = wce_nakagami(p, SpacePoints(pts.directions[perm], radii[perm]))
+        assert b.double_sum_term == pytest.approx(a.double_sum_term,
+                                                  rel=1e-12, abs=1e-15)
+        assert b.single_sum_term == pytest.approx(a.single_sum_term,
+                                                  rel=1e-12, abs=1e-15)
+
+    def test_memory_bound(self):
+        p = P232
+        pts = random_points(p, 2**14, seed=22)
+        tracemalloc.start()
+        try:
+            wce_nakagami(p, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256e6
+
+    @pytest.mark.parametrize("p", P_LIST)
+    @pytest.mark.parametrize("n", [1, 2, 17, 64])
+    def test_general_route_closed_forms(self, p, n):
+        pts = random_points(p, n, seed=23 + n)
+        closed = wce_nakagami(p, pts)
+        general = wce_isotropic_general(
+            lambda r: phi_cdf(p, r), lambda r: float(wce.psi_density(p, r)),
+            p.d, pts, psi_tail_fn=lambda r: float(wce.psi_tail(p, r)),
+            phi_psi_integral_fn=lambda r: wce.phi_psi_integral(p, r),
+            w_kr=w_kr_psi(p))
+        assert general.double_sum_term == pytest.approx(
+            closed.double_sum_term, rel=1e-12)
+        assert general.single_sum_term == pytest.approx(
+            closed.single_sum_term, rel=1e-12)
 
 
 class TestSphereCap:
