@@ -4,9 +4,9 @@ spherical-cone discrepancies, and option-pricing experiments."""
 from .errors import (SphereconeError, DomainError, InfiniteResultError,
                      ConfigurationError, ExhaustionError, NumericError)
 from .lds import DirectionNumberTable, SobolStream, sobol_block
-from .spheremap import (SpacePoint, SpacePoints, RadialShells,
-                        SpherePartition, map_to_sphere, lift_to_space,
-                        cap_measure, radial_shells, equal_area_partition_s2,
+from .spheremap import (SpacePoints, RadialShells, SpherePartition,
+                        map_to_sphere, lift_to_space, cap_measure,
+                        radial_shells, equal_area_partition_s2,
                         stratified_sample)
 from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
                   kernel_K, w_kr_psi, w_kernel, wce_nakagami,

@@ -57,8 +57,8 @@ def cmd_points(args):
         stream = lds.SobolStream(args.dim, seed=args.seed,
                                  scramble=args.scramble, table=table)
         pts = stream.take(args.n)
-        _emit_csv([f"x{i+1}" for i in range(args.dim)],
-                  [list(map(float, row)) for row in pts], args.output)
+        _emit_csv([f"x{i+1}" for i in range(args.dim)], pts.tolist(),
+                  args.output)
         return 0
     if args.gen == "sphere":
         stream = lds.SobolStream(args.dim, seed=args.seed,
@@ -71,12 +71,11 @@ def cmd_points(args):
     pts = spheremap.lift_to_space(cube)
     if args.polar:
         header = ["radius"] + [f"y{i+1}" for i in range(args.dim)]
-        rows = [[float(pts.radii[i])] + list(map(float, pts.directions[i]))
-                for i in range(len(pts))]
+        rows = np.column_stack([pts.radii, pts.directions])
     else:
         header = [f"x{i+1}" for i in range(args.dim)]
-        rows = [list(map(float, row)) for row in pts.cartesian]
-    _emit_csv(header, rows, args.output)
+        rows = pts.cartesian
+    _emit_csv(header, rows.tolist(), args.output)
     return 0
 
 
@@ -89,8 +88,8 @@ def cmd_sphere_map(args):
     else:
         cube = lds._rng(args.seed).random((args.n, args.dim))
     pts = spheremap.map_to_sphere(cube)
-    _emit_csv([f"y{i+1}" for i in range(args.dim + 1)],
-              [list(map(float, row)) for row in pts], args.output)
+    _emit_csv([f"y{i+1}" for i in range(args.dim + 1)], pts.tolist(),
+              args.output)
     return 0
 
 

@@ -17,6 +17,7 @@ randomness comes from a Philox counter-based generator seeded with
 
 from __future__ import annotations
 
+import functools
 import os
 from importlib import resources
 
@@ -98,16 +99,16 @@ class DirectionNumberTable:
 
     @classmethod
     def default(cls):
-        """Embedded table (Joe-Kuo style, dimensions up to 192).
+        """The table every stream without an explicit one uses.
 
-        The env var SPHERECONE_DIRFILE overrides the embedded data.
+        The file named by the env var SPHERECONE_DIRFILE, parsed afresh on
+        each call; without it the embedded table (Joe-Kuo style,
+        dimensions up to 192), parsed once per process.
         """
         override = os.environ.get("SPHERECONE_DIRFILE")
         if override:
             return cls.from_file(override)
-        text = (resources.files("spherecone.data")
-                .joinpath("direction-numbers.txt").read_text())
-        return cls.from_lines(text.splitlines())
+        return _embedded_table()
 
     def direction_vectors(self, dimension):
         """Read-only (dimension, 32) uint32 array of direction vectors
@@ -150,17 +151,11 @@ class DirectionNumberTable:
         return v
 
 
-_DEFAULT_TABLE = None
-
-
-def _default_table():
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None or os.environ.get("SPHERECONE_DIRFILE"):
-        table = DirectionNumberTable.default()
-        if not os.environ.get("SPHERECONE_DIRFILE"):
-            _DEFAULT_TABLE = table
-        return table
-    return _DEFAULT_TABLE
+@functools.cache
+def _embedded_table():
+    text = (resources.files("spherecone.data")
+            .joinpath("direction-numbers.txt").read_text())
+    return DirectionNumberTable.from_lines(text.splitlines())
 
 
 # row i of a scramble matrix (output digit i, most significant first) may
@@ -189,7 +184,7 @@ class SobolStream:
         self.replicate = int(replicate)
         self.index = 1
         if table is None:
-            table = _default_table()
+            table = DirectionNumberTable.default()
         V = table.direction_vectors(self.dimension)
         if scramble:
             rng = _rng(self.seed, self.replicate)
@@ -254,7 +249,7 @@ def sobol_block(dimension, count, replicate_count, seed, scramble=True,
         raise ConfigurationError(
             f"replicate_count must be >= 1, got {replicate_count}")
     if table is None:
-        table = _default_table()
+        table = DirectionNumberTable.default()
     out = np.empty((replicate_count, count, dimension), dtype=np.float64)
     for r in range(replicate_count):
         stream = SobolStream(dimension, seed=seed, scramble=scramble,

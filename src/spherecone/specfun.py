@@ -33,6 +33,12 @@ __all__ = [
 _TINY = 1e-300
 
 
+def _like_input(x, out):
+    """out as a Python float when the input x is 0-dimensional (a Python
+    or numpy scalar, or a 0-d array), else as the array it is."""
+    return out if np.ndim(x) else float(out)
+
+
 def _check_finite(name, value):
     if not np.all(np.isfinite(value)):
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -76,8 +82,7 @@ def inv_reg_gamma_q(a, s):
         raise InfiniteResultError("inverse of Q(a, .) at s = 0 is infinite")
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise DomainError(f"s must be in (0, 1], got {s!r}")
-    out = sp.gammainccinv(a, np.maximum(s_arr, _TINY))
-    return out if isinstance(s, np.ndarray) or np.ndim(s) else float(out)
+    return _like_input(s, sp.gammainccinv(a, np.maximum(s_arr, _TINY)))
 
 
 def inv_reg_gamma_p(a, p):
@@ -89,8 +94,7 @@ def inv_reg_gamma_p(a, p):
         raise InfiniteResultError("inverse of P(a, .) at p = 1 is infinite")
     if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
         raise DomainError(f"p must be in [0, 1), got {p!r}")
-    out = sp.gammaincinv(a, p_arr)
-    return out if isinstance(p, np.ndarray) or np.ndim(p) else float(out)
+    return _like_input(p, sp.gammaincinv(a, p_arr))
 
 
 def reg_beta_i(x, a, b):
@@ -116,7 +120,7 @@ def inv_reg_beta_symmetric(y, a):
         raise DomainError(f"y must be in [0, 1], got {y!r}")
     out = sp.betaincinv(a, a, y_arr)
     out = np.where(y_arr == 0.5, 0.5, out)
-    return out if isinstance(y, np.ndarray) or np.ndim(y) else float(out)
+    return _like_input(y, out)
 
 
 def chi_cdf(dof, x):
@@ -139,8 +143,7 @@ def chi_quantile(dof, u):
         raise InfiniteResultError("chi quantile at u = 1 is infinite")
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise DomainError(f"u must be in [0, 1), got {u!r}")
-    out = np.sqrt(2.0 * sp.gammaincinv(dof / 2.0, u_arr))
-    return out if isinstance(u, np.ndarray) or np.ndim(u) else float(out)
+    return _like_input(u, np.sqrt(2.0 * sp.gammaincinv(dof / 2.0, u_arr)))
 
 
 def normal_cdf(x):
@@ -155,5 +158,4 @@ def inv_normal_cdf(u):
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise DomainError(f"u must be in (0, 1), got {u!r}")
-    out = sp.ndtri(u_arr)
-    return out if isinstance(u, np.ndarray) or np.ndim(u) else float(out)
+    return _like_input(u, sp.ndtri(u_arr))

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .lds import _rng
-from .specfun import (chi_quantile, inv_reg_beta_symmetric, reg_beta_i,
-                      reg_gamma_q, inv_reg_gamma_q, inv_reg_gamma_p)
+from .specfun import (_like_input, chi_quantile, inv_reg_beta_symmetric,
+                      reg_beta_i, reg_gamma_q, inv_reg_gamma_q,
+                      inv_reg_gamma_p)
 
 __all__ = [
-    "SpacePoint",
     "SpacePoints",
     "RadialShells",
     "SpherePartition",
@@ -42,37 +42,27 @@ __all__ = [
 _U_CAP = 1.0 - 2.0**-32
 
 
-@dataclass(frozen=True)
-class SpacePoint:
-    """A point of R^{m+1} in polar form: unit direction times radius."""
+# directions may be off unit length by this much: the rounding of a
+# normalization or of a 17-digit CSV round trip
+_UNIT_TOL = 1e-10
 
-    direction: np.ndarray
-    radius: float
 
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "direction", d)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise DomainError("direction must be a unit vector")
-        if self.radius < 0:
-            raise DomainError("radius must be nonnegative")
-
-    @property
-    def cartesian(self):
-        return self.radius * self.direction
+def _check_unit(directions):
+    """Raise DomainError unless every row of directions has unit length."""
+    if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
+        raise DomainError("directions must be unit vectors")
 
 
 class SpacePoints:
-    """Batch of points in polar form: directions (N, m+1), radii (N,)."""
+    """Points of R^{m+1} in polar form: unit directions (N, m+1) and
+    radii (N,).  A single direction and radius make a one-row set."""
 
     def __init__(self, directions, radii):
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if directions.shape[0] != radii.shape[0]:
             raise ConfigurationError("directions and radii length mismatch")
-        norms = np.linalg.norm(directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise DomainError("directions must be unit vectors")
+        _check_unit(directions)
         if np.any(radii < 0):
             raise DomainError("radii must be nonnegative")
         self.directions = directions
@@ -82,7 +72,7 @@ class SpacePoints:
         return self.radii.shape[0]
 
     def __getitem__(self, i):
-        return SpacePoint(self.directions[i], float(self.radii[i]))
+        return SpacePoints(self.directions[i], self.radii[i])
 
     @property
     def cartesian(self):
@@ -133,22 +123,14 @@ def lift_to_space(x):
     """Lift [0,1)^d points to R^d: sphere map for the first d-1 coords,
     chi(d) quantile of the last coordinate as the radius.
 
-    A single vector gives a SpacePoint, a batch gives SpacePoints.
-    Uniform input yields standard normal output.
+    Returns SpacePoints; a single vector gives a one-row set.  Uniform
+    input yields standard normal output.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    n, d = x2.shape
-    if d < 2:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] < 2:
         raise DomainError("need dimension >= 2 to split direction and radius")
-    dirs = map_to_sphere(x2[:, :-1])
-    u = np.minimum(x2[:, -1], _U_CAP)
-    radii = chi_quantile(d, u)
-    radii = np.atleast_1d(radii)
-    if single:
-        return SpacePoint(dirs[0], float(radii[0]))
-    return SpacePoints(dirs, radii)
+    u = np.minimum(x[:, -1], _U_CAP)
+    return SpacePoints(map_to_sphere(x[:, :-1]), chi_quantile(x.shape[1], u))
 
 
 def cap_measure(m, t):
@@ -161,8 +143,7 @@ def cap_measure(m, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1.0) or np.any(t > 1.0):
         raise DomainError("cap height must lie in [-1, 1]")
-    out = reg_beta_i((1.0 - t) / 2.0, m / 2.0, m / 2.0)
-    return out if t.ndim else float(out)
+    return _like_input(t, reg_beta_i((1.0 - t) / 2.0, m / 2.0, m / 2.0))
 
 
 @dataclass(frozen=True)

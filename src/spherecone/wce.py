@@ -29,8 +29,9 @@ from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
-from .specfun import (inv_reg_gamma_q, reg_beta_i, reg_gamma_p, reg_gamma_q)
-from .spheremap import SpacePoint, SpacePoints, cap_measure
+from .specfun import (_like_input, inv_reg_gamma_q, reg_beta_i, reg_gamma_p,
+                      reg_gamma_q)
+from .spheremap import SpacePoints, _check_unit, cap_measure
 
 __all__ = [
     "KernelParams",
@@ -116,7 +117,7 @@ def phi_cdf(p, rho):
     """The radial cdf Phi(rho) = 1 - exp(-mu (1/A - 1/B) rho^2)."""
     rho = np.asarray(rho, dtype=float)
     out = -np.expm1(-p.mu * (1.0 / p.A - 1.0 / p.B) * rho**2)
-    return out if out.ndim else float(out)
+    return _like_input(rho, out)
 
 
 def psi_tail(p, rho):
@@ -138,7 +139,7 @@ def phi_psi_integral(p, rho):
     rho = np.asarray(rho, dtype=float)
     out = (reg_gamma_p(p.mu, (p.mu / p.B) * rho**2)
            - (p.A / p.B)**p.mu * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
-    return out if out.ndim else float(out)
+    return _like_input(rho, out)
 
 
 def w_kr_psi(p):
@@ -153,28 +154,24 @@ def w_kernel(p):
     return w_kr_psi(p) * sphere_constants(p.d).W_KS
 
 
-def _as_polar(X, p=None):
-    """Normalize point-set input to (radii, directions) arrays.
-
-    Accepts SpacePoints, a single SpacePoint, a sequence of SpacePoint,
-    or a plain (N, d+1) Cartesian array.
-    """
-    if isinstance(X, SpacePoints):
-        pts = X
-    elif isinstance(X, SpacePoint):
-        pts = SpacePoints(X.direction[None, :], [X.radius])
-    elif isinstance(X, (list, tuple)) and X and isinstance(X[0], SpacePoint):
-        pts = SpacePoints(np.stack([x.direction for x in X]),
-                          [x.radius for x in X])
-    else:
-        pts = SpacePoints.from_cartesian(np.asarray(X, dtype=float))
-    if len(pts) == 0:
-        raise DomainError("point set must not be empty")
-    if p is not None and pts.directions.shape[1] != p.d + 1:
+def _directions(Y, d):
+    """Directions on S^d as an (N, d+1) float array of unit rows; every
+    direction input of this module is checked here."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if Y.shape[1] != d + 1:
         raise ConfigurationError(
-            f"points have ambient dimension {pts.directions.shape[1]}, "
-            f"kernel expects {p.d + 1}")
-    return pts.radii, pts.directions
+            f"points have ambient dimension {Y.shape[1]}, expected {d + 1}")
+    _check_unit(Y)
+    return Y
+
+
+def _as_polar(X, d):
+    """(radii, directions) of SpacePoints or of a Cartesian (N, d+1) array."""
+    if not isinstance(X, SpacePoints):
+        X = SpacePoints.from_cartesian(X)
+    if len(X) == 0:
+        raise DomainError("point set must not be empty")
+    return X.radii, _directions(X.directions, d)
 
 
 def kernel_K(p, x, y):
@@ -182,8 +179,8 @@ def kernel_K(p, x, y):
 
     Anchored at the origin: K(0, y) = 0.
     """
-    rx, dx = _as_polar(x, p)
-    ry, dy = _as_polar(y, p)
+    rx, dx = _as_polar(x, p.d)
+    ry, dy = _as_polar(y, p.d)
     r = min(rx[0], ry[0])
     if r == 0.0:
         return 0.0
@@ -201,8 +198,7 @@ def kernel_psi_integral(p, rho):
                - (1.0 - phi_cdf(p, rho)) * psi_tail(p, rho)
                - (p.A / p.B)**p.mu
                * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
-    out = w_ks * bracket
-    return out if np.ndim(rho) else float(out)
+    return _like_input(rho, w_ks * bracket)
 
 
 def _upper_distance_row_sums(X):
@@ -268,7 +264,7 @@ def _finish_report(double_sum, single_sum, w_k, n):
 def wce_nakagami(p, X):
     """Worst-case error of the equal-weight rule on X, all radial
     integrals in closed form.  O(N^2) time, O(N) memory."""
-    radii, dirs = _as_polar(X, p)
+    radii, dirs = _as_polar(X, p.d)
     n = len(radii)
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
@@ -313,10 +309,7 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
             lambda r: 2.0 * Phi(r) * psidens(r) * psi_tail_fn(r),
             0.0, np.inf, limit=200, epsabs=1e-10)
 
-    radii, dirs = _as_polar(X)
-    if dirs.shape[1] != d + 1:
-        raise ConfigurationError(
-            f"points have ambient dimension {dirs.shape[1]}, expected {d + 1}")
+    radii, dirs = _as_polar(X, d)
     n = len(radii)
     consts = sphere_constants(d)
     w_k = w_kr * consts.W_KS
@@ -338,8 +331,10 @@ def mc_cone_discrepancy_oracle(p, X, n_samples, seed, chunk=100_000):
     """
     if n_samples < 10_000:
         raise ConfigurationError("need at least 10^4 samples")
-    radii, dirs = _as_polar(X, p)
+    radii, dirs = _as_polar(X, p.d)
     n = len(radii)
+    # cone-membership tests held at once: N x cols, at most _TILE_ELEMS
+    cols = max(1, _TILE_ELEMS // n)
     rng = _rng(seed)
     scale = p.mu * (1.0 / p.A - 1.0 / p.B)
     total = 0.0
@@ -352,8 +347,12 @@ def mc_cone_discrepancy_oracle(p, X, n_samples, seed, chunk=100_000):
         t = rng.uniform(-1.0, 1.0, size=m)
         u = rng.random(m)
         R = np.sqrt(-np.log1p(-u) / scale)
-        inside = (dirs @ z.T >= t) & (radii[:, None] >= R)
-        counts = inside.sum(axis=0) / n
+        counts = np.empty(m)
+        for a in range(0, m, cols):
+            s = slice(a, a + cols)
+            inside = (dirs @ z[s].T >= t[s]) & (radii[:, None] >= R[s])
+            counts[s] = inside.sum(axis=0)
+        counts /= n
         true_mass = psi_tail(p, R) * cap_measure(p.d, t)
         dsq = (counts - true_mass)**2
         total += float(dsq.sum())
@@ -370,12 +369,7 @@ def wce_sphere_cap(d, Y):
     """Worst-case error on the sphere alone:
     sqrt(C_d [W(S^d) - mean pairwise distance]), the spherical-cap L2
     discrepancy of the directions Y."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[1] != d + 1:
-        raise ConfigurationError(
-            f"directions have ambient dimension {Y.shape[1]}, expected {d + 1}")
-    if np.any(np.abs(np.linalg.norm(Y, axis=1) - 1.0) > 1e-10):
-        raise DomainError("directions must be unit vectors")
+    Y = _directions(Y, d)
     consts = sphere_constants(d)
     return math.sqrt(max(consts.C_d * (consts.W_Sd - _mean_distance(Y)),
                          0.0))
@@ -394,7 +388,7 @@ def rms_wce_fixed_directions(p, Y):
     """E[wce^2] for fixed directions Y with i.i.d. psi-distributed radii:
     (1/N)(A/B)^mu [2 I_{B/(A+B)}(mu, mu) - 1]
         + W(K_R, psi) C_d [W(S^d) - mean pairwise distance]."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _directions(Y, p.d)
     n = Y.shape[0]
     consts = sphere_constants(p.d)
     ibeta = float(reg_beta_i(p.B / (p.A + p.B), p.mu, p.mu))
@@ -418,7 +412,7 @@ def expected_wce_sq_permutation(p, Y, radii):
     comparison at rate 1/N, and a radial discrepancy weighted by W(K_S).
     Radii and directions must be pairwise distinct.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _directions(Y, p.d)
     radii = np.asarray(radii, dtype=float)
     n = Y.shape[0]
     if radii.shape[0] != n:

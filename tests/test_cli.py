@@ -194,6 +194,17 @@ class TestRmsWce:
             wce.rms_wce_iid(p) / 10)
         assert payload["fixed_directions_expected_wce_sq"] > 0
 
+    def test_dimension_mismatch_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "pts5.csv"
+        cli.main(["points", "--dim", "5", "--n", "8", "--gen", "sphere",
+                  "--output", str(path)])
+        capsys.readouterr()
+        code, out, err = run_cli(["rms-wce", "--mu", "1.5", "--A", "1.5",
+                                  "--B", "3", "--d", "2",
+                                  "--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "ambient dimension 5" in err
+
 
 class TestLambda:
     def test_exact_value(self, capsys):

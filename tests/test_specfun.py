@@ -7,6 +7,9 @@ from scipy import integrate
 
 from spherecone import specfun
 from spherecone.errors import DomainError, InfiniteResultError
+from spherecone.spheremap import cap_measure
+from spherecone.wce import (KernelParams, kernel_psi_integral, phi_cdf,
+                            phi_psi_integral)
 
 
 def gamma_p_quadrature(a, x):
@@ -218,3 +221,32 @@ class TestNormal:
         for bad in (0.0, 1.0, -0.2, 1.2):
             with pytest.raises(DomainError):
                 specfun.inv_normal_cdf(bad)
+
+
+P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
+SCALAR_RULE = {
+    "inv_reg_gamma_q": lambda v: specfun.inv_reg_gamma_q(1.5, v),
+    "inv_reg_gamma_p": lambda v: specfun.inv_reg_gamma_p(1.5, v),
+    "inv_reg_beta_symmetric": lambda v: specfun.inv_reg_beta_symmetric(
+        v, 2.5),
+    "chi_quantile": lambda v: specfun.chi_quantile(3, v),
+    "inv_normal_cdf": specfun.inv_normal_cdf,
+    "cap_measure": lambda v: cap_measure(2, v),
+    "phi_cdf": lambda v: phi_cdf(P232, v),
+    "phi_psi_integral": lambda v: phi_psi_integral(P232, v),
+    "kernel_psi_integral": lambda v: kernel_psi_integral(P232, v),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_RULE)
+def test_scalar_in_float_out(name):
+    # any 0-dimensional input gives a Python float, array input an array
+    # of the same shape
+    fn = SCALAR_RULE[name]
+    values = np.array([[0.1, 0.25, 0.4], [0.5, 0.6, 0.8]])
+    batch = fn(values)
+    assert isinstance(batch, np.ndarray) and batch.shape == values.shape
+    for scalar in (0.25, np.float64(0.25), np.array(0.25)):
+        out = fn(scalar)
+        assert type(out) is float
+        assert out == batch[0, 1]

@@ -5,7 +5,7 @@ import pytest
 
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.lds import SobolStream
-from spherecone.spheremap import (RadialShells, SpacePoint, SpacePoints,
+from spherecone.spheremap import (RadialShells, SpacePoints,
                                   cap_measure, equal_area_partition_s2,
                                   lift_to_space, map_to_sphere, radial_shells,
                                   stratified_sample)
@@ -81,9 +81,10 @@ class TestMapToSphere:
 
 class TestLift:
     def test_single_and_batch(self):
+        # a single vector gives a one-row set
         pt = lift_to_space(np.array([0.25, 0.5]))
-        assert isinstance(pt, SpacePoint)
-        np.testing.assert_allclose(pt.direction, [0.0, 1.0], atol=1e-15)
+        assert isinstance(pt, SpacePoints) and len(pt) == 1
+        np.testing.assert_allclose(pt.directions[0], [0.0, 1.0], atol=1e-15)
         pts = lift_to_space(np.array([[0.25, 0.5], [0.0, 0.9]]))
         assert isinstance(pts, SpacePoints) and len(pts) == 2
         np.testing.assert_allclose(pts[0].cartesian, pt.cartesian)
@@ -91,12 +92,12 @@ class TestLift:
     def test_radius_median(self):
         # u = 0.5 gives the chi(2) median sqrt(2 ln 2)
         pt = lift_to_space(np.array([0.1, 0.5]))
-        assert pt.radius == pytest.approx(math.sqrt(2 * math.log(2)),
-                                          rel=1e-12)
+        assert pt.radii[0] == pytest.approx(math.sqrt(2 * math.log(2)),
+                                            rel=1e-12)
 
     def test_u_one_is_capped_not_infinite(self):
         pt = lift_to_space(np.array([0.1, 1.0 - 2.0**-40]))
-        assert math.isfinite(pt.radius)
+        assert math.isfinite(pt.radii[0])
 
     def test_uniform_input_gives_standard_normal(self):
         rng = np.random.default_rng(4)
@@ -299,12 +300,29 @@ class TestStratifiedSample:
 
 class TestSpacePointTypes:
     def test_validation(self):
+        # one direction and radius make a one-row set
         with pytest.raises(DomainError):
-            SpacePoint(np.array([1.0, 1.0]), 1.0)
+            SpacePoints(np.array([1.0, 1.0]), 1.0)
         with pytest.raises(DomainError):
-            SpacePoint(np.array([1.0, 0.0]), -0.5)
+            SpacePoints(np.array([1.0, 0.0]), -0.5)
         with pytest.raises(ConfigurationError):
             SpacePoints(np.eye(3), [1.0, 2.0])
+
+    def test_indexing_gives_one_row_set(self):
+        pts = SpacePoints(np.eye(3), [1.0, 2.0, 3.0])
+        pt = pts[1]
+        assert isinstance(pt, SpacePoints) and len(pt) == 1
+        np.testing.assert_array_equal(pt.directions, [[0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(pt.radii, [2.0])
+        np.testing.assert_array_equal(pt.cartesian, [[0.0, 2.0, 0.0]])
+
+    def test_indexing_keeps_the_set_tolerance(self):
+        # a direction 5e-11 off unit length is inside the one tolerance
+        # of the set, so its rows index too
+        pts = SpacePoints([[1 + 5e-11, 0, 0]], [1.0])
+        assert pts[0].directions[0, 0] == 1 + 5e-11
+        with pytest.raises(DomainError):
+            SpacePoints([[1 + 5e-10, 0, 0]], [1.0])
 
     def test_from_cartesian_roundtrip(self):
         rng = np.random.default_rng(7)

@@ -111,6 +111,13 @@ class TestKernel:
         expect = phi_cdf(P232, 1.0) * (1 - 0.25 * math.sqrt(2.0))
         assert v == pytest.approx(expect, rel=1e-14)
 
+    def test_indexed_rows_within_set_tolerance(self):
+        # rows of a set that SpacePoints accepted index and evaluate
+        pts = SpacePoints([[1 + 5e-11, 0, 0], [0, 1, 0]], [1.0, 2.0])
+        v = kernel_K(P232, pts[0], pts[1])
+        assert v == pytest.approx(
+            phi_cdf(P232, 1.0) * (1 - 0.25 * math.sqrt(2.0)), rel=1e-10)
+
     def test_kernel_psi_integral_quadrature(self):
         # average K(x, y0) over psi-distributed x by Monte Carlo
         p = P232
@@ -186,6 +193,31 @@ class TestWce:
         _, se1 = mc_cone_discrepancy_oracle(p, pts, 20_000, seed=8)
         _, se2 = mc_cone_discrepancy_oracle(p, pts, 80_000, seed=8)
         assert se2 < se1
+
+    @pytest.mark.parametrize("n, n_samples, seed", [(12, 200_000, 6),
+                                                    (5, 80_000, 8)])
+    def test_mc_oracle_blocks_match_unblocked(self, monkeypatch, n,
+                                              n_samples, seed):
+        # the default tile splits each 10^5-sample chunk into ragged
+        # column blocks; counts are integers, so the result is bitwise
+        # that of one block per chunk
+        pts = random_points(P232, n, seed=seed - 1)
+        blocked = mc_cone_discrepancy_oracle(P232, pts, n_samples, seed)
+        monkeypatch.setattr(wce, "_TILE_ELEMS", 2**40)
+        assert mc_cone_discrepancy_oracle(P232, pts, n_samples,
+                                          seed) == blocked
+
+    def test_mc_oracle_memory_bound(self):
+        # unblocked, one 10^5-sample chunk at N = 1024 held 1024 x 10^5
+        # doubles (0.8 GB) plus as many booleans
+        pts = random_points(P232, 1024, seed=24)
+        tracemalloc.start()
+        try:
+            mc_cone_discrepancy_oracle(P232, pts, 100_000, seed=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_mc_oracle_needs_samples(self):
         with pytest.raises(ConfigurationError):
@@ -319,6 +351,32 @@ class TestSphereCap:
     def test_validates_unit_norm(self):
         with pytest.raises(DomainError):
             wce_sphere_cap(2, np.array([[1.0, 1.0, 0.0]]))
+
+
+DIRECTION_LAWS = [
+    lambda p, Y: wce_sphere_cap(p.d, Y),
+    rms_wce_fixed_directions,
+    lambda p, Y: expected_wce_sq_permutation(p, Y, 1.0 + np.arange(len(Y))),
+]
+
+
+@pytest.mark.parametrize("law", DIRECTION_LAWS,
+                         ids=["sphere_cap", "fixed_directions", "permutation"])
+class TestDirectionInputs:
+    def test_wrong_ambient_dimension(self, law):
+        rng = np.random.default_rng(26)
+        Y = rng.standard_normal((4, 5))
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        with pytest.raises(ConfigurationError):
+            law(P232, Y)
+
+    def test_non_unit_directions(self, law):
+        with pytest.raises(DomainError):
+            law(P232, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+    def test_within_tolerance_accepted(self, law):
+        Y = np.eye(3) * (1.0 + 5e-11)
+        assert law(P232, Y) >= 0.0
 
 
 class TestExpectedValueLaws:
