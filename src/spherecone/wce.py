@@ -207,7 +207,8 @@ def _upper_distance_row_sums(X):
     Row tiles of at most _TILE_ELEMS distances.  A tile's squared
     distances ||x||^2 + ||y||^2 - 2 x.y are one matmul of the rows
     [-2x, 1, ||x||^2] with [y, ||y||^2, 1], clamped at 0; the rows' own
-    norms are used because directions may be off unit length by 1e-10.
+    norms are used because directions may be off unit length by up to
+    spheremap._UNIT_TOL.
     """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)[:, None]
