@@ -10,7 +10,7 @@ sets round-trip losslessly.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -20,18 +20,28 @@ import numpy as np
 
 from . import finance, lds, spheremap, wce
 from .errors import DomainError, ConfigurationError, NumericError
+from .specfun import _U_CAP, _U_FLOOR, inv_normal_cdf
 
 _FMT = "%.17g"
 
 
+@functools.cache
+def _row_format(kinds):
+    """The one format string of a CSV row whose cells have these types:
+    17 significant digits for floats, str() for every other cell."""
+    return ",".join(_FMT if issubclass(k, float) else "%s"
+                    for k in kinds) + "\r\n"
+
+
 def _emit_csv(header, rows, path):
+    """Write header and rows as CSV lines ending in \\r\\n.  Cells are
+    written as they are, unquoted: the CLI's text cells (generator, kind
+    and construction names) hold no comma, quote or line break."""
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT % v if isinstance(v, float) else v
-                             for v in row])
+        out.write(",".join(header) + "\r\n")
+        out.writelines(_row_format(tuple(map(type, row))) % tuple(row)
+                       for row in rows)
     finally:
         if path:
             out.close()
@@ -146,8 +156,7 @@ def _trial_points(gen, dim, n, seed, table):
     if gen == "inverse_normal":
         cube = lds.SobolStream(dim, seed=seed, scramble=True,
                                table=table).take(n)
-        from .specfun import inv_normal_cdf
-        z = inv_normal_cdf(np.clip(cube, 2.0**-33, 1.0 - 2.0**-33))
+        z = inv_normal_cdf(np.clip(cube, _U_FLOOR, _U_CAP))
         return z / np.linalg.norm(z, axis=1, keepdims=True)
     if gen == "random":
         return spheremap.map_to_sphere(lds._rng(seed).random((n, dim - 1)))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .lds import SobolStream, _rng
-from .specfun import inv_normal_cdf
+from .specfun import _U_FLOOR, inv_normal_cdf
 from .spheremap import lift_to_space
 
 __all__ = [
@@ -49,10 +49,6 @@ __all__ = [
 
 GENERATORS = ("mc", "sobol_inverse_normal", "sphere_normal")
 CONSTRUCTIONS = ("standard", "pca")
-
-# scrambled Sobol' coordinates live on the grid k/2^32; a zero coordinate
-# is clamped before the inverse normal cdf
-_U_FLOOR = 2.0**-33
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Scalar special functions used throughout the package.
 
-Regularized incomplete gamma/beta functions, their inverses, the chi
-quantile and the inverse normal CDF.  All functions are pure, accept
-floats or numpy arrays, and raise :class:`DomainError` on invalid input.
-Evaluation is delegated to scipy.special (cephes); the test suite checks
-every function against independent adaptive-quadrature and bisection
-oracles.
+Regularized incomplete gamma/beta functions, their inverses, the sphere
+map's height inverse, the chi quantile and the inverse normal CDF.  All
+functions are pure, accept floats or numpy arrays, and raise
+:class:`DomainError` on invalid input.  Evaluation is delegated to
+scipy.special (cephes); the test suite checks every function against
+independent adaptive-quadrature and bisection oracles, and the sphere
+height against mpmath.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "inv_reg_gamma_q",
     "reg_beta_i",
     "inv_reg_beta_symmetric",
+    "sphere_height",
     "chi_cdf",
     "chi_quantile",
     "normal_cdf",
@@ -31,6 +33,21 @@ __all__ = [
 # Probabilities below this are treated as exact 0 in the inverse routines
 # (saturation instead of error in the extreme tail).
 _TINY = 1e-300
+
+# Quantile clamps for scrambled Sobol' coordinates, which lie on the grid
+# k/2^32: the chi radius takes min(u, _U_CAP) so that it stays finite,
+# and the inverse normal takes max(u, _U_FLOOR) so that a zero
+# coordinate does not give -inf.
+_U_CAP = 1.0 - 2.0**-32
+_U_FLOOR = 2.0**-33
+
+# sphere_height takes one Newton step on stdtr where |u - 1/2| is below
+# _NEWTON_BAND, and everywhere at _NEWTON_DOF degrees of freedom:
+# stdtrit's closed forms for 4 and 6 degrees of freedom lose absolute
+# accuracy near the median (1e-8 in T at |u - 1/2| = 2^-28), and the one
+# for 6 also in the tails (5e-15 relative for u in 4e-4..0.05).
+_NEWTON_BAND = 2.0**-4
+_NEWTON_DOF = 6.0
 
 
 def _like_input(x, out):
@@ -121,6 +138,46 @@ def inv_reg_beta_symmetric(y, a):
     out = sp.betaincinv(a, a, y_arr)
     out = np.where(y_arr == 0.5, 0.5, out)
     return _like_input(y, out)
+
+
+def sphere_height(u, a):
+    """Height t = 1 - 2x of the solution x of I_x(a, a) = u, and its
+    scale sqrt(1 - t^2).
+
+    The sphere map's height inverse, computed through the Student-t
+    identity I_x(a, a) = F_t(T; 2a) with x = (1 + T/r)/2 and
+    r = sqrt(2a + T^2): t = -T/r, and the scale is sqrt(2a)/r, taken
+    directly so that it keeps its relative accuracy near the poles.
+    a broadcasts against u (one shape per column of a batch).  u lies in
+    [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
+    gives (+0.0, 1).  Returns the pair (t, scale).
+    """
+    _check_shape(a)
+    _check_finite("u", u)
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(~((u_arr >= 0.0) & (u_arr <= 1.0))):
+        raise DomainError(f"u must be in [0, 1], got {u!r}")
+    nu = 2.0 * np.asarray(a, dtype=float)
+    # |T| from the lower tail, so that t(1 - u) = -t(u) exactly; stdtrit
+    # gives +inf rather than -inf at 0 (and below about 2^-787), so only
+    # its magnitude is used
+    v = np.minimum(u_arr, 1.0 - u_arr)
+    m = np.asarray(np.abs(sp.stdtrit(nu, v)))
+    step = ((v > 0.5 - _NEWTON_BAND) | (nu == _NEWTON_DOF)) & (m < np.inf)
+    if step.any():
+        nu_s = np.broadcast_to(nu, m.shape)[step]
+        m_s = m[step]
+        pdf = ((1.0 + m_s * m_s / nu_s) ** (-0.5 * (nu_s + 1.0))
+               / (np.sqrt(nu_s) * sp.beta(0.5 * nu_s, 0.5)))
+        m[step] = m_s + (sp.stdtr(nu_s, -m_s)
+                         - np.broadcast_to(v, m.shape)[step]) / pdf
+    root = np.sqrt(nu)
+    r = np.hypot(root, m)
+    with np.errstate(invalid="ignore"):  # inf / inf at the poles
+        height = np.where(np.isinf(m), 1.0, m / r)
+    # the sign of 1/2 - u, which is +0.0 at u = 1/2
+    t = np.copysign(height, 0.5 - u_arr)
+    return _like_input(t, t), _like_input(t, root / r)
 
 
 def chi_cdf(dof, x):

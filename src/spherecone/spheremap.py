@@ -6,6 +6,10 @@ coordinate at a time: the first coordinate gives an angle on the circle,
 each later coordinate q gives a height t_q = 1 - 2 h_q^{-1}(x_q) with
 h_q(x) = I_x(q/2, q/2), and the earlier coordinates are shrunk by
 sqrt(1 - t_q^2).  Uniform cube input gives uniform sphere output.
+h_2 is the identity; the heights t_3..t_s and their scales come from one
+`specfun.sphere_height` call over the whole block, through the Student-t
+quantile (I_x(a, a) = F_t(T; 2a)), and each output column is its base
+value times a reverse cumulative product of the later scales.
 
 The lift appends a chi-distributed radius via the chi quantile of the
 last cube coordinate, so uniform cube points map to standard normal
@@ -21,9 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .lds import _rng
-from .specfun import (_like_input, chi_quantile, inv_reg_beta_symmetric,
-                      reg_beta_i, reg_gamma_q, inv_reg_gamma_q,
-                      inv_reg_gamma_p)
+from .specfun import (_U_CAP, _like_input, chi_quantile, reg_beta_i,
+                      reg_gamma_q, inv_reg_gamma_q, inv_reg_gamma_p,
+                      sphere_height)
 
 __all__ = [
     "SpacePoints",
@@ -37,11 +41,6 @@ __all__ = [
     "stratified_sample",
 ]
 
-# Radii are capped at the chi quantile of 1 - 2^-32 so that scrambled
-# points landing on the last representable mantissa cell stay finite.
-_U_CAP = 1.0 - 2.0**-32
-
-
 # directions may be off unit length by this much: the rounding of a
 # normalization or of a 17-digit CSV round trip
 _UNIT_TOL = 1e-10
@@ -49,7 +48,9 @@ _UNIT_TOL = 1e-10
 
 def _check_unit(directions):
     """Raise DomainError unless every row of directions has unit length."""
-    if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
+    # written as "not within" so that a NaN row is rejected too
+    if np.any(~(np.abs(np.linalg.norm(directions, axis=1) - 1.0)
+                <= _UNIT_TOL)):
         raise DomainError("directions must be unit vectors")
 
 
@@ -81,6 +82,8 @@ class SpacePoints:
     @classmethod
     def from_cartesian(cls, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.size == 0:
+            raise DomainError("point set must not be empty")
         r = np.linalg.norm(xs, axis=1)
         dirs = np.empty_like(xs)
         zero = r == 0.0
@@ -105,17 +108,25 @@ def map_to_sphere(x):
     n, s = x2.shape
     if s < 1:
         raise DomainError("need at least one coordinate")
-    if np.any(x2 < 0.0) or np.any(x2 >= 1.0):
+    if np.any(~((x2 >= 0.0) & (x2 < 1.0))):
         raise DomainError("coordinates must lie in [0, 1)")
+    y = np.empty((n, s + 1))
     ang = 2.0 * np.pi * x2[:, 0]
-    y = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    for q in range(2, s + 1):
-        if q == 2:
-            t = 1.0 - 2.0 * x2[:, 1]
-        else:
-            t = 1.0 - 2.0 * inv_reg_beta_symmetric(x2[:, q - 1], q / 2.0)
-        scale = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        y = np.concatenate([y * scale[:, None], t[:, None]], axis=1)
+    y[:, 0] = np.cos(ang)
+    y[:, 1] = np.sin(ang)
+    if s >= 2:
+        # heights t_2..t_s in columns 2..s, scales sqrt(1 - t_q^2) in
+        # scales[:, q - 2]; h_2 is the identity
+        scales = np.empty((n, s - 1))
+        y[:, 2] = 1.0 - 2.0 * x2[:, 1]
+        scales[:, 0] = np.sqrt(np.maximum(0.0, 1.0 - y[:, 2] * y[:, 2]))
+        if s >= 3:
+            y[:, 3:], scales[:, 1:] = sphere_height(
+                x2[:, 2:], np.arange(3, s + 1) / 2.0)
+        # column j < s is shrunk by the scales of every later height
+        later = np.cumprod(scales[:, ::-1], axis=1)[:, ::-1]
+        y[:, :2] *= later[:, :1]
+        y[:, 2:s] *= later[:, 1:]
     return y[0] if single else y
 
 

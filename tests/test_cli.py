@@ -177,6 +177,40 @@ class TestReadPoints:
         assert code == 2 and "error" in err
 
 
+def emit_csv_loop(header, rows, path):
+    """Per-element csv writer: the reference for cli._emit_csv."""
+    with open(path, "w", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._FMT % v if isinstance(v, float) else v
+                             for v in row])
+
+
+class TestEmitCsv:
+    @pytest.mark.parametrize("argv", [
+        ["points", "--dim", "3", "--n", "300", "--gen", "sphere",
+         "--scramble", "--seed", "4"],
+        ["points", "--dim", "4", "--n", "50", "--gen", "random", "--polar"],
+        ["points", "--dim", "2", "--n", "16", "--gen", "sobol"],
+        ["table", "--n-list", "256", "--kind", "digital"],
+        ["strata", "--mu", "1.5", "--A", "1.5", "--B", "3",
+         "--M-list", "16,64", "--draws", "2"],
+        ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
+        ["trial-integral", "--dim", "4", "--n-list", "64,256",
+         "--gen", "inverse_beta,random"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_matches_loop_writer(self, capsys, tmp_path, monkeypatch, argv):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        assert cli.main(argv + ["--output", str(got)]) == 0
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_emit_csv", emit_csv_loop)
+        assert cli.main(argv + ["--output", str(ref)]) == 0
+        assert got.read_bytes() == ref.read_bytes()
+        assert stdout == ref.read_bytes().decode()
+
+
 class TestRmsWce:
     def test_json_fields(self, capsys, tmp_path):
         path = tmp_path / "dirs.csv"

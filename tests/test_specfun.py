@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy import special as sp
 
 from spherecone import specfun
 from spherecone.errors import DomainError, InfiniteResultError
@@ -175,6 +177,88 @@ class TestInvRegBetaSymmetric:
         np.testing.assert_allclose(back, y, atol=1e-12)
 
 
+def sphere_height_mpmath(u, a, dps=50):
+    """Independent oracle: height 1 - 2x and scale 2 sqrt(x (1 - x)) of
+    the solution x of I_x(a, a) = u, by Newton's method at `dps` digits
+    from the double-precision betaincinv start."""
+    with mpmath.workdps(dps):
+        u, a = mpmath.mpf(u), mpmath.mpf(a)
+        beta = mpmath.beta(a, a)
+        x = mpmath.mpf(float(sp.betaincinv(float(a), float(a), float(u))))
+        for _ in range(50):
+            f = mpmath.betainc(a, a, 0, x, regularized=True) - u
+            dx = f * beta / (x * (1 - x)) ** (a - 1)
+            x -= dx
+            if abs(dx) <= abs(x) * mpmath.mpf(10) ** (5 - dps):
+                break
+        else:
+            raise AssertionError(f"no convergence at u={u}, a={a}")
+        return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
+
+
+BAND = specfun._NEWTON_BAND
+HEIGHT_U = np.array(
+    [0.5 + sign * 2.0**-k for k in range(2, 53) for sign in (1, -1)]
+    + [edge for mid in (0.5 - BAND, 0.5 + BAND)
+       for edge in (np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1.0))]
+    + [2.0**-32, 1e-9, 1.0 - 2.0**-32]
+    + list(np.random.default_rng(11).random(40)))
+
+
+class TestSphereHeight:
+    @pytest.mark.parametrize("q", range(3, 30))
+    def test_against_mpmath(self, q):
+        # both sides of the median band and its edges, the Sobol' grid's
+        # extreme cells and random u, for every height of a 29-cube
+        t, scale = specfun.sphere_height(HEIGHT_U, q / 2.0)
+        for i, u in enumerate(HEIGHT_U):
+            t_ref, scale_ref = sphere_height_mpmath(u, q / 2.0)
+            assert abs(t[i] - t_ref) <= 2e-15, u
+            assert abs(scale[i] - scale_ref) <= 2e-15 * scale_ref, u
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 14.5])
+    def test_poles_and_median(self, a):
+        # stdtrit gives +inf at u = 0: the pole must still be t = +1
+        assert specfun.sphere_height(0.0, a) == (1.0, 0.0)
+        assert specfun.sphere_height(1.0, a) == (-1.0, 0.0)
+        t, scale = specfun.sphere_height(0.5, a)
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
+        assert scale == 1.0
+
+    def test_far_lower_tail(self):
+        # below about 2^-787 stdtrit(3, u) is +inf too: still the pole
+        for a in (1.5, 2.0, 2.5):
+            t, scale = specfun.sphere_height(1e-300, a)
+            assert t == 1.0 and 0.0 <= scale < 1e-70
+
+    def test_antisymmetric(self):
+        # on the Sobol' grid k/2^32, 1 - u is exact
+        u = np.random.default_rng(12).integers(0, 2**32, 500) * 2.0**-32
+        a = np.arange(3, 30) / 2.0
+        t, scale = specfun.sphere_height(u[:, None], a)
+        t_ref, scale_ref = specfun.sphere_height(1.0 - u[:, None], a)
+        np.testing.assert_array_equal(t, -t_ref)
+        np.testing.assert_array_equal(scale, scale_ref)
+
+    def test_columns_broadcast(self):
+        # one call over a block equals one call per column
+        u = np.random.default_rng(13).random((64, 5))
+        a = np.array([1.5, 2.0, 3.0, 3.5, 9.0])
+        t, scale = specfun.sphere_height(u, a)
+        for j in range(5):
+            t_j, scale_j = specfun.sphere_height(u[:, j], a[j])
+            np.testing.assert_array_equal(t[:, j], t_j)
+            np.testing.assert_array_equal(scale[:, j], scale_j)
+
+    def test_domain(self):
+        for bad in (-0.1, 1.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                specfun.sphere_height(bad, 1.5)
+        for bad_a in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                specfun.sphere_height(0.3, bad_a)
+
+
 class TestChi:
     def test_quantile_known(self):
         assert specfun.chi_quantile(2, 1.0 - math.exp(-0.5)) == \
@@ -229,6 +313,8 @@ SCALAR_RULE = {
     "inv_reg_gamma_p": lambda v: specfun.inv_reg_gamma_p(1.5, v),
     "inv_reg_beta_symmetric": lambda v: specfun.inv_reg_beta_symmetric(
         v, 2.5),
+    "sphere_height.t": lambda v: specfun.sphere_height(v, 2.5)[0],
+    "sphere_height.scale": lambda v: specfun.sphere_height(v, 2.5)[1],
     "chi_quantile": lambda v: specfun.chi_quantile(3, v),
     "inv_normal_cdf": specfun.inv_normal_cdf,
     "cap_measure": lambda v: cap_measure(2, v),

@@ -3,12 +3,30 @@ import math
 import numpy as np
 import pytest
 
+from spherecone import spheremap
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.lds import SobolStream
+from spherecone.specfun import inv_reg_beta_symmetric
 from spherecone.spheremap import (RadialShells, SpacePoints,
                                   cap_measure, equal_area_partition_s2,
                                   lift_to_space, map_to_sphere, radial_shells,
                                   stratified_sample)
+
+
+def map_to_sphere_loop(x):
+    """The map one height at a time, each from betaincinv, shrinking the
+    earlier coordinates by sqrt(1 - t^2): the reference for map_to_sphere."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ang = 2.0 * np.pi * x[:, 0]
+    y = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    for q in range(2, x.shape[1] + 1):
+        if q == 2:
+            t = 1.0 - 2.0 * x[:, 1]
+        else:
+            t = 1.0 - 2.0 * inv_reg_beta_symmetric(x[:, q - 1], q / 2.0)
+        scale = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        y = np.concatenate([y * scale[:, None], t[:, None]], axis=1)
+    return y
 
 
 class TestMapToSphere:
@@ -56,6 +74,56 @@ class TestMapToSphere:
             map_to_sphere([1.0, 0.2])
         with pytest.raises(DomainError):
             map_to_sphere([-0.1])
+
+    def test_domain_rejects_nan(self):
+        with pytest.raises(DomainError):
+            map_to_sphere([math.nan, 0.3])
+        with pytest.raises(DomainError):
+            map_to_sphere([[0.2, 0.3, 0.4], [0.1, math.nan, 0.5]])
+        with pytest.raises(DomainError):
+            lift_to_space([[math.nan, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("s", range(1, 30))
+    def test_matches_loop(self, s):
+        # bitwise on S^1 and S^2; from S^3 on the heights come from the
+        # Student-t quantile, within 1e-13 of the betaincinv loop (whose
+        # scales are up to 4.4e-11 off near the poles)
+        x = np.random.default_rng(20 + s).random((300, s))
+        x[:3] = np.array([0.0, 0.5, 2.0**-32])[:, None]
+        x[3, :] = 1.0 - 2.0**-32
+        got, ref = map_to_sphere(x), map_to_sphere_loop(x)
+        if s <= 2:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_zero_coordinate_is_the_north_pole(self):
+        # a zero later coordinate gives height +1, not the opposite pole
+        for s in range(2, 12):
+            y = map_to_sphere([0.3] * (s - 1) + [0.0])
+            assert y[-1] == 1.0
+            np.testing.assert_array_equal(y[:-1], 0.0)
+
+    def test_median_heights_are_positive_zero(self):
+        # u = 1/2 gives height +0.0, so 17-digit output never reads "-0"
+        for s in range(2, 12):
+            y = map_to_sphere([0.0] + [0.5] * (s - 1))
+            np.testing.assert_array_equal(y, np.eye(s + 1)[0])
+            assert not np.signbit(y).any()
+
+    def test_one_height_call_per_map(self, monkeypatch):
+        calls = []
+        real = spheremap.sphere_height
+
+        def counted(u, a):
+            calls.append(np.shape(u))
+            return real(u, a)
+
+        monkeypatch.setattr(spheremap, "sphere_height", counted)
+        map_to_sphere(np.random.default_rng(5).random((10, 12)))
+        assert calls == [(10, 10)]
+        map_to_sphere(np.random.default_rng(5).random((10, 2)))
+        assert calls == [(10, 10)]
 
     def test_pushes_uniform_to_uniform_moments(self):
         # uniform cube input gives a uniform sphere distribution: each
@@ -329,6 +397,15 @@ class TestSpacePointTypes:
         x = rng.standard_normal((20, 4))
         pts = SpacePoints.from_cartesian(x)
         np.testing.assert_allclose(pts.cartesian, x, atol=1e-12)
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(DomainError):
+            SpacePoints([[math.nan, 0.0, 0.0]], [1.0])
+
+    @pytest.mark.parametrize("empty", [[], [[]], np.empty((0, 3))])
+    def test_from_cartesian_rejects_empty(self, empty):
+        with pytest.raises(DomainError, match="must not be empty"):
+            SpacePoints.from_cartesian(empty)
 
     def test_origin_gets_default_direction(self):
         pts = SpacePoints.from_cartesian(np.zeros((1, 3)))

@@ -227,6 +227,11 @@ class TestWce:
         with pytest.raises(ConfigurationError):
             wce_nakagami(P232, np.eye(4))
 
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 3))])
+    def test_empty_point_set(self, empty):
+        with pytest.raises(DomainError, match="must not be empty"):
+            wce_nakagami(P232, empty)
+
     def test_isotropic_general_validates_inputs(self):
         pts = np.eye(3)
         with pytest.raises(ConfigurationError):
