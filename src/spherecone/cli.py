@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import warnings
 
@@ -184,33 +183,10 @@ def cmd_trial_integral(args):
     return 0
 
 
-def strata_scaling(p, M_list, seed, draws=0):
-    """Exact-formula E[wce^2] at K = round(sqrt(M)) per M, optional
-    empirical means over stratified draws, and log-log slopes."""
-    rows = []
-    for M in M_list:
-        K = max(1, int(round(math.sqrt(M))))
-        part = spheremap.equal_area_partition_s2(M)
-        shells = spheremap.radial_shells(p.mu, p.B, K)
-        pred = wce.stratified_expected_wce_sq(p, part, shells, seed=seed)
-        row = {"M": M, "K": K, "N": M * K, "formula": pred.value}
-        if draws:
-            vals = [wce.wce_nakagami(
-                p, spheremap.stratified_sample(part, shells, seed + 1000 + i)
-            ).wce**2 for i in range(draws)]
-            row["empirical"] = float(np.mean(vals))
-            row["empirical_se"] = float(np.std(vals, ddof=1) / math.sqrt(draws))
-        rows.append(row)
-    logs_n = np.log([r["N"] for r in rows])
-    logs_f = np.log([r["formula"] for r in rows])
-    slope = float(np.polyfit(logs_n, logs_f, 1)[0]) if len(rows) > 1 else None
-    return rows, slope
-
-
 def cmd_strata(args):
     p = _kernel_params(args)
-    rows, slope = strata_scaling(p, _int_list(args.M_list), args.seed,
-                                 args.draws)
+    rows, slope = wce.strata_scaling(p, _int_list(args.M_list), args.seed,
+                                     args.draws)
     header = list(rows[0].keys())
     _emit_csv(header, [[float(r[k]) for k in header] for r in rows],
               args.output)

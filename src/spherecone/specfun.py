@@ -56,14 +56,20 @@ def _like_input(x, out):
     return out if np.ndim(x) else float(out)
 
 
+def _any(mask):
+    """mask.any(); for the 0-d mask of a scalar input bool(mask), which
+    skips the several microseconds of numpy's reduction machinery."""
+    return mask.any() if mask.ndim else bool(mask)
+
+
 def _check_finite(name, value):
-    if not np.all(np.isfinite(value)):
+    if _any(~np.isfinite(value)):
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _check_shape(a):
     _check_finite("shape parameter", a)
-    if np.any(np.asarray(a) <= 0.0):
+    if _any(np.asarray(a) <= 0.0):
         raise DomainError(f"shape parameter must be > 0, got {a!r}")
 
 
@@ -71,7 +77,7 @@ def reg_gamma_p(a, x):
     """Lower regularized incomplete gamma function P(a, x)."""
     _check_shape(a)
     _check_finite("x", x)
-    if np.any(np.asarray(x) < 0.0):
+    if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
     return sp.gammainc(a, x)
 
@@ -80,7 +86,7 @@ def reg_gamma_q(a, x):
     """Upper regularized incomplete gamma function Q(a, x) = 1 - P(a, x)."""
     _check_shape(a)
     _check_finite("x", x)
-    if np.any(np.asarray(x) < 0.0):
+    if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
     return sp.gammaincc(a, x)
 
@@ -95,9 +101,9 @@ def inv_reg_gamma_q(a, s):
     _check_shape(a)
     _check_finite("s", s)
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr == 0.0):
+    if _any(s_arr == 0.0):
         raise InfiniteResultError("inverse of Q(a, .) at s = 0 is infinite")
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
+    if _any(s_arr < 0.0) or _any(s_arr > 1.0):
         raise DomainError(f"s must be in (0, 1], got {s!r}")
     return _like_input(s, sp.gammainccinv(a, np.maximum(s_arr, _TINY)))
 
@@ -107,9 +113,9 @@ def inv_reg_gamma_p(a, p):
     _check_shape(a)
     _check_finite("p", p)
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr == 1.0):
+    if _any(p_arr == 1.0):
         raise InfiniteResultError("inverse of P(a, .) at p = 1 is infinite")
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+    if _any(p_arr < 0.0) or _any(p_arr > 1.0):
         raise DomainError(f"p must be in [0, 1), got {p!r}")
     return _like_input(p, sp.gammaincinv(a, p_arr))
 
@@ -119,7 +125,7 @@ def reg_beta_i(x, a, b):
     _check_shape(a)
     _check_shape(b)
     _check_finite("x", x)
-    if np.any(np.asarray(x) < 0.0) or np.any(np.asarray(x) > 1.0):
+    if _any(np.asarray(x) < 0.0) or _any(np.asarray(x) > 1.0):
         raise DomainError(f"x must be in [0, 1], got {x!r}")
     return sp.betainc(a, b, x)
 
@@ -133,7 +139,7 @@ def inv_reg_beta_symmetric(y, a):
     _check_shape(a)
     _check_finite("y", y)
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0) or np.any(y_arr > 1.0):
+    if _any(y_arr < 0.0) or _any(y_arr > 1.0):
         raise DomainError(f"y must be in [0, 1], got {y!r}")
     out = sp.betaincinv(a, a, y_arr)
     out = np.where(y_arr == 0.5, 0.5, out)
@@ -155,7 +161,7 @@ def sphere_height(u, a):
     _check_shape(a)
     _check_finite("u", u)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(~((u_arr >= 0.0) & (u_arr <= 1.0))):
+    if _any(~((u_arr >= 0.0) & (u_arr <= 1.0))):
         raise DomainError(f"u must be in [0, 1], got {u!r}")
     nu = 2.0 * np.asarray(a, dtype=float)
     # |T| from the lower tail, so that t(1 - u) = -t(u) exactly; stdtrit
@@ -196,9 +202,9 @@ def chi_quantile(dof, u):
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
     _check_finite("u", u)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr == 1.0):
+    if _any(u_arr == 1.0):
         raise InfiniteResultError("chi quantile at u = 1 is infinite")
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+    if _any(u_arr < 0.0) or _any(u_arr > 1.0):
         raise DomainError(f"u must be in [0, 1), got {u!r}")
     return _like_input(u, np.sqrt(2.0 * sp.gammaincinv(dof / 2.0, u_arr)))
 
@@ -213,6 +219,6 @@ def inv_normal_cdf(u):
     """Inverse standard normal CDF; u must lie strictly in (0, 1)."""
     _check_finite("u", u)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if _any(u_arr <= 0.0) or _any(u_arr >= 1.0):
         raise DomainError(f"u must be in (0, 1), got {u!r}")
     return _like_input(u, sp.ndtri(u_arr))

@@ -116,10 +116,11 @@ def map_to_sphere(x):
     y[:, 1] = np.sin(ang)
     if s >= 2:
         # heights t_2..t_s in columns 2..s, scales sqrt(1 - t_q^2) in
-        # scales[:, q - 2]; h_2 is the identity
+        # scales[:, q - 2]; h_2 is the identity, and its scale is taken
+        # as 2 sqrt(x (1 - x)), exact near the poles where 1 - t^2 is not
         scales = np.empty((n, s - 1))
         y[:, 2] = 1.0 - 2.0 * x2[:, 1]
-        scales[:, 0] = np.sqrt(np.maximum(0.0, 1.0 - y[:, 2] * y[:, 2]))
+        scales[:, 0] = 2.0 * np.sqrt(x2[:, 1] * (1.0 - x2[:, 1]))
         if s >= 3:
             y[:, 3:], scales[:, 1:] = sphere_height(
                 x2[:, 2:], np.arange(3, s + 1) / 2.0)

@@ -31,7 +31,9 @@ from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
 from .specfun import (_like_input, inv_reg_gamma_q, reg_beta_i, reg_gamma_p,
                       reg_gamma_q)
-from .spheremap import SpacePoints, _check_unit, cap_measure
+from .spheremap import (SpacePoints, _check_unit, cap_measure,
+                        equal_area_partition_s2, radial_shells,
+                        stratified_sample)
 
 __all__ = [
     "KernelParams",
@@ -54,6 +56,7 @@ __all__ = [
     "expected_wce_sq_permutation",
     "radial_discrepancy",
     "stratified_expected_wce_sq",
+    "strata_scaling",
     "lambda_k",
 ]
 
@@ -471,15 +474,47 @@ class StratifiedWcePrediction:
     K: int
 
 
+def _sin_from_cos(c, out):
+    """sqrt(max(0, 1 - c^2)) into out, which may be c."""
+    np.multiply(c, c, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
+
+
 def _cell_mean_distance(t0, t1, phi_width, rng, n_samples):
     """Conditional mean of ||x - y|| for x, y independent uniform in the
-    band-sector cell [t0, t1] x [0, phi_width]."""
-    ct = np.cos(t0) + rng.random((2, n_samples)) * (np.cos(t1) - np.cos(t0))
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
-    ph = rng.random((2, n_samples)) * phi_width
-    x = np.stack([st[0] * np.cos(ph[0]), st[0] * np.sin(ph[0]), ct[0]])
-    y = np.stack([st[1] * np.cos(ph[1]), st[1] * np.sin(ph[1]), ct[1]])
-    dist = np.linalg.norm(x - y, axis=0)
+    band-sector cell [t0, t1] x [0, phi_width], and the variance of that
+    Monte Carlo mean.
+
+    One (4, n) draw: the cosines of the colatitudes (uniform in area),
+    then the two azimuths.  The chord comes from
+    ||x - y||^2 = (c_x - c_y)^2 + (s_x - s_y)^2
+                  + 4 s_x s_y sin^2((phi_x - phi_y)/2),
+    computed in place on the draw: one sin per pair, and no cancellation
+    in small cells.
+    """
+    u = rng.random((4, n_samples))
+    # the rows start as the uniforms of c_x, c_y, phi_x and phi_y, and
+    # each is overwritten by the quantity it is named for
+    cos_x, cos_y, half, sin_x = u
+    np.subtract(half, sin_x, out=half)
+    half *= 0.5 * phi_width
+    np.sin(half, out=half)
+    half *= half
+    u[:2] *= np.cos(t1) - np.cos(t0)
+    u[:2] += np.cos(t0)
+    _sin_from_cos(cos_x, out=sin_x)
+    np.subtract(cos_x, cos_y, out=cos_x)
+    sin_y = _sin_from_cos(cos_y, out=cos_y)
+    half *= sin_x
+    half *= sin_y
+    half *= 4.0
+    sin_x -= sin_y
+    dist = np.square(cos_x, out=cos_x)
+    dist += np.square(sin_x, out=sin_x)
+    dist += half
+    np.sqrt(dist, out=dist)
     return float(dist.mean()), float(dist.var(ddof=1) / n_samples)
 
 
@@ -490,7 +525,10 @@ def stratified_expected_wce_sq(p, partition, shells, seed=0,
 
     The radial integrals per shell are one-dimensional quadratures in
     closed-form-reduced variables; the per-cell distance integrals are
-    Monte Carlo, shared across congruent cells of the same band.
+    Monte Carlo, shared across congruent cells of the same band, with
+    distance_samples pairs per band.  Each pair's chord comes from its
+    colatitude cosines c, sines s and azimuth difference dphi as
+    sqrt((c_x - c_y)^2 + (s_x - s_y)^2 + 4 s_x s_y sin^2(dphi/2)).
     Requires an S^2 partition (p.d == 2).
     """
     if p.d != 2:
@@ -539,6 +577,41 @@ def stratified_expected_wce_sq(p, partition, shells, seed=0,
         value=radial + angular, radial_term=radial, angular_term=angular,
         mean_cell_distance=mean_dist, mean_cell_distance_se=mean_dist_se,
         M=M, K=K)
+
+
+def strata_scaling(p, M_list, seed, draws=0):
+    """Exact-formula E[wce^2] at K = round(sqrt(M)) per M, optional
+    empirical means over stratified draws, and the log-log slope of the
+    formula against N = M K (None for a single M).
+
+    M_list must be nonempty with distinct values; draws is 0 (formula
+    only) or at least 2, so that the empirical standard error exists.
+    """
+    if not M_list:
+        raise ConfigurationError("need at least one M")
+    if len(set(M_list)) != len(M_list):
+        raise ConfigurationError(f"M values must be distinct, got {M_list}")
+    if draws != 0 and draws < 2:
+        raise ConfigurationError(
+            f"draws must be 0 or at least 2, got {draws}")
+    rows = []
+    for M in M_list:
+        part = equal_area_partition_s2(M)
+        K = max(1, int(round(math.sqrt(M))))
+        shells = radial_shells(p.mu, p.B, K)
+        pred = stratified_expected_wce_sq(p, part, shells, seed=seed)
+        row = {"M": M, "K": K, "N": M * K, "formula": pred.value}
+        if draws:
+            vals = [wce_nakagami(
+                p, stratified_sample(part, shells, seed + 1000 + i)
+            ).wce**2 for i in range(draws)]
+            row["empirical"] = float(np.mean(vals))
+            row["empirical_se"] = float(np.std(vals, ddof=1) / math.sqrt(draws))
+        rows.append(row)
+    logs_n = np.log([r["N"] for r in rows])
+    logs_f = np.log([r["formula"] for r in rows])
+    slope = float(np.polyfit(logs_n, logs_f, 1)[0]) if len(rows) > 1 else None
+    return rows, slope
 
 
 def lambda_k(mu, c, K):

@@ -324,7 +324,7 @@ def test_criterion_7_trial_integral(capsys):
 
 def test_criterion_8_stratified_scaling(capsys):
     p = PARAM_SETS[0]
-    rows, slope = cli.strata_scaling(p, [64, 256, 1024, 4096], seed=3)
+    rows, slope = wce.strata_scaling(p, [64, 256, 1024, 4096], seed=3)
     ok = abs(slope - (-4.0 / 3.0)) <= 0.15
 
     # iid baseline: empirical slope of the mean squared wce

@@ -274,6 +274,20 @@ class TestStrata:
         assert rows.shape[0] == 2
         assert "slope" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--M-list", ""], "at least one M"),
+        (["--M-list", "16,16"], "distinct"),
+        (["--M-list=-4"], "positive integer"),
+        (["--M-list", "16", "--draws", "1"], "draws must be 0 or at least 2"),
+        (["--M-list", "16", "--draws", "-1"], "draws must be 0 or at least 2"),
+    ])
+    def test_bad_input_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(
+            ["strata", "--mu", "1.5", "--A", "1.5", "--B", "3", *argv],
+            capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestPriceAndTable:
     def test_price_sigma_zero(self, capsys):

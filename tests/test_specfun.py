@@ -336,3 +336,54 @@ def test_scalar_in_float_out(name):
         out = fn(scalar)
         assert type(out) is float
         assert out == batch[0, 1]
+
+
+# name: (f(x, shape), a valid x, a valid shape or None, whether a negative
+# x lies outside the domain)
+CHECKED = {
+    "reg_gamma_p": (lambda x, a: specfun.reg_gamma_p(a, x), 0.5, 1.5, True),
+    "reg_gamma_q": (lambda x, a: specfun.reg_gamma_q(a, x), 0.5, 1.5, True),
+    "inv_reg_gamma_q": (lambda s, a: specfun.inv_reg_gamma_q(a, s), 0.5, 1.5,
+                        True),
+    "inv_reg_gamma_p": (lambda p, a: specfun.inv_reg_gamma_p(a, p), 0.5, 1.5,
+                        True),
+    "reg_beta_i.a": (lambda x, a: specfun.reg_beta_i(x, a, 2.0), 0.5, 1.5,
+                     True),
+    "reg_beta_i.b": (lambda x, b: specfun.reg_beta_i(x, 2.0, b), 0.5, 1.5,
+                     True),
+    "inv_reg_beta_symmetric": (specfun.inv_reg_beta_symmetric, 0.5, 1.5,
+                               True),
+    "sphere_height": (specfun.sphere_height, 0.5, 1.5, True),
+    "chi_cdf": (lambda x, k: specfun.chi_cdf(k, x), 0.5, 3.0, False),
+    "chi_quantile": (lambda u, k: specfun.chi_quantile(k, u), 0.5, 3.0,
+                     True),
+    "normal_cdf": (lambda x, _: specfun.normal_cdf(x), 0.5, None, False),
+    "inv_normal_cdf": (lambda u, _: specfun.inv_normal_cdf(u), 0.5, None,
+                       True),
+}
+
+
+def value_forms(value, good, array=True):
+    """value as a Python float, a numpy float64 and a 0-d array, and
+    beside a valid entry in a 1-d array."""
+    forms = [float(value), np.float64(value), np.array(value)]
+    return forms + [np.array([good, value])] if array else forms
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checks_raise_for_scalar_and_array_input(name):
+    fn, x, a, negative_bad = CHECKED[name]
+    for form in value_forms(x, x):
+        fn(form, a)
+    bad = [math.nan, math.inf, -math.inf] + ([-0.5] if negative_bad else [])
+    for v in bad:
+        for form in value_forms(v, x):
+            with pytest.raises(DomainError):
+                fn(form, a)
+    if a is None:
+        return
+    for v in (0.0, -1.5):
+        # the chi dof is one integer, not an array
+        for form in value_forms(v, a, array=not name.startswith("chi")):
+            with pytest.raises(DomainError):
+                fn(x, form)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,17 +86,30 @@ class TestMapToSphere:
 
     @pytest.mark.parametrize("s", range(1, 30))
     def test_matches_loop(self, s):
-        # bitwise on S^1 and S^2; from S^3 on the heights come from the
-        # Student-t quantile, within 1e-13 of the betaincinv loop (whose
-        # scales are up to 4.4e-11 off near the poles)
+        # bitwise on S^1; from S^2 on the scales are taken without the
+        # loop's sqrt(1 - t^2) (1.2e-10 off near the poles on S^2, up to
+        # 4.4e-11 from S^3 on) and the later heights come from the
+        # Student-t quantile, within 1e-13 of the loop
         x = np.random.default_rng(20 + s).random((300, s))
         x[:3] = np.array([0.0, 0.5, 2.0**-32])[:, None]
         x[3, :] = 1.0 - 2.0**-32
         got, ref = map_to_sphere(x), map_to_sphere_loop(x)
-        if s <= 2:
+        if s == 1:
             np.testing.assert_array_equal(got, ref)
         else:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x2", [2.0**-32, 1e-9, 0.5, 1.0 - 2.0**-32])
+    def test_s2_scale_matches_mpmath(self, x2):
+        # the S^2 scale sqrt(1 - t^2) = 2 sqrt(x (1 - x)) keeps its
+        # relative accuracy at the poles
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x2)
+            want = 2 * mpmath.sqrt(x * (1 - x))
+            got = map_to_sphere([0.0, x2])
+            assert abs((got[0] - want) / want) < 4e-16
+            assert got[1] == 0.0
+            assert got[2] == 1.0 - 2.0 * x2
 
     def test_zero_coordinate_is_the_north_pole(self):
         # a zero later coordinate gives height +1, not the opposite pole

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from itertools import permutations
 
 from spherecone.errors import ConfigurationError, DomainError
+from spherecone.lds import _rng
 from spherecone.spheremap import (SpacePoints, equal_area_partition_s2,
                                   radial_shells, stratified_sample)
 from spherecone import wce
@@ -533,11 +534,122 @@ class TestStratifiedPrediction:
             stratified_expected_wce_sq(
                 p, equal_area_partition_s2(4), radial_shells(2.0, p.B, 2))
 
+    @pytest.mark.parametrize("M_list, draws", [
+        ([], 0), ([16, 16], 0), ([64, 16, 64], 2), ([16], 1), ([16], -1)])
+    def test_strata_scaling_rejects(self, M_list, draws):
+        with pytest.raises(ConfigurationError):
+            wce.strata_scaling(P232, M_list, seed=0, draws=draws)
+
+    def test_strata_scaling_single_m(self):
+        rows, slope = wce.strata_scaling(P232, [9], seed=0, draws=2)
+        assert slope is None
+        assert [(r["M"], r["K"], r["N"]) for r in rows] == [(9, 3, 27)]
+        assert rows[0]["formula"] == pytest.approx(
+            STRATIFIED_PINS[(9, 3, 0)][0], rel=1e-13, abs=0)
+        assert rows[0]["empirical_se"] > 0
+
     def test_d_restriction(self):
         p = KernelParams(1.0, 0.5, 1.0, d=1)
         with pytest.raises(ConfigurationError):
             stratified_expected_wce_sq(
                 p, equal_area_partition_s2(4), radial_shells(1.0, 1.0, 2))
+
+
+def cell_mean_distance_ref(t0, t1, phi_width, rng, n_samples):
+    """The Cartesian estimator, two (2, n) draws and a norm of stacked
+    points: the reference for wce._cell_mean_distance."""
+    ct = np.cos(t0) + rng.random((2, n_samples)) * (np.cos(t1) - np.cos(t0))
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
+    ph = rng.random((2, n_samples)) * phi_width
+    x = np.stack([st[0] * np.cos(ph[0]), st[0] * np.sin(ph[0]), ct[0]])
+    y = np.stack([st[1] * np.cos(ph[1]), st[1] * np.sin(ph[1]), ct[1]])
+    dist = np.linalg.norm(x - y, axis=0)
+    return float(dist.mean()), float(dist.var(ddof=1) / n_samples)
+
+
+# (M, K, seed): value, radial_term, angular_term, mean_cell_distance and
+# mean_cell_distance_se of stratified_expected_wce_sq(P232, ...) from the
+# Cartesian estimator
+STRATIFIED_PINS = {
+    (1, 1, 0): (0.31388393593387, 0.14722570886655229, 0.1666582270673177,
+                1.3353465520933743, 0.0014877010232202143),
+    (1, 1, 3): (0.31389194837570666, 0.14722570886655229,
+                0.1666662395091544, 1.3354107516637692, 0.001487540101968938),
+    (1, 1, 7): (0.31333431854459104, 0.14722570886655229,
+                0.16610860967803878, 1.3309427509810072,
+                0.0014876969370949953),
+    (9, 3, 0): (0.00538341345535269, 0.0019374828031623438,
+                0.003445930652190346, 0.6263909338006403,
+                0.0005710253348623268),
+    (9, 3, 3): (0.005385235742443578, 0.0019374828031623438,
+                0.0034477529392812345, 0.6267221836799113,
+                0.0005704609174403418),
+    (9, 3, 7): (0.005376926999344264, 0.0019374828031623438,
+                0.003439444196181921, 0.625211845291244,
+                0.0005711138375051055),
+    (16, 4, 0): (0.0017107337508838495, 0.0006194955748852855,
+                 0.001091238175998564, 0.46037818535260094,
+                 0.0004390417844228883),
+    (16, 4, 3): (0.0017124668294423472, 0.0006194955748852855,
+                 0.0010929712545570617, 0.4611093470544031,
+                 0.0004383374901867974),
+    (16, 4, 7): (0.0017105320260405827, 0.0006194955748852855,
+                 0.0010910364511552972, 0.46029308045128203,
+                 0.0004396120935806343),
+    (64, 8, 0): (0.0001099713819295546, 3.9437167116040646e-05,
+                 7.053421481351395e-05, 0.23066342419648822,
+                 0.00014379983436386238),
+    (64, 8, 3): (0.00010990270376742371, 3.9437167116040646e-05,
+                 7.046553665138306e-05, 0.23043883049984729,
+                 0.00014402075949520034),
+    (64, 8, 7): (0.00010987916526792476, 3.9437167116040646e-05,
+                 7.044199815188412e-05, 0.23036185408621274,
+                 0.00014397128105492248),
+    (4096, 64, 0): (2.759750896491206e-08, 9.856826415378774e-09,
+                    1.7740682549533285e-08, 0.02889195771340362,
+                    6.3807830865607305e-06),
+    (4096, 64, 3): (2.759278954040557e-08, 9.856826415378774e-09,
+                    1.7735963125026797e-08, 0.028884271796421997,
+                    6.384415033433553e-06),
+    (4096, 64, 7): (2.7593041832922385e-08, 9.856826415378774e-09,
+                    1.773621541754361e-08, 0.028884682672649944,
+                    6.38327956676558e-06),
+}
+
+
+class TestCellMeanDistance:
+    # a polar cap, a thin collar near the equator at M = 4096, the two
+    # hemispheres and the whole sphere, as (t0, t1, cells in the band)
+    BANDS = [equal_area_partition_s2(64).bands[0],
+             equal_area_partition_s2(4096).bands[29],
+             (0.0, math.pi / 2, 1), (math.pi / 2, math.pi, 1),
+             (0.0, math.pi, 1)]
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_matches_cartesian_estimator(self, band, seed):
+        t0, t1, m = band
+        width = 2.0 * math.pi / m
+        rng, rng_ref = _rng(seed), _rng(seed)
+        mean, var = wce._cell_mean_distance(t0, t1, width, rng, 100_000)
+        want = cell_mean_distance_ref(t0, t1, width, rng_ref, 100_000)
+        assert mean == pytest.approx(want[0], rel=1e-13, abs=0)
+        assert var == pytest.approx(want[1], rel=1e-13, abs=0)
+        # the same draws, so the stream continues where the reference's does
+        np.testing.assert_equal(rng.bit_generator.state,
+                                rng_ref.bit_generator.state)
+
+    @pytest.mark.parametrize("key", STRATIFIED_PINS)
+    def test_stratified_prediction_pinned(self, key):
+        M, K, seed = key
+        pred = stratified_expected_wce_sq(
+            P232, equal_area_partition_s2(M), radial_shells(1.5, 3.0, K),
+            seed=seed)
+        got = (pred.value, pred.radial_term, pred.angular_term,
+               pred.mean_cell_distance, pred.mean_cell_distance_se)
+        np.testing.assert_allclose(got, STRATIFIED_PINS[key], rtol=1e-13,
+                                   atol=0)
+        assert (pred.M, pred.K) == (M, K)
 
 
 class TestLambdaK:
