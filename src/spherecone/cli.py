@@ -1,6 +1,6 @@
 """Command-line interface: point generation, discrepancy evaluation,
 the sphere trial integral, stratified-scaling studies and option-pricing
-tables.
+tables.  It parses arguments and prints; the library does the work.
 
 Exit codes: 0 on success, 2 on configuration/usage errors, 3 on numeric
 failures.  CSV output uses 17 significant digits so that written point
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import finance, lds, spheremap, wce
 from .errors import DomainError, ConfigurationError, NumericError
-from .specfun import _U_CAP, _U_FLOOR, inv_normal_cdf
 
 _FMT = "%.17g"
 
@@ -60,43 +59,29 @@ def _kernel_params(args):
     return wce.KernelParams(mu=args.mu, A=args.A, B=args.B, d=args.d)
 
 
+def _cube(args):
+    return lds._cube_points(args.n, args.dim, args.seed,
+                            args.gen == "random", args.scramble,
+                            _direction_table(args))
+
+
 def cmd_points(args):
-    table = _direction_table(args)
+    cube = _cube(args)
+    header = [f"x{i+1}" for i in range(args.dim)]
     if args.gen == "sobol":
-        stream = lds.SobolStream(args.dim, seed=args.seed,
-                                 scramble=args.scramble, table=table)
-        pts = stream.take(args.n)
-        _emit_csv([f"x{i+1}" for i in range(args.dim)], pts.tolist(),
-                  args.output)
-        return 0
-    if args.gen == "sphere":
-        stream = lds.SobolStream(args.dim, seed=args.seed,
-                                 scramble=args.scramble, table=table)
-        cube = stream.take(args.n)
-    elif args.gen == "random":
-        cube = lds._rng(args.seed).random((args.n, args.dim))
-    else:
-        raise ConfigurationError(f"unknown generator {args.gen!r}")
-    pts = spheremap.lift_to_space(cube)
-    if args.polar:
+        rows = cube
+    elif args.polar:
+        pts = spheremap.lift_to_space(cube)
         header = ["radius"] + [f"y{i+1}" for i in range(args.dim)]
         rows = np.column_stack([pts.radii, pts.directions])
     else:
-        header = [f"x{i+1}" for i in range(args.dim)]
-        rows = pts.cartesian
+        rows = spheremap.lift_to_space(cube).cartesian
     _emit_csv(header, rows.tolist(), args.output)
     return 0
 
 
 def cmd_sphere_map(args):
-    table = _direction_table(args)
-    if args.gen == "sobol":
-        cube = lds.SobolStream(args.dim, seed=args.seed,
-                               scramble=args.scramble, table=table
-                               ).take(args.n)
-    else:
-        cube = lds._rng(args.seed).random((args.n, args.dim))
-    pts = spheremap.map_to_sphere(cube)
+    pts = spheremap.map_to_sphere(_cube(args))
     _emit_csv([f"y{i+1}" for i in range(args.dim + 1)], pts.tolist(),
               args.output)
     return 0
@@ -146,38 +131,13 @@ def cmd_rms_wce(args):
     return 0
 
 
-def _trial_points(gen, dim, n, seed, table):
-    """Points on S^{dim-1} for the trial integral."""
-    if gen == "inverse_beta":
-        cube = lds.SobolStream(dim - 1, seed=seed, scramble=True,
-                               table=table).take(n)
-        return spheremap.map_to_sphere(cube)
-    if gen == "inverse_normal":
-        cube = lds.SobolStream(dim, seed=seed, scramble=True,
-                               table=table).take(n)
-        z = inv_normal_cdf(np.clip(cube, _U_FLOOR, _U_CAP))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
-    if gen == "random":
-        return spheremap.map_to_sphere(lds._rng(seed).random((n, dim - 1)))
-    raise ConfigurationError(f"unknown generator {gen!r}")
-
-
-def trial_integral_errors(dim, N_list, gen, seed, table=None):
-    """|1 - (1/N) sum (sum_i y_i)^2| on S^{dim-1} for each N."""
-    errors = []
-    for n in N_list:
-        y = _trial_points(gen, dim, n, seed, table)
-        est = float(np.mean(y.sum(axis=1)**2))
-        errors.append(abs(1.0 - est))
-    return errors
-
-
 def cmd_trial_integral(args):
     table = _direction_table(args)
     n_list = _int_list(args.n_list)
     rows = []
     for gen in args.gen.split(","):
-        errs = trial_integral_errors(args.dim, n_list, gen, args.seed, table)
+        errs = spheremap.trial_integral_errors(args.dim, n_list, gen,
+                                               args.seed, table)
         rows.extend([gen, n, e] for n, e in zip(n_list, errs))
     _emit_csv(["generator", "N", "abs_error"], rows, args.output)
     return 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .lds import SobolStream, _rng
-from .specfun import _U_FLOOR, inv_normal_cdf
+from .specfun import _U_FLOOR, _check_positive_int, inv_normal_cdf
 from .spheremap import lift_to_space
 
 __all__ = [
@@ -69,8 +69,7 @@ class OptionSpec:
             raise DomainError("S0, strike and maturity must be positive")
         if self.sigma < 0 or self.r < 0:
             raise DomainError("sigma and r must be nonnegative")
-        if self.d_steps < 1 or int(self.d_steps) != self.d_steps:
-            raise DomainError("d_steps must be a positive integer")
+        _check_positive_int("d_steps", self.d_steps)
         if self.kind not in ("asian", "barrier", "digital"):
             raise ConfigurationError(f"unknown payoff kind {self.kind!r}")
         if self.kind == "barrier":

@@ -236,6 +236,16 @@ class SobolStream:
         return self.take(1)[0]
 
 
+def _cube_points(n, dimension, seed, random=False, scramble=False,
+                 table=None):
+    """The first n points of [0,1)^dimension: Philox uniforms of seed
+    when random, else a Sobol' stream's, scrambled by seed if asked."""
+    if random:
+        return _rng(seed).random((n, dimension))
+    return SobolStream(dimension, seed=seed, scramble=scramble,
+                       table=table).take(n)
+
+
 def sobol_block(dimension, count, replicate_count, seed, scramble=True,
                 table=None):
     """`replicate_count` independently scrambled point sets of `count` points.

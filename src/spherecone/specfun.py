@@ -11,6 +11,8 @@ height against mpmath.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special as sp
 
@@ -65,6 +67,13 @@ def _any(mask):
 def _check_finite(name, value):
     if _any(~np.isfinite(value)):
         raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_positive_int(name, value):
+    """Raise DomainError unless the scalar value is a positive integer,
+    of any int or float type; NaN and inf are not."""
+    if not (math.isfinite(value) and value >= 1 and int(value) == value):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_shape(a):
@@ -188,8 +197,7 @@ def sphere_height(u, a):
 
 def chi_cdf(dof, x):
     """CDF of the chi distribution with `dof` degrees of freedom."""
-    if dof < 1 or int(dof) != dof:
-        raise DomainError(f"dof must be a positive integer, got {dof!r}")
+    _check_positive_int("dof", dof)
     return reg_gamma_p(dof / 2.0, np.square(x) / 2.0)
 
 
@@ -198,8 +206,7 @@ def chi_quantile(dof, u):
 
     u must lie in [0, 1); u = 1 raises :class:`InfiniteResultError`.
     """
-    if dof < 1 or int(dof) != dof:
-        raise DomainError(f"dof must be a positive integer, got {dof!r}")
+    _check_positive_int("dof", dof)
     _check_finite("u", u)
     u_arr = np.asarray(u, dtype=float)
     if _any(u_arr == 1.0):

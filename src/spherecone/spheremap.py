@@ -13,21 +13,21 @@ value times a reverse cumulative product of the later scales.
 
 The lift appends a chi-distributed radius via the chi quantile of the
 last cube coordinate, so uniform cube points map to standard normal
-vectors.
+vectors.  The sphere trial integral of (sum_i y_i)^2, whose mean is 1,
+measures how evenly a generator's points cover the sphere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .lds import _rng
-from .specfun import (_U_CAP, _like_input, chi_quantile, reg_beta_i,
-                      reg_gamma_q, inv_reg_gamma_q, inv_reg_gamma_p,
-                      sphere_height)
+from .lds import _cube_points, _rng
+from .specfun import (_U_CAP, _U_FLOOR, _check_positive_int, _like_input,
+                      chi_quantile, inv_normal_cdf, reg_beta_i, reg_gamma_q,
+                      inv_reg_gamma_q, inv_reg_gamma_p, sphere_height)
 
 __all__ = [
     "SpacePoints",
@@ -39,6 +39,7 @@ __all__ = [
     "radial_shells",
     "equal_area_partition_s2",
     "stratified_sample",
+    "trial_integral_errors",
 ]
 
 # directions may be off unit length by this much: the rounding of a
@@ -145,13 +146,40 @@ def lift_to_space(x):
     return SpacePoints(map_to_sphere(x[:, :-1]), chi_quantile(x.shape[1], u))
 
 
+def _trial_points(gen, dim, n, seed, table):
+    """n points on S^{dim-1} from the generator gen of the trial integral."""
+    if gen == "inverse_normal":
+        cube = _cube_points(n, dim, seed, scramble=True, table=table)
+        z = inv_normal_cdf(np.maximum(cube, _U_FLOOR))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    if gen not in ("inverse_beta", "random"):
+        raise ConfigurationError(f"unknown generator {gen!r}")
+    return map_to_sphere(_cube_points(n, dim - 1, seed, gen == "random",
+                                      scramble=True, table=table))
+
+
+def trial_integral_errors(dim, N_list, gen, seed, table=None):
+    """|1 - (1/N) sum_n (sum_i y_ni)^2| on S^{dim-1} for each N of N_list;
+    the integrand (sum_i y_i)^2 has mean 1 on the sphere.
+
+    gen is "inverse_beta" (scrambled Sobol' points through the sphere
+    map), "inverse_normal" (scrambled Sobol' points through the inverse
+    normal cdf, normalized) or "random" (Philox uniforms through the
+    sphere map).  Each N takes the first N points of its generator.
+    """
+    if min(N_list, default=1) < 1:
+        raise ConfigurationError(f"N must be at least 1, got {min(N_list)}")
+    return [abs(1.0 - float(np.mean(
+        _trial_points(gen, dim, n, seed, table).sum(axis=1)**2)))
+        for n in N_list]
+
+
 def cap_measure(m, t):
     """Normalized surface area of the spherical cap {y in S^m : y.z >= t}.
 
     Equals I_{(1-t)/2}(m/2, m/2), independent of the cap center.
     """
-    if m < 1 or int(m) != m:
-        raise DomainError(f"sphere dimension must be a positive integer, got {m!r}")
+    _check_positive_int("sphere dimension", m)
     t = np.asarray(t, dtype=float)
     if np.any(t < -1.0) or np.any(t > 1.0):
         raise DomainError("cap height must lie in [-1, 1]")
@@ -186,8 +214,7 @@ def radial_shells(mu, B, K):
     """Shell boundaries rho_k with integral_0^{rho_k} psi = k/K."""
     if mu <= 0 or B <= 0:
         raise DomainError("mu and B must be positive")
-    if K < 1 or int(K) != K:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
+    _check_positive_int("K", K)
     ks = np.arange(1, K)
     if K == 1:
         bounds = np.empty(0)
@@ -210,44 +237,15 @@ class SpherePartition:
     bands: list
     M: int
 
-    @cached_property
-    def diameter_constant(self):
-        """Largest cell diameter times sqrt(M), computed on first read."""
-        if self.M <= 2:
-            # a whole sphere or a hemisphere: diameter 2
-            return 2.0 * np.sqrt(self.M)
-        return max(_band_diameter(t0, t1, 2.0 * np.pi / m)
-                   for t0, t1, m in self.bands) * np.sqrt(self.M)
-
     def cell_area(self, i):
         t0, t1, p0, p1 = self.cells[i]
         return (np.cos(t0) - np.cos(t1)) * (p1 - p0) / (4.0 * np.pi)
 
 
-def _band_diameter(theta0, theta1, dphi, n_arc=96):
-    """Diameter of a band-sector cell by discretizing its boundary."""
-    thetas = np.linspace(theta0, theta1, n_arc)
-    phis = np.linspace(0.0, dphi, n_arc)
-    pts = [np.stack([np.sin(thetas) * np.cos(0.0 * thetas),
-                     np.sin(thetas) * np.sin(0.0 * thetas),
-                     np.cos(thetas)], axis=1),
-           np.stack([np.sin(thetas) * np.cos(dphi),
-                     np.sin(thetas) * np.sin(dphi),
-                     np.cos(thetas)], axis=1)]
-    for th in (theta0, theta1):
-        pts.append(np.stack([np.sin(th) * np.cos(phis),
-                             np.sin(th) * np.sin(phis),
-                             np.full_like(phis, np.cos(th))], axis=1))
-    P = np.concatenate(pts, axis=0)
-    diff = P[:, None, :] - P[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
-
-
 def equal_area_partition_s2(M):
     """Zonal equal-area partition of S^2: polar caps plus collars of
     equal-azimuth sectors, every cell of normalized area 1/M."""
-    if M < 1 or int(M) != M:
-        raise DomainError(f"M must be a positive integer, got {M!r}")
+    _check_positive_int("M", M)
     M = int(M)
     if M == 1:
         cells = np.array([[0.0, np.pi, 0.0, 2.0 * np.pi]])

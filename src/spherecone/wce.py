@@ -29,8 +29,8 @@ from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
-from .specfun import (_like_input, inv_reg_gamma_q, reg_beta_i, reg_gamma_p,
-                      reg_gamma_q)
+from .specfun import (_check_positive_int, _like_input, inv_reg_gamma_q,
+                      reg_beta_i, reg_gamma_p, reg_gamma_q)
 from .spheremap import (SpacePoints, _check_unit, cap_measure,
                         equal_area_partition_s2, radial_shells,
                         stratified_sample)
@@ -84,8 +84,7 @@ class KernelParams:
         if not (0 < self.A < self.B) or not math.isfinite(self.B):
             raise DomainError(
                 f"need 0 < A < B, got A={self.A}, B={self.B}")
-        if self.d < 1 or int(self.d) != self.d:
-            raise DomainError(f"d must be a positive integer, got {self.d}")
+        _check_positive_int("d", self.d)
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ class WceReport:
 
 def sphere_constants(d):
     """C_d, the mean pairwise distance W(S^d), and W_KS = 1 - C_d W(S^d)."""
-    if d < 1 or int(d) != d:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    _check_positive_int("d", d)
     c_d = (1.0 / d) * math.gamma((d + 1) / 2.0) / (
         math.sqrt(math.pi) * math.gamma(d / 2.0))
     w_sd = 2.0**d * math.gamma((d + 1) / 2.0)**2 / (
@@ -191,17 +189,21 @@ def kernel_K(p, x, y):
     return float(phi_cdf(p, r) * (1.0 - c_d * np.linalg.norm(dx[0] - dy[0])))
 
 
+def _kr_psi_integral(p, rho, phi):
+    """int_0^inf K_R(r, rho) psi(r) dr from phi = Phi(rho):
+    1 - (1 - Phi(rho)) Q(mu, (mu/B) rho^2) - (A/B)^mu P(mu, (mu/A) rho^2)."""
+    return (1.0
+            - (1.0 - phi) * psi_tail(p, rho)
+            - (p.A / p.B)**p.mu * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
+
+
 def kernel_psi_integral(p, rho):
     """int K(x, rho y*) psi(x) dlambda(x), independent of y*:
-    W(K_S) [1 - (1 - Phi(rho)) Q(mu, (mu/B) rho^2)
-            - (A/B)^mu P(mu, (mu/A) rho^2)]."""
+    W(K_S) int_0^inf K_R(r, rho) psi(r) dr."""
     rho = np.asarray(rho, dtype=float)
     w_ks = sphere_constants(p.d).W_KS
-    bracket = (1.0
-               - (1.0 - phi_cdf(p, rho)) * psi_tail(p, rho)
-               - (p.A / p.B)**p.mu
-               * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
-    return _like_input(rho, w_ks * bracket)
+    return _like_input(rho, w_ks * _kr_psi_integral(p, rho,
+                                                    phi_cdf(p, rho)))
 
 
 def _upper_distance_row_sums(X):
@@ -275,11 +277,7 @@ def wce_nakagami(p, X):
     w_k = w_kr * consts.W_KS
     phi = phi_cdf(p, radii)
     double_sum = _kernel_sum(radii, phi, dirs, consts.C_d) / n**2 - w_k
-    bracket = (1.0
-               - (1.0 - phi) * psi_tail(p, radii)
-               - (p.A / p.B)**p.mu
-               * reg_gamma_p(p.mu, (p.mu / p.A) * radii**2)
-               - w_kr)
+    bracket = _kr_psi_integral(p, radii, phi) - w_kr
     single_sum = 2.0 * consts.W_KS * float(np.mean(bracket))
     return _finish_report(double_sum, single_sum, w_k, n)
 
@@ -401,12 +399,6 @@ def rms_wce_fixed_directions(p, Y):
     return first + second
 
 
-def _kernel_r_psi_integral(p, rho):
-    """int_0^inf K_R(r, rho) psi(r) dr
-    = Phi(rho) Q(mu, (mu/B) rho^2) + int_0^rho Phi psi."""
-    return phi_cdf(p, rho) * psi_tail(p, rho) + phi_psi_integral(p, rho)
-
-
 def expected_wce_sq_permutation(p, Y, radii):
     """E[wce^2] when the given radii are assigned to the given directions
     by a uniformly random permutation (selection without replacement).
@@ -438,7 +430,7 @@ def expected_wce_sq_permutation(p, Y, radii):
     off_mean = (kr_sum - trace) / (n * (n - 1))
     term1 = off_mean * consts.C_d * (consts.W_Sd - _mean_distance(Y))
     term2 = (1.0 / n) * (diag_mean - off_mean) * (1.0 - consts.W_KS)
-    single = _kernel_r_psi_integral(p, radii)
+    single = _kr_psi_integral(p, radii, phi)
     term3 = (kr_sum / n**2 + w_kr - 2.0 * float(np.mean(single))
              ) * consts.W_KS
     return term1 + term2 + term3
@@ -453,8 +445,9 @@ def radial_discrepancy(p, radii):
     if np.any(radii < 0):
         raise DomainError("radii must be nonnegative")
     w_kr = w_kr_psi(p)
-    kr_mean = _kernel_sum(radii, phi_cdf(p, radii)) / len(radii)**2
-    single = _kernel_r_psi_integral(p, radii)
+    phi = phi_cdf(p, radii)
+    kr_mean = _kernel_sum(radii, phi) / len(radii)**2
+    single = _kr_psi_integral(p, radii, phi)
     sq = kr_mean + w_kr - 2.0 * float(np.mean(single))
     return math.sqrt(max(sq, 0.0))
 
@@ -621,7 +614,6 @@ def lambda_k(mu, c, K):
         raise DomainError("mu must be positive")
     if c <= 1:
         raise DomainError("c must exceed 1")
-    if K < 1 or int(K) != K:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
+    _check_positive_int("K", K)
     ks = np.arange(1, K + 1) / K
     return float(np.mean(reg_gamma_q(mu, c * inv_reg_gamma_q(mu, ks))))

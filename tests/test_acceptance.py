@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spherecone import cli, finance, wce
+from spherecone import finance, spheremap, wce
 from spherecone.finance import (GENERATORS, OptionSpec, brownian_transform,
                                 mc_reference_price, price_option)
 from spherecone.specfun import (inv_normal_cdf, inv_reg_beta_symmetric,
@@ -310,7 +310,8 @@ def test_criterion_6_lambda_asymptotics(capsys):
 
 def test_criterion_7_trial_integral(capsys):
     n_list = sorted(TRIAL_REFERENCE)
-    errs = cli.trial_integral_errors(16, n_list, "inverse_beta", seed=11)
+    errs = spheremap.trial_integral_errors(16, n_list, "inverse_beta",
+                                         seed=11)
     ok = True
     worst = 0.0
     for n, e in zip(n_list, errs):

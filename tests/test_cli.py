@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -261,6 +262,12 @@ class TestTrialIntegral:
         assert header == ["generator", "N", "abs_error"]
         assert len(lines) == 5
 
+    def test_nonpositive_n_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["trial-integral", "--dim", "4", "--n-list", "0,16"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: N must be at least 1, got 0\n"
+
 
 class TestStrata:
     def test_formula_rows_and_slope(self, capsys):
@@ -348,6 +355,127 @@ class TestErrors:
                               "--gen", "sobol", "--dirfile", str(f)],
                              capsys)
         assert code == 2
+
+
+# a fixed point file for the wce and rms-wce digests: eight points of R^3
+GOLDEN_POINTS = """x1,x2,x3
+0.5,-1.25,0.75
+-0.3,0.2,1.9
+1.1,0.4,-0.6
+-0.8,-0.9,-0.2
+0.05,1.7,0.3
+2.2,-0.1,0.45
+-1.4,0.6,-1.1
+0.3,0.35,-0.05
+"""
+KERNEL_ARGS = ["--mu", "1.5", "--A", "1.5", "--B", "3"]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+NO_OUTPUT = sha256("")
+
+# name: (argv, sha256 of stdout, sha256 of stderr, exit code); "{points}"
+# in an argv stands for the path of a file holding GOLDEN_POINTS
+GOLDEN = {
+    "points-sphere": (
+        ["points", "--dim", "3", "--n", "16", "--gen", "sphere",
+         "--scramble", "--seed", "2"],
+        "c9c2fb03e7f9cd8d47312ac48c9523768f8163c94e2c7ecd932c187459950c09",
+        NO_OUTPUT, 0),
+    "points-sobol": (
+        ["points", "--dim", "2", "--n", "8", "--gen", "sobol", "--scramble",
+         "--seed", "1"],
+        "05b922e548608de58764a2efc50bef1e0502646b2f9d79e5b20cf72ae48a117a",
+        NO_OUTPUT, 0),
+    "points-random": (
+        ["points", "--dim", "3", "--n", "8", "--gen", "random", "--seed",
+         "5"],
+        "bdacf697082e00a9a8b3c420abe14785840e8c67a6da8186fcf81145211ae0e7",
+        NO_OUTPUT, 0),
+    "points-polar": (
+        ["points", "--dim", "4", "--n", "8", "--gen", "sphere", "--polar",
+         "--seed", "3"],
+        "62fe50d1ac78b38ae6a83b9f9056cad393abe4e4747becb29afe8834c10903a8",
+        NO_OUTPUT, 0),
+    "sphere-map-sobol": (
+        ["sphere-map", "--dim", "3", "--n", "16", "--gen", "sobol",
+         "--scramble", "--seed", "2"],
+        "bfb95eba43bc6cbd17a949e08569f8aa08f3ec65a4a10f90f94ba3dcc66eb8c2",
+        NO_OUTPUT, 0),
+    "sphere-map-random": (
+        ["sphere-map", "--dim", "2", "--n", "8", "--gen", "random", "--seed",
+         "4"],
+        "ec405f3a8cbb22961f6950df6a24b77c06df5ccaceac0b2776d745a6f683702b",
+        NO_OUTPUT, 0),
+    "wce": (
+        ["wce", "--input", "{points}", *KERNEL_ARGS],
+        "0f7b7a79f3b52a71c24d5a38a64eba01c44274f6655a3fab29b098e965785ec5",
+        NO_OUTPUT, 0),
+    "rms-wce": (
+        ["rms-wce", *KERNEL_ARGS, "--N", "8", "--input", "{points}"],
+        "5748983f16eae533919d2564685dcdab48922389706d4b13f7bc0b1b73a61a24",
+        NO_OUTPUT, 0),
+    "trial-integral-inverse_beta": (
+        ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
+         "inverse_beta", "--seed", "1"],
+        "a28bb003627b48a966f204febbc380d92f1232219a07688d313a97a696a3f2be",
+        NO_OUTPUT, 0),
+    "trial-integral-inverse_normal": (
+        ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
+         "inverse_normal", "--seed", "1"],
+        "906cbea7c77efaea5cda9231947408c60567920275e552d256031e7ed7199927",
+        NO_OUTPUT, 0),
+    "trial-integral-random": (
+        ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
+         "random", "--seed", "1"],
+        "4e9455683a047a043600d4ec796dee2f7c429aa15e3797b03e1741a6fa8d3f54",
+        NO_OUTPUT, 0),
+    "strata": (
+        ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
+         "3"],
+        "c176314679ac195c192e5e68c744b84aaac1f300270034b581f2dab80605a440",
+        "6e3d2f79be625a77e34f67326ae3f62ef0f014b9193c6ebf7282717cb11e0c32",
+        0),
+    "lambda": (
+        ["lambda", "--mu", "1.5", "--c", "2", "--K", "8"],
+        "75ab5f59be5729d03ac4aa8414c699e53a497286ab6f0eeb984361e2cc60d4e2",
+        NO_OUTPUT, 0),
+    "price-mc": (
+        ["price", "--N", "64", "--reps", "4", "--gen", "mc"],
+        "6f34a659fa422d3bed080a22c4d50c2382039a7f5fa19786ad782066ccd7063b",
+        NO_OUTPUT, 0),
+    "price-sobol": (
+        ["price", "--N", "64", "--reps", "4", "--gen", "sobol"],
+        "bdc27c04c0ee093593109925b54c4dc43e175a3f43be11c7d2a41b0ff853b97d",
+        NO_OUTPUT, 0),
+    "price-sphere": (
+        ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
+        "19c8ebb43a12932500ee266f526da2063e5b35a62dd1ff255ff31f8d62c42f84",
+        NO_OUTPUT, 0),
+    "table": (
+        ["table", "--n-list", "256"],
+        "7215982e5088b8c71edccfa40c3aca497fd25b5c7d4df186f1be47bfcb18deba",
+        NO_OUTPUT, 0),
+}
+
+
+class TestGolden:
+    """Every subcommand's stdout, stderr and exit code, pinned by digest
+    so that a refactor which is meant to keep outputs byte-identical is
+    checked as such; a deliberate change of an output re-pins its entry."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_digest(self, capsys, tmp_path, name):
+        argv, out_sha, err_sha, want_code = GOLDEN[name]
+        points = tmp_path / "points.csv"
+        points.write_text(GOLDEN_POINTS)
+        argv = [str(points) if a == "{points}" else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (sha256(out), sha256(err), code) == (out_sha, err_sha,
+                                                    want_code)
 
 
 class TestConsoleScript:

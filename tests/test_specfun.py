@@ -9,9 +9,11 @@ from scipy import special as sp
 
 from spherecone import specfun
 from spherecone.errors import DomainError, InfiniteResultError
-from spherecone.spheremap import cap_measure
-from spherecone.wce import (KernelParams, kernel_psi_integral, phi_cdf,
-                            phi_psi_integral)
+from spherecone.finance import OptionSpec
+from spherecone.spheremap import (cap_measure, equal_area_partition_s2,
+                                  radial_shells)
+from spherecone.wce import (KernelParams, kernel_psi_integral, lambda_k,
+                            phi_cdf, phi_psi_integral, sphere_constants)
 
 
 def gamma_p_quadrature(a, x):
@@ -387,3 +389,30 @@ def test_checks_raise_for_scalar_and_array_input(name):
         for form in value_forms(v, a, array=not name.startswith("chi")):
             with pytest.raises(DomainError):
                 fn(x, form)
+
+
+# every argument that must be a positive integer, as f(value)
+POSITIVE_INT = {
+    "chi_cdf": lambda k: specfun.chi_cdf(k, 0.5),
+    "chi_quantile": lambda k: specfun.chi_quantile(k, 0.5),
+    "cap_measure": lambda m: cap_measure(m, 0.5),
+    "radial_shells": lambda K: radial_shells(1.5, 3.0, K),
+    "equal_area_partition_s2": equal_area_partition_s2,
+    "sphere_constants": sphere_constants,
+    "KernelParams.d": lambda d: KernelParams(1.5, 1.5, 3.0, d),
+    "lambda_k": lambda K: lambda_k(1.5, 2.0, K),
+    "OptionSpec.d_steps": lambda n: OptionSpec(100.0, 100.0, 1.0, 0.2,
+                                               0.05, n),
+}
+
+
+@pytest.mark.parametrize("name", POSITIVE_INT)
+def test_positive_int_checks(name):
+    # NaN and inf raise the typed error too, not ValueError/OverflowError
+    fn = POSITIVE_INT[name]
+    for form in [3] + value_forms(3.0, None, array=False):
+        fn(form)
+    for v in (math.nan, math.inf, -math.inf, 0.0, -2.0, 2.5):
+        for form in value_forms(v, None, array=False):
+            with pytest.raises(DomainError, match="positive integer"):
+                fn(form)
