@@ -18,18 +18,25 @@ into n_replicates independently scrambled (or independently seeded)
 replicates, the price of each replicate is its mean discounted payoff,
 and the reported estimate is the mean of replicate prices with their
 spread as the uncertainty.
+
+Replicates are drawn and priced concurrently, one thread per CPU the
+process may use; each replicate is a pure function of (seed, replicate)
+and results are combined in replicate order, so they do not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .lds import SobolStream, _rng
+from .lds import DirectionNumberTable, SobolStream, _rng
 from .specfun import _U_FLOOR, _check_positive_int, inv_normal_cdf
 from .spheremap import lift_to_space
 
@@ -124,32 +131,61 @@ def brownian_transform(d_steps, T, kind):
     return PathConstruction(kind=kind, transform=A)
 
 
+def _worker_count():
+    """Threads of a replicate pool: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_replicates(fn, n):
+    """[fn(0), ..., fn(n - 1)] computed on a thread pool that ends with
+    the call; the first exception raised by fn propagates."""
+    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
+        return list(ex.map(fn, range(n)))
+
+
+def _check_draw(generator, n_points, n_replicates):
+    """Validate a draw's generator and sizes; return the direction table
+    every replicate stream of a QMC generator uses (None for "mc")."""
+    if generator not in GENERATORS:
+        raise ConfigurationError(f"unknown generator {generator!r}")
+    if n_points < 1 or n_replicates < 1:
+        raise ConfigurationError("need n_points >= 1 and n_replicates >= 1")
+    if generator == "mc":
+        return None
+    if n_points & (n_points - 1):
+        raise ConfigurationError(
+            f"QMC generators need a power-of-two n_points, got {n_points}")
+    return DirectionNumberTable.default()
+
+
+def _replicate_normals(generator, d, n_points, seed, rep, table):
+    """(n_points, d) standard normal vectors of replicate rep."""
+    if generator == "mc":
+        return _rng(seed, rep).standard_normal((n_points, d))
+    u = SobolStream(d, seed=seed, scramble=True, table=table,
+                    replicate=rep).take(n_points)
+    if generator == "sobol_inverse_normal":
+        return inv_normal_cdf(np.maximum(u, _U_FLOOR))
+    return lift_to_space(u).cartesian
+
+
 def normal_vectors(generator, d, n_points, n_replicates, seed):
     """(n_replicates, n_points, d) array of standard normal vectors.
 
     For the QMC generators, n_points must be a power of two and each
     replicate is an independently scrambled Sobol' set.
     """
-    if generator not in GENERATORS:
-        raise ConfigurationError(f"unknown generator {generator!r}")
-    if n_points < 1 or n_replicates < 1:
-        raise ConfigurationError("need n_points >= 1 and n_replicates >= 1")
-    if generator == "mc":
-        out = np.empty((n_replicates, n_points, d))
-        for rep in range(n_replicates):
-            out[rep] = _rng(seed, rep).standard_normal((n_points, d))
-        return out
-    if n_points & (n_points - 1):
-        raise ConfigurationError(
-            f"QMC generators need a power-of-two n_points, got {n_points}")
+    table = _check_draw(generator, n_points, n_replicates)
     out = np.empty((n_replicates, n_points, d))
-    for rep in range(n_replicates):
-        stream = SobolStream(d, seed=seed, scramble=True, replicate=rep)
-        u = stream.take(n_points)
-        if generator == "sobol_inverse_normal":
-            out[rep] = inv_normal_cdf(np.maximum(u, _U_FLOOR))
-        else:
-            out[rep] = lift_to_space(u).cartesian
+
+    def fill(rep):
+        out[rep] = _replicate_normals(generator, d, n_points, seed, rep,
+                                      table)
+
+    _map_replicates(fill, n_replicates)
     return out
 
 
@@ -185,18 +221,25 @@ def _price_constructions(spec, constructions, generator, n_points,
                          n_replicates, seed):
     """price_option for each construction, all on one draw of normals.
 
-    The draw lives only for this call, so a caller looping over
-    generators never holds two draws at once.
+    Each replicate's normals are drawn, priced under every construction
+    and dropped by one task, so no more than one replicate's draw per
+    thread is held at a time.
     """
     pcs = [c if isinstance(c, PathConstruction)
            else brownian_transform(spec.d_steps, spec.T, c)
            for c in constructions]
-    Z = normal_vectors(generator, spec.d_steps, n_points, n_replicates, seed)
+    table = _check_draw(generator, n_points, n_replicates)
+
+    def replicate_means(rep):
+        Z = _replicate_normals(generator, spec.d_steps, n_points, seed, rep,
+                               table)
+        return [_discounted_payoffs(spec, Z, pc.transform).mean()
+                for pc in pcs]
+
+    # row i: construction i's replicate prices, in replicate order
+    means = np.array(_map_replicates(replicate_means, n_replicates)).T
     estimates = []
-    for pc in pcs:
-        rep_means = np.array([
-            _discounted_payoffs(spec, Z[rep], pc.transform).mean()
-            for rep in range(n_replicates)])
+    for pc, rep_means in zip(pcs, means):
         sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
         estimates.append(PriceEstimate(
             mean=float(rep_means.mean()), std_dev_across_replicates=sd,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from importlib import resources
 
 import numpy as np
@@ -54,6 +55,7 @@ class DirectionNumberTable:
         self.m_init = [np.asarray(m, dtype=np.int64) for m in m_init]
         self.max_dimensions = 1 + len(self.m_init)
         self._vectors = np.empty((0, _NBITS), dtype=np.uint32)
+        self._lock = threading.Lock()
         for s, m in zip(self.degrees, self.m_init):
             if len(m) != s:
                 raise ConfigurationError(
@@ -115,7 +117,8 @@ class DirectionNumberTable:
         v_k = m_k 2^{32-k}.
 
         Each dimension is built once per table; later calls return a view
-        of the cached array.
+        of the cached array.  Concurrent calls build under one lock, so
+        the cache only grows and every caller gets its own dimension.
         """
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
@@ -123,15 +126,17 @@ class DirectionNumberTable:
             raise ConfigurationError(
                 f"table supports at most {self.max_dimensions} dimensions, "
                 f"requested {dimension}")
-        built = self._vectors.shape[0]
-        if dimension > built:
-            V = np.empty((dimension, _NBITS), dtype=np.uint32)
-            V[:built] = self._vectors
-            for j in range(built, dimension):
-                V[j] = self._vectors_of(j)
-            V.flags.writeable = False
-            self._vectors = V
-        return self._vectors[:dimension]
+        with self._lock:
+            V = self._vectors
+            built = V.shape[0]
+            if dimension > built:
+                V = np.empty((dimension, _NBITS), dtype=np.uint32)
+                V[:built] = self._vectors
+                for j in range(built, dimension):
+                    V[j] = self._vectors_of(j)
+                V.flags.writeable = False
+                self._vectors = V
+        return V[:dimension]
 
     def _vectors_of(self, j):
         """Direction vectors of 0-based dimension j as 32 Python ints."""
@@ -220,14 +225,19 @@ class SobolStream:
         if self.index + count > _MAX_INDEX:
             raise ExhaustionError(
                 f"stream exhausted: index {self.index} + {count} exceeds 2^31")
-        idx = np.arange(self.index, self.index + count, dtype=np.uint32)
-        gray = idx ^ (idx >> np.uint32(1))
-        X = np.zeros((count, self.dimension), dtype=np.uint32)
-        for k in range(_NBITS):
-            active = ((gray >> np.uint32(k)) & np.uint32(1)).astype(bool)
-            if active.any():
-                X[active] ^= self._V[:, k]
-        X ^= self._shift
+        # point i is the shift xor the direction vectors of the set bits of
+        # gray(i); gray(i) differs from gray(i - 1) in bit ctz(i) only, so
+        # row 0 holds the first point, row r > 0 the vector that bit
+        # flips, and an xor scan down the rows gives every point
+        X = np.empty((count, self.dimension), dtype=np.uint32)
+        if count:
+            gray = self.index ^ (self.index >> 1)
+            bits = [bool(gray >> k & 1) for k in range(_NBITS)]
+            X[0] = np.bitwise_xor.reduce(self._V[:, bits], axis=1)
+            X[0] ^= self._shift
+            i = np.arange(self.index + 1, self.index + count, dtype=np.int64)
+            X[1:] = self._V.T[np.bitwise_count((i & -i) - 1)]
+            np.bitwise_xor.accumulate(X, axis=0, out=X)
         self.index += count
         return X.astype(np.float64) * 2.0**-_NBITS
 
@@ -240,6 +250,8 @@ def _cube_points(n, dimension, seed, random=False, scramble=False,
                  table=None):
     """The first n points of [0,1)^dimension: Philox uniforms of seed
     when random, else a Sobol' stream's, scrambled by seed if asked."""
+    if n < 0:
+        raise ConfigurationError(f"count must be >= 0, got {n}")
     if random:
         return _rng(seed).random((n, dimension))
     return SobolStream(dimension, seed=seed, scramble=scramble,

@@ -167,6 +167,9 @@ def trial_integral_errors(dim, N_list, gen, seed, table=None):
     normal cdf, normalized) or "random" (Philox uniforms through the
     sphere map).  Each N takes the first N points of its generator.
     """
+    if dim < 2:
+        raise ConfigurationError(
+            f"trial integral needs dim >= 2, got {dim}")
     if min(N_list, default=1) < 1:
         raise ConfigurationError(f"N must be at least 1, got {min(N_list)}")
     return [abs(1.0 - float(np.mean(

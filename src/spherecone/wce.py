@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
@@ -291,6 +290,7 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
     Phi must be a cdf anchored at 0 and psidens a probability density on
     [0, inf); both are validated numerically.
     """
+    from scipy import integrate
     if abs(Phi(0.0)) > 1e-8 or abs(Phi(1e8) - 1.0) > 1e-6:
         raise ConfigurationError("Phi must satisfy Phi(0)=0 and Phi(inf)=1")
     total, _ = integrate.quad(psidens, 0.0, np.inf, limit=200)
@@ -524,6 +524,7 @@ def stratified_expected_wce_sq(p, partition, shells, seed=0,
     sqrt((c_x - c_y)^2 + (s_x - s_y)^2 + 4 s_x s_y sin^2(dphi/2)).
     Requires an S^2 partition (p.d == 2).
     """
+    from scipy import integrate
     if p.d != 2:
         raise ConfigurationError("stratified prediction implemented for d=2")
     if abs(shells.mu - p.mu) > 1e-12 or abs(shells.B - p.B) > 1e-12:

@@ -72,6 +72,13 @@ class TestPoints:
         _, rows = read_csv_text(out)
         assert rows.shape == (8, 2)
 
+    @pytest.mark.parametrize("gen", ["sphere", "sobol", "random"])
+    def test_negative_count_exit_2(self, capsys, gen):
+        code, out, err = run_cli(["points", "--dim", "3", "--n", "-1",
+                                  "--gen", gen], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: count must be >= 0, got -1\n"
+
 
 class TestSphereMap:
     def test_unit_norms(self, capsys):
@@ -268,6 +275,16 @@ class TestTrialIntegral:
         assert code == 2 and out == ""
         assert err == "error: N must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("gen", ["inverse_beta", "inverse_normal",
+                                     "random"])
+    @pytest.mark.parametrize("dim", ["1", "0"])
+    def test_dimension_below_two_exit_2(self, capsys, gen, dim):
+        code, out, err = run_cli(
+            ["trial-integral", "--dim", dim, "--n-list", "16", "--gen", gen],
+            capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: trial integral needs dim >= 2, got {dim}\n"
+
 
 class TestStrata:
     def test_formula_rows_and_slope(self, capsys):
@@ -321,6 +338,16 @@ class TestPriceAndTable:
         code, _, err = run_cli(["price", "--N", "100", "--reps", "8"],
                                capsys)
         assert code == 2 and "error" in err
+
+    def test_replicate_task_error_exit_2(self, capsys):
+        # the sphere lift of a one-step path raises inside each replicate
+        # task; the typed error still reaches the CLI
+        code, out, err = run_cli(
+            ["price", "--N", "64", "--reps", "4", "--gen", "sphere",
+             "--steps", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: need dimension >= 2 to split direction and "
+                       "radius\n")
 
 
 class TestErrors:
@@ -486,6 +513,16 @@ class TestConsoleScript:
             capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert float(out.stdout.strip()) > 0
+
+    def test_price_does_not_load_quadrature(self):
+        # scipy.integrate serves only the quadrature-based wce functions
+        code = ("import sys; from spherecone import cli; "
+                "rc = cli.main(['price', '--N', '64', '--reps', '4']); "
+                "print(rc, 'scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[-1] == "0 False"
 
     def test_dirfile_env_var(self, tmp_path):
         f = tmp_path / "dirs.txt"

@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from spherecone import finance
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.finance import (CONSTRUCTIONS, GENERATORS, TABLE_COLUMNS,
                                 OptionSpec, brownian_transform,
@@ -211,3 +213,52 @@ class TestExperimentTable:
             assert row == [float(N)] + [
                 price_option(spec, c, g, N // reps, reps, seed).std_error
                 for g, c in TABLE_COLUMNS]
+
+
+class TestReplicateThreads:
+    """Replicates run on a thread pool; results must not depend on its
+    size, and no thread may outlive a call."""
+
+    def run_with_workers(self, monkeypatch, workers, fn):
+        monkeypatch.setattr(finance, "_worker_count", lambda: workers)
+        return fn()
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_normal_vectors_independent_of_workers(self, monkeypatch, gen):
+        draws = [self.run_with_workers(
+            monkeypatch, w, lambda: normal_vectors(gen, 5, 64, 7, seed=2))
+            for w in (1, 3)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_prices_independent_of_workers(self, monkeypatch, gen):
+        for spec in (SPEC, BARRIER, DIGITAL):
+            ests = [self.run_with_workers(
+                monkeypatch, w,
+                lambda: price_option(spec, "pca", gen, 128, 9, seed=3))
+                for w in (1, 3)]
+            assert ests[0] == ests[1]
+
+    def test_table_independent_of_workers(self, monkeypatch):
+        tables = [self.run_with_workers(
+            monkeypatch, w,
+            lambda: experiment_table(SPEC, [256, 512], seed=1,
+                                     n_replicates=8))
+            for w in (1, 3)]
+        assert tables[0] == tables[1]
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(finance, "_worker_count", lambda: 3)
+        before = threading.active_count()
+        price_option(SPEC, "standard", "sobol_inverse_normal", 64, 8, seed=0)
+        experiment_table(SPEC, [256], seed=0, n_replicates=8)
+        assert threading.active_count() == before
+
+    def test_worker_error_propagates(self, monkeypatch):
+        # the sphere lift needs d >= 2; each replicate task raises
+        monkeypatch.setattr(finance, "_worker_count", lambda: 3)
+        before = threading.active_count()
+        one_step = OptionSpec(100.0, 100.0, 1.0, 0.2, 0.05, 1)
+        with pytest.raises(DomainError):
+            price_option(one_step, "standard", "sphere_normal", 16, 4, 0)
+        assert threading.active_count() == before

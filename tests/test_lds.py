@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +29,20 @@ def scramble_loop(V, rng):
             y |= bits << np.uint32(31 - i)
         out[j] = y
     return out
+
+
+def take_loop(stream, count):
+    """One masked pass per bit of gray(i): the reference for
+    SobolStream.take.  Reads the stream's state and does not advance it."""
+    idx = np.arange(stream.index, stream.index + count, dtype=np.uint32)
+    gray = idx ^ (idx >> np.uint32(1))
+    X = np.zeros((count, stream.dimension), dtype=np.uint32)
+    for k in range(32):
+        active = ((gray >> np.uint32(k)) & np.uint32(1)).astype(bool)
+        if active.any():
+            X[active] ^= stream._V[:, k]
+    X ^= stream._shift
+    return X.astype(np.float64) * 2.0**-32
 
 
 def philox(*key):
@@ -135,6 +152,31 @@ class TestScrambled:
         np.testing.assert_allclose(pts.mean(axis=0), 0.5, atol=0.02)
 
 
+class TestTakeMatchesLoop:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 30, 192])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_counts(self, dim, scramble):
+        s = SobolStream(dim, seed=dim, scramble=scramble, replicate=1)
+        for count in (0, 1, 2, 3, 31, 256, 1000):
+            ref = take_loop(s, count)
+            assert s.take(count).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 5, 2**20 - 3])
+    def test_any_start(self, start):
+        s = SobolStream(4, seed=2, scramble=True)
+        s.index = start
+        ref = take_loop(s, 64)
+        assert s.take(64).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_stream_end(self, scramble):
+        # the last point the stream can give has index 2^31 - 1
+        s = SobolStream(5, seed=6, scramble=scramble)
+        s.index = 2**31 - 100
+        ref = take_loop(s, 100)
+        assert s.take(100).tobytes() == ref.tobytes()
+
+
 class TestExhaustion:
     def test_raises_past_limit(self):
         s = SobolStream(1)
@@ -193,6 +235,74 @@ class TestDirectionNumberTable:
         for V in (V5, V9, t.direction_vectors(3)):
             with pytest.raises(ValueError):
                 V[0, 0] = 1
+
+    def test_concurrent_builds_serve_each_dimension(self):
+        # two threads extend a fresh table's cache at once, each row slowed
+        # so that both start before either ends and the shorter build
+        # would end last: each gets its own dimension and the cache keeps
+        # the longer build
+        base = DirectionNumberTable.default()
+        ref = base.direction_vectors(30)
+        for _ in range(5):
+            t = DirectionNumberTable(base.degrees, base.poly_coeffs,
+                                     base.m_init)
+            delay = threading.local()
+            vectors_of = t._vectors_of
+
+            def slowed(j):
+                time.sleep(delay.seconds)
+                return vectors_of(j)
+
+            t._vectors_of = slowed
+            barrier = threading.Barrier(2)
+            got = {}
+
+            def build(dim):
+                delay.seconds = 0.01 if dim == 5 else 0.001
+                barrier.wait()
+                got[dim] = t.direction_vectors(dim)
+
+            threads = [threading.Thread(target=build, args=(dim,))
+                       for dim in (5, 30)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            np.testing.assert_array_equal(got[5], ref[:5])
+            np.testing.assert_array_equal(got[30], ref)
+            np.testing.assert_array_equal(t._vectors, ref)
+
+    def test_many_threads_grow_one_cache(self):
+        # eight threads, each asking a fresh table for its own sequence of
+        # dimensions with thread switches forced often: every answer is
+        # right and the cache ends at the largest dimension asked for
+        base = DirectionNumberTable.default()
+        ref = base.direction_vectors(192)
+        t = DirectionNumberTable(base.degrees, base.poly_coeffs, base.m_init)
+        asks = [[1 + (37 * k + 53 * i) % 192 for i in range(6)]
+                for k in range(8)]
+        wrong = []
+
+        def ask(dims):
+            for dim in dims:
+                if t.direction_vectors(dim).tobytes() != ref[:dim].tobytes():
+                    wrong.append(dim)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(dims,))
+                       for dims in asks]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert t._vectors.shape[0] == max(map(max, asks))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):  # even m
