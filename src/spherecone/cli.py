@@ -196,8 +196,8 @@ def cmd_table(args):
     return 0
 
 
-def _add_common(sp, output=True, dirfile=False):
-    sp.add_argument("--seed", type=int, default=0)
+def _add_common(sp, output=True, dirfile=False, seed_help=None):
+    sp.add_argument("--seed", type=int, default=0, help=seed_help)
     if output:
         sp.add_argument("--output", default=None)
     if dirfile:
@@ -269,7 +269,8 @@ def build_parser():
     sp.add_argument("--M-list", default="64,256,1024,4096")
     sp.add_argument("--draws", type=int, default=0,
                     help="empirical stratified draws per M (0 = formula only)")
-    _add_common(sp)
+    _add_common(sp, seed_help="seeds the --draws columns only; the formula "
+                "is deterministic")
     sp.set_defaults(func=cmd_strata)
 
     sp = sub.add_parser("lambda", help="the shell mean Lambda_K")

@@ -1,6 +1,7 @@
 """Worst-case integration errors for normally-weighted integration on
 R^{d+1} with the spherical-cone kernel, plus their expected-value laws
-and brute-force Monte Carlo oracles.
+(deterministic: closed forms and fixed quadrature rules) and a
+brute-force Monte Carlo oracle.
 
 The kernel factors into a radial part K_R(r, rho) = Phi(min{r, rho}) and
 a sphere part K_S(x*, y*) = 1 - C_d ||x* - y*||.  Throughout, Phi is the
@@ -62,8 +63,9 @@ __all__ = [
 # squared-wce values below this trigger a loud diagnostic before clamping
 _CANCEL_TOL = -1e-9
 
-# distances held at once by the tiled pairwise sums: 1 MB of doubles
-# stays in cache, and small tiles keep the diagonal blocks' triu cheap
+# values held at once by the tiled pairwise sums and the chord rule: 1 MB
+# of doubles stays in cache, and small tiles keep the diagonal blocks'
+# triu cheap
 _TILE_ELEMS = 2**17
 
 
@@ -455,74 +457,100 @@ def radial_discrepancy(p, radii):
 @dataclass(frozen=True)
 class StratifiedWcePrediction:
     """Exact expected squared wce of one-point-per-cell stratified
-    sampling, with the Monte Carlo uncertainty of the cell distance
-    integrals recorded."""
+    sampling, its radial and angular parts, and the cell-averaged mean
+    chord the angular part is built on."""
 
     value: float
     radial_term: float
     angular_term: float
     mean_cell_distance: float
-    mean_cell_distance_se: float
     M: int
     K: int
 
 
-def _sin_from_cos(c, out):
-    """sqrt(max(0, 1 - c^2)) into out, which may be c."""
-    np.multiply(c, c, out=out)
-    np.subtract(1.0, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.sqrt(out, out=out)
+# Gauss-Legendre nodes per axis of the band mean-chord rule
+_CHORD_NODES = 16
 
 
-def _cell_mean_distance(t0, t1, phi_width, rng, n_samples):
-    """Conditional mean of ||x - y|| for x, y independent uniform in the
-    band-sector cell [t0, t1] x [0, phi_width], and the variance of that
-    Monte Carlo mean.
+def _chord_rule(n):
+    """The pieces (u, v, tau, weights) of a rule for int_[0,1]^3 f du dv
+    dtau, f smooth but for |(u, v)| on the line u = v = 0 and, where
+    tau = 0 or tau = 1, for |(u, tau)| or |(u, 1 - tau)| at u = 0.
 
-    One (4, n) draw: the cosines of the colatitudes (uniform in area),
-    then the two azimuths.  The chord comes from
-    ||x - y||^2 = (c_x - c_y)^2 + (s_x - s_y)^2
-                  + 4 s_x s_y sin^2((phi_x - phi_y)/2),
-    computed in place on the draw: one sin per pair, and no cancellation
-    in small cells.
+    The square (u, v) splits along its diagonal into two triangles, each
+    Duffy-mapped onto [0, 1]^2 with radius s.  In the triangle u < v,
+    u = s t, and (t, tau) splits again into halves tau < 1/2 and
+    tau > 1/2, each Duffy-mapped about its corner at t = 0.  Each piece
+    is a tensor Gauss-Legendre rule of n nodes per axis, its arrays
+    broadcasting to (n, n, n) from the axes they depend on.
     """
-    u = rng.random((4, n_samples))
-    # the rows start as the uniforms of c_x, c_y, phi_x and phi_y, and
-    # each is overwritten by the quantity it is named for
-    cos_x, cos_y, half, sin_x = u
-    np.subtract(half, sin_x, out=half)
-    half *= 0.5 * phi_width
-    np.sin(half, out=half)
-    half *= half
-    u[:2] *= np.cos(t1) - np.cos(t0)
-    u[:2] += np.cos(t0)
-    _sin_from_cos(cos_x, out=sin_x)
-    np.subtract(cos_x, cos_y, out=cos_x)
-    sin_y = _sin_from_cos(cos_y, out=cos_y)
-    half *= sin_x
-    half *= sin_y
-    half *= 4.0
-    sin_x -= sin_y
-    dist = np.square(cos_x, out=cos_x)
-    dist += np.square(sin_x, out=sin_x)
-    dist += half
-    np.sqrt(dist, out=dist)
-    return float(dist.mean()), float(dist.var(ddof=1) / n_samples)
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * x + 0.5, 0.5 * w
+    s, y, z = x[:, None, None], x[None, :, None], x[None, None, :]
+    wt = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    pieces = [(s, s * y, z, s * wt)]
+    for t, tau_half in ((y, y * z), (y * z, y)):
+        for tau in (0.5 * tau_half, 1.0 - 0.5 * tau_half):
+            pieces.append((s * t, s, tau, 0.5 * s * y * wt))
+    return pieces
 
 
-def stratified_expected_wce_sq(p, partition, shells, seed=0,
-                               distance_samples=100_000):
+def _band_mean_chords(bands):
+    """E||x - y|| for x, y independent uniform on one cell of each band
+    (t0, t1, m): colatitudes [t0, t1], azimuth width w = 2 pi / m.
+
+    With h = |theta_x - theta_y| >= 0, c the smaller colatitude and dphi
+    the azimuth difference, the chord is
+    ||x - y|| = 2 sqrt(sin^2(h/2) + sin c sin(c + h) sin^2(dphi/2)),
+    free of cancellation in thin bands, and with H = t1 - t0 and cell
+    area Z = (cos t0 - cos t1) w = 2 sin((t0 + t1)/2) sin(H/2) w,
+
+        E = (4 / Z^2) int_0^H dh int_t0^{t1-h} dc int_0^D ddphi
+                ||x - y|| sin c sin(c + h) omega(dphi),
+
+    where D = w, omega = w - dphi for a sector, and a full circle folds
+    its even, 2 pi-periodic dphi-integrand onto D = pi with omega = 2 pi.
+    The chord is singular on h = dphi = 0 and, in a cap, at the pole
+    h = sin c = 0; _chord_rule takes h = H u, dphi = D v and
+    c = t0 + (H - h) tau, so its Duffy maps smooth both.  The weight
+    is sin^2(c + h/2) - sin^2(h/2), one sine per node.  Bands are
+    evaluated together, at most _TILE_ELEMS nodes of the rule at a time.
+    """
+    pieces = _chord_rule(_CHORD_NODES)
+    t0, t1, m = (np.array(c, dtype=float)[:, None, None, None]
+                 for c in zip(*bands))
+    height = t1 - t0
+    width = 2.0 * np.pi / m
+    full = m == 1
+    dphi_max = np.where(full, np.pi, width)
+    out = np.zeros(len(m))
+    rows = max(1, _TILE_ELEMS // (len(pieces) * _CHORD_NODES**3))
+    for a in range(0, len(m), rows):
+        b = slice(a, a + rows)
+        for u, v, tau, jac in pieces:
+            h = height[b] * u
+            sin_h = np.sin(0.5 * h)**2
+            dphi = dphi_max[b] * v
+            omega = np.where(full[b], 2.0 * np.pi, width[b] - dphi)
+            span = height[b] - h
+            weight = np.sin(t0[b] + span * tau + 0.5 * h)**2 - sin_h
+            chord = np.sqrt(sin_h + weight * np.sin(0.5 * dphi)**2)
+            chord *= weight * omega * span
+            out[b] += chord.reshape(len(chord), -1) @ jac.ravel()
+    area = (2.0 * np.sin(0.5 * (t0 + t1)) * np.sin(0.5 * height)
+            * width).ravel()
+    return 8.0 * height.ravel() * dphi_max.ravel() / area**2 * out
+
+
+def stratified_expected_wce_sq(p, partition, shells):
     """Exact E[wce^2] for stratified sampling: one psi-conditioned point
     in each product cell (sphere cell) x (radial shell).
 
     The radial integrals per shell are one-dimensional quadratures in
-    closed-form-reduced variables; the per-cell distance integrals are
-    Monte Carlo, shared across congruent cells of the same band, with
-    distance_samples pairs per band.  Each pair's chord comes from its
-    colatitude cosines c, sines s and azimuth difference dphi as
-    sqrt((c_x - c_y)^2 + (s_x - s_y)^2 + 4 s_x s_y sin^2(dphi/2)).
-    Requires an S^2 partition (p.d == 2).
+    closed-form-reduced variables; the mean chord of each band's cells,
+    shared by the congruent cells of the band, is a fixed Gauss-Legendre
+    rule in Duffy coordinates (_band_mean_chords), so the result is
+    deterministic.  Requires an S^2 partition (p.d == 2).
     """
     from scipy import integrate
     if p.d != 2:
@@ -556,21 +584,14 @@ def stratified_expected_wce_sq(p, partition, shells, seed=0,
         d_phi = (phi_psi_integral(p, rho_hi) if np.isfinite(rho_hi)
                  else 1.0 - abmu) - phi_psi_integral(p, rho_lo)
         G[k - 1] = K * d_phi - H[k - 1]
-    rng = _rng(seed)
-    dists = np.empty(len(partition.bands))
-    variances = np.empty(len(partition.bands))
     weights = np.array([b[2] for b in partition.bands], dtype=float)
-    for i, (t0, t1, m_i) in enumerate(partition.bands):
-        dists[i], variances[i] = _cell_mean_distance(
-            t0, t1, 2.0 * np.pi / m_i, rng, distance_samples)
-    mean_dist = float(np.average(dists, weights=weights))
-    mean_dist_se = math.sqrt(float((weights**2 * variances).sum())) / M
+    mean_dist = float(np.average(_band_mean_chords(partition.bands),
+                                 weights=weights))
     radial = float(np.mean(G)) / (M * K)
     angular = consts.C_d / (M * K) * float(np.mean(H)) * mean_dist
     return StratifiedWcePrediction(
         value=radial + angular, radial_term=radial, angular_term=angular,
-        mean_cell_distance=mean_dist, mean_cell_distance_se=mean_dist_se,
-        M=M, K=K)
+        mean_cell_distance=mean_dist, M=M, K=K)
 
 
 def strata_scaling(p, M_list, seed, draws=0):
@@ -580,6 +601,7 @@ def strata_scaling(p, M_list, seed, draws=0):
 
     M_list must be nonempty with distinct values; draws is 0 (formula
     only) or at least 2, so that the empirical standard error exists.
+    seed seeds the draws only; the formula is deterministic.
     """
     if not M_list:
         raise ConfigurationError("need at least one M")
@@ -593,7 +615,7 @@ def strata_scaling(p, M_list, seed, draws=0):
         part = equal_area_partition_s2(M)
         K = max(1, int(round(math.sqrt(M))))
         shells = radial_shells(p.mu, p.B, K)
-        pred = stratified_expected_wce_sq(p, part, shells, seed=seed)
+        pred = stratified_expected_wce_sq(p, part, shells)
         row = {"M": M, "K": K, "N": M * K, "formula": pred.value}
         if draws:
             vals = [wce_nakagami(

@@ -258,14 +258,12 @@ def test_criterion_5_expected_value_laws(capsys):
     # stratified law
     part = equal_area_partition_s2(16)
     shells = radial_shells(p.mu, p.B, 4)
-    pred = stratified_expected_wce_sq(p, part, shells, seed=7)
+    pred = stratified_expected_wce_sq(p, part, shells)
     vals = np.array([
         wce_nakagami(p, stratified_sample(part, shells, 9000 + i)).wce**2
         for i in range(500)])
     se = vals.std(ddof=1) / math.sqrt(500)
-    formula_se = (pred.angular_term / pred.mean_cell_distance
-                  * pred.mean_cell_distance_se)
-    z = abs(vals.mean() - pred.value) / math.hypot(se, formula_se)
+    z = abs(vals.mean() - pred.value) / se
     details.append(f"stratified z={z:.2f}")
     ok = ok and z <= 3.0
 

@@ -298,6 +298,15 @@ class TestStrata:
         assert rows.shape[0] == 2
         assert "slope" in err
 
+    def test_formula_ignores_seed(self, capsys):
+        # --seed seeds the --draws columns only
+        runs = {run_cli(["strata", "--mu", "1.5", "--A", "1.5", "--B", "3",
+                         "--M-list", "16,64", "--draws", "0", "--seed",
+                         seed], capsys) for seed in ("0", "3", "7")}
+        assert len(runs) == 1
+        code, out, _ = runs.pop()
+        assert code == 0 and out
+
     @pytest.mark.parametrize("argv, message", [
         (["--M-list", ""], "at least one M"),
         (["--M-list", "16,16"], "distinct"),
@@ -463,8 +472,8 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "c176314679ac195c192e5e68c744b84aaac1f300270034b581f2dab80605a440",
-        "6e3d2f79be625a77e34f67326ae3f62ef0f014b9193c6ebf7282717cb11e0c32",
+        "c49bc860ef4a5e9f686b095ade8762f9c4035d197cca58d59a20adf96cbf658f",
+        "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (
         ["lambda", "--mu", "1.5", "--c", "2", "--K", "8"],

@@ -503,17 +503,14 @@ class TestStratifiedPrediction:
         p = P232
         part = equal_area_partition_s2(1)
         shells = radial_shells(p.mu, p.B, 1)
-        pred = stratified_expected_wce_sq(p, part, shells, seed=0,
-                                          distance_samples=400_000)
-        expect = rms_wce_iid(p)
-        assert abs(pred.value - expect) < 5 * 0.25 * pred.mean_cell_distance_se \
-            + 1e-9
+        pred = stratified_expected_wce_sq(p, part, shells)
+        assert pred.value == pytest.approx(rms_wce_iid(p), rel=0, abs=1e-12)
 
     def test_sampling_agreement(self):
         p = P232
         part = equal_area_partition_s2(9)
         shells = radial_shells(p.mu, p.B, 3)
-        pred = stratified_expected_wce_sq(p, part, shells, seed=1)
+        pred = stratified_expected_wce_sq(p, part, shells)
         draws = 200
         vals = np.array([
             wce_nakagami(p, stratified_sample(part, shells, 500 + i)).wce**2
@@ -545,7 +542,7 @@ class TestStratifiedPrediction:
         assert slope is None
         assert [(r["M"], r["K"], r["N"]) for r in rows] == [(9, 3, 27)]
         assert rows[0]["formula"] == pytest.approx(
-            STRATIFIED_PINS[(9, 3, 0)][0], rel=1e-13, abs=0)
+            STRATIFIED_PINS[(9, 3)][0], rel=1e-13, abs=0)
         assert rows[0]["empirical_se"] > 0
 
     def test_d_restriction(self):
@@ -556,8 +553,9 @@ class TestStratifiedPrediction:
 
 
 def cell_mean_distance_ref(t0, t1, phi_width, rng, n_samples):
-    """The Cartesian estimator, two (2, n) draws and a norm of stacked
-    points: the reference for wce._cell_mean_distance."""
+    """Monte Carlo mean of ||x - y|| over n_samples pairs of independent
+    uniform points of the cell [t0, t1] x [0, phi_width], from Cartesian
+    points and a norm, and the variance of that mean."""
     ct = np.cos(t0) + rng.random((2, n_samples)) * (np.cos(t1) - np.cos(t0))
     st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
     ph = rng.random((2, n_samples)) * phi_width
@@ -567,53 +565,82 @@ def cell_mean_distance_ref(t0, t1, phi_width, rng, n_samples):
     return float(dist.mean()), float(dist.var(ddof=1) / n_samples)
 
 
-# (M, K, seed): value, radial_term, angular_term, mean_cell_distance and
-# mean_cell_distance_se of stratified_expected_wce_sq(P232, ...) from the
-# Cartesian estimator
+def full_circle_mean_chord_ref(t0, t1):
+    """Mean chord of the full-circle band [t0, t1] by nested adaptive
+    quadrature in the colatitude cosines x, y, with the azimuth integral
+    in closed form:
+    int_0^2pi sqrt(A - B cos d) dd = 4 sqrt(A + B) E(2B / (A + B)),
+    A = 2 - 2xy, B = 2 sqrt(1 - x^2) sqrt(1 - y^2).  E has a log
+    singularity on x = y, which the inner quadrature is told of."""
+    from scipy.special import ellipe
+    lo, hi = math.cos(t1), math.cos(t0)
+
+    def f(y, x):
+        a = 2.0 - 2.0 * x * y
+        b = 2.0 * math.sqrt((1.0 - x) * (1.0 + x) * (1.0 - y) * (1.0 + y))
+        if a + b == 0.0:
+            return 0.0
+        return 4.0 * math.sqrt(a + b) * ellipe(min(1.0, 2.0 * b / (a + b)))
+
+    def inner(x):
+        points = [x] if lo < x < hi else None
+        return integrate.quad(f, lo, hi, args=(x,), points=points,
+                              epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    total = integrate.quad(inner, lo, hi, epsabs=1e-15, epsrel=1e-13,
+                           limit=200)[0]
+    return 2.0 * math.pi * total / (2.0 * math.pi * (hi - lo))**2
+
+
+def sector_mean_chord_ref(t0, t1, m):
+    """Mean chord of a sector of width w = 2 pi / m by nquad over the
+    azimuth difference d (density (w - |d|) / w^2, folded onto d >= 0)
+    and the colatitude cosines, the chord from the dot product."""
+    w = 2.0 * math.pi / m
+    lo, hi = math.cos(t1), math.cos(t0)
+
+    def f(y, x, d):
+        dot = x * y + math.sqrt(1 - x * x) * math.sqrt(1 - y * y) * math.cos(d)
+        return (w - d) * math.sqrt(max(0.0, 2.0 - 2.0 * dot))
+
+    total = integrate.nquad(f, [[lo, hi], [lo, hi], [0.0, w]],
+                            opts={"epsabs": 1e-13, "limit": 200})[0]
+    return 2.0 * total / ((hi - lo) * w)**2
+
+
+# (M, K): value, radial_term, angular_term and mean_cell_distance of
+# stratified_expected_wce_sq(P232, ...), band mean chords by quadrature
 STRATIFIED_PINS = {
-    (1, 1, 0): (0.31388393593387, 0.14722570886655229, 0.1666582270673177,
-                1.3353465520933743, 0.0014877010232202143),
-    (1, 1, 3): (0.31389194837570666, 0.14722570886655229,
-                0.1666662395091544, 1.3354107516637692, 0.001487540101968938),
-    (1, 1, 7): (0.31333431854459104, 0.14722570886655229,
-                0.16610860967803878, 1.3309427509810072,
-                0.0014876969370949953),
-    (9, 3, 0): (0.00538341345535269, 0.0019374828031623438,
-                0.003445930652190346, 0.6263909338006403,
-                0.0005710253348623268),
-    (9, 3, 3): (0.005385235742443578, 0.0019374828031623438,
-                0.0034477529392812345, 0.6267221836799113,
-                0.0005704609174403418),
-    (9, 3, 7): (0.005376926999344264, 0.0019374828031623438,
-                0.003439444196181921, 0.625211845291244,
-                0.0005711138375051055),
-    (16, 4, 0): (0.0017107337508838495, 0.0006194955748852855,
-                 0.001091238175998564, 0.46037818535260094,
-                 0.0004390417844228883),
-    (16, 4, 3): (0.0017124668294423472, 0.0006194955748852855,
-                 0.0010929712545570617, 0.4611093470544031,
-                 0.0004383374901867974),
-    (16, 4, 7): (0.0017105320260405827, 0.0006194955748852855,
-                 0.0010910364511552972, 0.46029308045128203,
-                 0.0004396120935806343),
-    (64, 8, 0): (0.0001099713819295546, 3.9437167116040646e-05,
-                 7.053421481351395e-05, 0.23066342419648822,
-                 0.00014379983436386238),
-    (64, 8, 3): (0.00010990270376742371, 3.9437167116040646e-05,
-                 7.046553665138306e-05, 0.23043883049984729,
-                 0.00014402075949520034),
-    (64, 8, 7): (0.00010987916526792476, 3.9437167116040646e-05,
-                 7.044199815188412e-05, 0.23036185408621274,
-                 0.00014397128105492248),
-    (4096, 64, 0): (2.759750896491206e-08, 9.856826415378774e-09,
-                    1.7740682549533285e-08, 0.02889195771340362,
-                    6.3807830865607305e-06),
-    (4096, 64, 3): (2.759278954040557e-08, 9.856826415378774e-09,
-                    1.7735963125026797e-08, 0.028884271796421997,
-                    6.384415033433553e-06),
-    (4096, 64, 7): (2.7593041832922385e-08, 9.856826415378774e-09,
-                    1.773621541754361e-08, 0.028884682672649944,
-                    6.38327956676558e-06),
+    (1, 1): (0.313632675713277, 0.14722570886655229, 0.1664069668467247,
+             1.3333333333333335),
+    (9, 3): (0.005384070148893047, 0.0019374828031623438,
+             0.003446587345730703, 0.6265103055818755),
+    (16, 4): (0.001711891491451801, 0.0006194955748852855,
+              0.0010923959165665155, 0.46086661997073075),
+    (64, 8): (0.00010992370792851884, 3.9437167116040646e-05,
+              7.048654081247819e-05, 0.23050751903254574),
+    (4096, 64): (2.7592044379572544e-08, 9.856826415378774e-09,
+                 1.773521796419377e-08, 0.0288830582492421),
+}
+
+# (M, K, seed): mean_cell_distance and its standard error from the Monte
+# Carlo estimate with 100,000 pairs per band that the quadrature replaced
+MC_DISTANCE_PINS = {
+    (1, 1, 0): (1.3353465520933743, 0.0014877010232202143),
+    (1, 1, 3): (1.3354107516637692, 0.001487540101968938),
+    (1, 1, 7): (1.3309427509810072, 0.0014876969370949953),
+    (9, 3, 0): (0.6263909338006403, 0.0005710253348623268),
+    (9, 3, 3): (0.6267221836799113, 0.0005704609174403418),
+    (9, 3, 7): (0.625211845291244, 0.0005711138375051055),
+    (16, 4, 0): (0.46037818535260094, 0.0004390417844228883),
+    (16, 4, 3): (0.4611093470544031, 0.0004383374901867974),
+    (16, 4, 7): (0.46029308045128203, 0.0004396120935806343),
+    (64, 8, 0): (0.23066342419648822, 0.00014379983436386238),
+    (64, 8, 3): (0.23043883049984729, 0.00014402075949520034),
+    (64, 8, 7): (0.23036185408621274, 0.00014397128105492248),
+    (4096, 64, 0): (0.02889195771340362, 6.3807830865607305e-06),
+    (4096, 64, 3): (0.028884271796421997, 6.384415033433553e-06),
+    (4096, 64, 7): (0.028884682672649944, 6.38327956676558e-06),
 }
 
 
@@ -629,27 +656,67 @@ class TestCellMeanDistance:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_matches_cartesian_estimator(self, band, seed):
         t0, t1, m = band
-        width = 2.0 * math.pi / m
-        rng, rng_ref = _rng(seed), _rng(seed)
-        mean, var = wce._cell_mean_distance(t0, t1, width, rng, 100_000)
-        want = cell_mean_distance_ref(t0, t1, width, rng_ref, 100_000)
-        assert mean == pytest.approx(want[0], rel=1e-13, abs=0)
-        assert var == pytest.approx(want[1], rel=1e-13, abs=0)
-        # the same draws, so the stream continues where the reference's does
-        np.testing.assert_equal(rng.bit_generator.state,
-                                rng_ref.bit_generator.state)
+        mean, var = cell_mean_distance_ref(t0, t1, 2.0 * math.pi / m,
+                                           _rng(seed), 100_000)
+        assert abs(wce._band_mean_chords([band])[0] - mean) \
+            <= 3.0 * math.sqrt(var)
 
-    @pytest.mark.parametrize("key", STRATIFIED_PINS)
+    @pytest.mark.parametrize("key", MC_DISTANCE_PINS)
     def test_stratified_prediction_pinned(self, key):
         M, K, seed = key
         pred = stratified_expected_wce_sq(
-            P232, equal_area_partition_s2(M), radial_shells(1.5, 3.0, K),
-            seed=seed)
+            P232, equal_area_partition_s2(M), radial_shells(1.5, 3.0, K))
         got = (pred.value, pred.radial_term, pred.angular_term,
-               pred.mean_cell_distance, pred.mean_cell_distance_se)
-        np.testing.assert_allclose(got, STRATIFIED_PINS[key], rtol=1e-13,
+               pred.mean_cell_distance)
+        np.testing.assert_allclose(got, STRATIFIED_PINS[(M, K)], rtol=1e-13,
                                    atol=0)
         assert (pred.M, pred.K) == (M, K)
+        mc_mean, mc_se = MC_DISTANCE_PINS[key]
+        assert abs(pred.mean_cell_distance - mc_mean) <= 3.0 * mc_se
+
+
+class TestBandMeanChords:
+    def test_whole_sphere(self):
+        got = wce._band_mean_chords([(0.0, math.pi, 1)])[0]
+        assert got == pytest.approx(4.0 / 3.0, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("band", [equal_area_partition_s2(64).bands[0],
+                                      (0.0, math.pi / 2, 1),
+                                      (math.pi / 2, math.pi, 1)])
+    def test_full_circle_matches_elliptic_quadrature(self, band):
+        want = full_circle_mean_chord_ref(band[0], band[1])
+        assert wce._band_mean_chords([band])[0] == pytest.approx(
+            want, rel=1e-13, abs=0)
+
+    def test_thin_collar_matches_nquad(self):
+        band = equal_area_partition_s2(4096).bands[29]
+        assert band[2] > 1
+        assert wce._band_mean_chords([band])[0] == pytest.approx(
+            sector_mean_chord_ref(*band), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 16, 64, 4096])
+    def test_mirror_bands_equal(self, M):
+        # these partitions are symmetric about the equator
+        bands = equal_area_partition_s2(M).bands
+        assert [b[2] for b in bands] == [b[2] for b in bands[::-1]]
+        got = wce._band_mean_chords(bands)
+        np.testing.assert_allclose(got, got[::-1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("M", [1, 2, 9, 16, 64, 4096])
+    def test_converged_in_node_count(self, monkeypatch, M):
+        bands = equal_area_partition_s2(M).bands
+        got = wce._band_mean_chords(bands)
+        monkeypatch.setattr(wce, "_CHORD_NODES", 32)
+        np.testing.assert_allclose(got, wce._band_mean_chords(bands),
+                                   rtol=1e-13, atol=0)
+
+    def test_bands_evaluated_in_tiles(self, monkeypatch):
+        # the tile bound changes how many bands share a pass, not results
+        bands = equal_area_partition_s2(1024).bands
+        got = wce._band_mean_chords(bands)
+        monkeypatch.setattr(wce, "_TILE_ELEMS", 1)
+        np.testing.assert_allclose(wce._band_mean_chords(bands), got,
+                                   rtol=1e-15, atol=0)
 
 
 class TestLambdaK:
