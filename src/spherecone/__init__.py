@@ -3,7 +3,7 @@ spherical-cone discrepancies, and option-pricing experiments."""
 
 from .errors import (SphereconeError, DomainError, InfiniteResultError,
                      ConfigurationError, ExhaustionError, NumericError)
-from .lds import DirectionNumberTable, SobolStream, sobol_block
+from .lds import DirectionNumberTable, SobolStream
 from .spheremap import (SpacePoints, RadialShells, SpherePartition,
                         map_to_sphere, lift_to_space, cap_measure,
                         radial_shells, equal_area_partition_s2,
@@ -15,7 +15,7 @@ from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
                   expected_wce_sq_permutation, radial_discrepancy,
                   stratified_expected_wce_sq, lambda_k)
 from .finance import (OptionSpec, PathConstruction, PriceEstimate,
-                      brownian_transform, normal_vectors, price_option,
-                      mc_reference_price, experiment_table)
+                      brownian_transform, price_option, mc_reference_price,
+                      experiment_table)
 
 __version__ = "0.1.0"

@@ -46,7 +46,6 @@ __all__ = [
     "PriceEstimate",
     "brownian_transform",
     "min_matrix_eigenvalues",
-    "normal_vectors",
     "price_option",
     "mc_reference_price",
     "experiment_table",
@@ -56,6 +55,9 @@ __all__ = [
 
 GENERATORS = ("mc", "sobol_inverse_normal", "sphere_normal")
 CONSTRUCTIONS = ("standard", "pca")
+
+# paths drawn and priced at once by mc_reference_price
+_REFERENCE_CHUNK = 2**19
 
 
 @dataclass(frozen=True)
@@ -172,23 +174,6 @@ def _replicate_normals(generator, d, n_points, seed, rep, table):
     return lift_to_space(u).cartesian
 
 
-def normal_vectors(generator, d, n_points, n_replicates, seed):
-    """(n_replicates, n_points, d) array of standard normal vectors.
-
-    For the QMC generators, n_points must be a power of two and each
-    replicate is an independently scrambled Sobol' set.
-    """
-    table = _check_draw(generator, n_points, n_replicates)
-    out = np.empty((n_replicates, n_points, d))
-
-    def fill(rep):
-        out[rep] = _replicate_normals(generator, d, n_points, seed, rep,
-                                      table)
-
-    _map_replicates(fill, n_replicates)
-    return out
-
-
 def _discounted_payoffs(spec, Z, A):
     """Discounted payoff of each path given normal draws Z (n, d)."""
     dt = spec.T / spec.d_steps
@@ -225,9 +210,7 @@ def _price_constructions(spec, constructions, generator, n_points,
     and dropped by one task, so no more than one replicate's draw per
     thread is held at a time.
     """
-    pcs = [c if isinstance(c, PathConstruction)
-           else brownian_transform(spec.d_steps, spec.T, c)
-           for c in constructions]
+    pcs = [brownian_transform(spec.d_steps, spec.T, c) for c in constructions]
     table = _check_draw(generator, n_points, n_replicates)
 
     def replicate_means(rep):
@@ -248,7 +231,7 @@ def _price_constructions(spec, constructions, generator, n_points,
     return estimates
 
 
-def mc_reference_price(spec, n_paths=2**24, seed=0, chunk=2**19):
+def mc_reference_price(spec, n_paths=2**24, seed=0):
     """Plain Monte Carlo reference price and its standard error."""
     pc = brownian_transform(spec.d_steps, spec.T, "standard")
     rng = _rng(seed)
@@ -256,7 +239,7 @@ def mc_reference_price(spec, n_paths=2**24, seed=0, chunk=2**19):
     total_sq = 0.0
     done = 0
     while done < n_paths:
-        m = min(chunk, n_paths - done)
+        m = min(_REFERENCE_CHUNK, n_paths - done)
         pay = _discounted_payoffs(
             spec, rng.standard_normal((m, spec.d_steps)), pc.transform)
         total += float(pay.sum())

@@ -24,9 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ExhaustionError
+from .errors import ConfigurationError, ExhaustionError
 
-__all__ = ["DirectionNumberTable", "SobolStream", "sobol_block"]
+__all__ = ["DirectionNumberTable", "SobolStream"]
 
 _NBITS = 32
 _MAX_INDEX = 2**31
@@ -241,10 +241,6 @@ class SobolStream:
         self.index += count
         return X.astype(np.float64) * 2.0**-_NBITS
 
-    def next(self):
-        """Next single point as a length-dimension array."""
-        return self.take(1)[0]
-
 
 def _cube_points(n, dimension, seed, random=False, scramble=False,
                  table=None):
@@ -256,25 +252,3 @@ def _cube_points(n, dimension, seed, random=False, scramble=False,
         return _rng(seed).random((n, dimension))
     return SobolStream(dimension, seed=seed, scramble=scramble,
                        table=table).take(n)
-
-
-def sobol_block(dimension, count, replicate_count, seed, scramble=True,
-                table=None):
-    """`replicate_count` independently scrambled point sets of `count` points.
-
-    Returns a (replicate_count, count, dimension) array.  count must be a
-    power of two so each replicate is a digital net.
-    """
-    if count < 1 or (count & (count - 1)) != 0:
-        raise ConfigurationError(f"count must be a power of two, got {count}")
-    if replicate_count < 1:
-        raise ConfigurationError(
-            f"replicate_count must be >= 1, got {replicate_count}")
-    if table is None:
-        table = DirectionNumberTable.default()
-    out = np.empty((replicate_count, count, dimension), dtype=np.float64)
-    for r in range(replicate_count):
-        stream = SobolStream(dimension, seed=seed, scramble=scramble,
-                             table=table, replicate=r)
-        out[r] = stream.take(count)
-    return out

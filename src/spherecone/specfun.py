@@ -1,8 +1,8 @@
 """Scalar special functions used throughout the package.
 
-Regularized incomplete gamma/beta functions, their inverses, the sphere
-map's height inverse, the chi quantile and the inverse normal CDF.  All
-functions are pure, accept floats or numpy arrays, and raise
+Regularized incomplete gamma/beta functions, the gamma inverses, the
+sphere map's height inverse, the chi quantile and the inverse normal CDF.
+All functions are pure, accept floats or numpy arrays, and raise
 :class:`DomainError` on invalid input.  Evaluation is delegated to
 scipy.special (cephes); the test suite checks every function against
 independent adaptive-quadrature and bisection oracles, and the sphere
@@ -24,7 +24,6 @@ __all__ = [
     "inv_reg_gamma_p",
     "inv_reg_gamma_q",
     "reg_beta_i",
-    "inv_reg_beta_symmetric",
     "sphere_height",
     "chi_cdf",
     "chi_quantile",
@@ -137,22 +136,6 @@ def reg_beta_i(x, a, b):
     if _any(np.asarray(x) < 0.0) or _any(np.asarray(x) > 1.0):
         raise DomainError(f"x must be in [0, 1], got {x!r}")
     return sp.betainc(a, b, x)
-
-
-def inv_reg_beta_symmetric(y, a):
-    """Inverse of x -> I_x(a, a) on [0, 1].
-
-    Used for the area-preserving sphere map, where h_q(x) = I_x(q/2, q/2).
-    The symmetry point y = 1/2 maps to exactly 1/2.
-    """
-    _check_shape(a)
-    _check_finite("y", y)
-    y_arr = np.asarray(y, dtype=float)
-    if _any(y_arr < 0.0) or _any(y_arr > 1.0):
-        raise DomainError(f"y must be in [0, 1], got {y!r}")
-    out = sp.betaincinv(a, a, y_arr)
-    out = np.where(y_arr == 0.5, 0.5, out)
-    return _like_input(y, out)
 
 
 def sphere_height(u, a):

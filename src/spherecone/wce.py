@@ -68,6 +68,9 @@ _CANCEL_TOL = -1e-9
 # triu cheap
 _TILE_ELEMS = 2**17
 
+# cones drawn at once by mc_cone_discrepancy_oracle
+_ORACLE_CHUNK = 100_000
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -326,7 +329,7 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
     return _finish_report(double_sum, single_sum, w_k, n)
 
 
-def mc_cone_discrepancy_oracle(p, X, n_samples, seed, chunk=100_000):
+def mc_cone_discrepancy_oracle(p, X, n_samples, seed):
     """Monte Carlo estimate of the squared spherical-cone L2 discrepancy.
 
     Samples cones C(z*, t; R) with z* uniform on S^d, t uniform on
@@ -345,7 +348,7 @@ def mc_cone_discrepancy_oracle(p, X, n_samples, seed, chunk=100_000):
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_ORACLE_CHUNK, n_samples - done)
         z = rng.standard_normal((m, p.d + 1))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         t = rng.uniform(-1.0, 1.0, size=m)

@@ -25,10 +25,9 @@ from scipy import integrate
 from spherecone import finance, spheremap, wce
 from spherecone.finance import (GENERATORS, OptionSpec, brownian_transform,
                                 mc_reference_price, price_option)
-from spherecone.specfun import (inv_normal_cdf, inv_reg_beta_symmetric,
-                                inv_reg_gamma_p, inv_reg_gamma_q,
-                                normal_cdf, reg_beta_i, reg_gamma_p,
-                                reg_gamma_q)
+from spherecone.specfun import (inv_normal_cdf, inv_reg_gamma_p,
+                                inv_reg_gamma_q, normal_cdf, reg_beta_i,
+                                reg_gamma_p, reg_gamma_q, sphere_height)
 from spherecone.spheremap import (SpacePoints, cap_measure,
                                   equal_area_partition_s2, lift_to_space,
                                   map_to_sphere, radial_shells,
@@ -150,7 +149,11 @@ def test_criterion_1_special_functions(capsys):
     for _ in range(20):
         a = rng.uniform(0.5, 10.0)
         y = rng.uniform(1e-5, 1.0 - 1e-5)
-        xinv = inv_reg_beta_symmetric(y, a)
+        # the root x of I_x(a, a) = y from the height t = 1 - 2x, taken
+        # as scale^2 / (2 (1 + t)) for t >= 0 so that small x keeps its
+        # relative accuracy
+        t, scale = sphere_height(y, a)
+        xinv = scale**2 / (2.0 * (1.0 + t)) if t >= 0 else (1.0 - t) / 2.0
         x_ref = _bisect(lambda t: reg_beta_i(t, a, a) - y, 0.0, 1.0)
         worst = max(worst, abs(xinv - x_ref) / max(abs(x_ref), 1e-12))
         worst_rt = max(worst_rt, abs(reg_beta_i(xinv, a, a) - y) / y)

@@ -10,7 +10,7 @@ from spherecone.finance import (CONSTRUCTIONS, GENERATORS, TABLE_COLUMNS,
                                 OptionSpec, brownian_transform,
                                 experiment_table,
                                 mc_reference_price, min_matrix_eigenvalues,
-                                normal_vectors, price_option)
+                                price_option)
 
 SPEC = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
                   d_steps=30)
@@ -56,29 +56,37 @@ class TestTransforms:
 
 
 class TestNormalVectors:
+    """Each replicate's normals, as pricing draws them."""
+
+    @staticmethod
+    def draw(gen, d, n, seed, rep):
+        return finance._replicate_normals(gen, d, n, seed, rep, None)
+
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_shape_and_determinism(self, gen):
-        Z = normal_vectors(gen, 5, 64, 3, seed=1)
-        assert Z.shape == (3, 64, 5)
-        np.testing.assert_array_equal(Z, normal_vectors(gen, 5, 64, 3, 1))
-        assert np.any(Z[0] != Z[1])
-        assert np.any(Z != normal_vectors(gen, 5, 64, 3, seed=2))
+        Z = self.draw(gen, 5, 64, 1, 0)
+        assert Z.shape == (64, 5)
+        np.testing.assert_array_equal(Z, self.draw(gen, 5, 64, 1, 0))
+        assert np.any(Z != self.draw(gen, 5, 64, 1, 1))
+        assert np.any(Z != self.draw(gen, 5, 64, 2, 0))
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_moments(self, gen):
-        Z = normal_vectors(gen, 4, 4096, 8, seed=0).reshape(-1, 4)
+        Z = np.concatenate([self.draw(gen, 4, 4096, 0, r) for r in range(8)])
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=0.02)
         np.testing.assert_allclose(np.cov(Z.T), np.eye(4), atol=0.03)
 
     def test_qmc_needs_power_of_two(self):
         with pytest.raises(ConfigurationError):
-            normal_vectors("sobol_inverse_normal", 3, 100, 1, seed=0)
+            price_option(SPEC, "standard", "sobol_inverse_normal", 100, 1,
+                         seed=0)
         # plain Monte Carlo has no such restriction
-        assert normal_vectors("mc", 3, 100, 1, seed=0).shape == (1, 100, 3)
+        assert price_option(SPEC, "standard", "mc", 100, 1,
+                            seed=0).n_points == 100
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigurationError):
-            normal_vectors("halton", 3, 64, 1, seed=0)
+            price_option(SPEC, "standard", "halton", 64, 1, seed=0)
 
 
 class TestOptionSpec:
@@ -157,7 +165,7 @@ class TestPricing:
 
     def test_martingale_property(self):
         # the discounted terminal price has expectation S0
-        Z = normal_vectors("mc", 30, 2**17, 1, seed=10)[0]
+        Z = finance._replicate_normals("mc", 30, 2**17, 10, 0, None)
         A = brownian_transform(30, 1.0, "standard").transform
         t = np.arange(1, 31) / 30.0
         S = SPEC.S0 * np.exp((SPEC.r - SPEC.sigma**2 / 2) * t
@@ -222,13 +230,6 @@ class TestReplicateThreads:
     def run_with_workers(self, monkeypatch, workers, fn):
         monkeypatch.setattr(finance, "_worker_count", lambda: workers)
         return fn()
-
-    @pytest.mark.parametrize("gen", GENERATORS)
-    def test_normal_vectors_independent_of_workers(self, monkeypatch, gen):
-        draws = [self.run_with_workers(
-            monkeypatch, w, lambda: normal_vectors(gen, 5, 64, 7, seed=2))
-            for w in (1, 3)]
-        assert draws[0].tobytes() == draws[1].tobytes()
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_prices_independent_of_workers(self, monkeypatch, gen):

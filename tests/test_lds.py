@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import qmc
 
 from spherecone.errors import ConfigurationError, ExhaustionError
-from spherecone.lds import DirectionNumberTable, SobolStream, sobol_block
+from spherecone.lds import DirectionNumberTable, SobolStream
 
 
 def scramble_loop(V, rng):
@@ -82,7 +82,6 @@ class TestUnscrambled:
         b = s.take(4)
         both = SobolStream(2).take(8)
         np.testing.assert_array_equal(np.vstack([a, b]), both)
-        np.testing.assert_array_equal(SobolStream(2).next(), both[0])
 
 
 class TestScrambled:
@@ -150,6 +149,13 @@ class TestScrambled:
     def test_scrambled_mean_is_uniform(self):
         pts = SobolStream(5, seed=3, scramble=True).take(4096)
         np.testing.assert_allclose(pts.mean(axis=0), 0.5, atol=0.02)
+
+    def test_replicate_means_concentrate(self):
+        streams = [SobolStream(2, seed=5, scramble=True, replicate=r)
+                   for r in range(16)]
+        means = np.array([s.take(256).mean(axis=0) for s in streams])
+        # scrambled-net means are much tighter than iid (sd ~ 0.018)
+        assert np.all(np.abs(means - 0.5) < 0.02)
 
 
 class TestTakeMatchesLoop:
@@ -320,28 +326,3 @@ class TestDirectionNumberTable:
         t = DirectionNumberTable.from_lines(["2 1 0 1"])
         with pytest.raises(ConfigurationError):
             t.direction_vectors(3)
-
-
-class TestSobolBlock:
-    def test_shape_and_determinism(self):
-        blk = sobol_block(3, 16, 4, seed=2)
-        assert blk.shape == (4, 16, 3)
-        blk2 = sobol_block(3, 16, 4, seed=2)
-        np.testing.assert_array_equal(blk, blk2)
-        # replicates differ
-        assert np.any(blk[0] != blk[1])
-        # replicate r equals a directly built stream
-        direct = SobolStream(3, seed=2, scramble=True, replicate=2).take(16)
-        np.testing.assert_array_equal(blk[2], direct)
-
-    def test_power_of_two_required(self):
-        with pytest.raises(ConfigurationError):
-            sobol_block(2, 12, 2, seed=0)
-        with pytest.raises(ConfigurationError):
-            sobol_block(2, 16, 0, seed=0)
-
-    def test_replicate_means_concentrate(self):
-        blk = sobol_block(2, 256, 16, seed=5)
-        means = blk.mean(axis=1)
-        # scrambled-net means are much tighter than iid (sd ~ 0.018)
-        assert np.all(np.abs(means - 0.5) < 0.02)

@@ -155,30 +155,6 @@ class TestRegBeta:
             1.0 - specfun.reg_beta_i(1.0 - x, b, a), abs=1e-11)
 
 
-class TestInvRegBetaSymmetric:
-    def test_symmetry_point_exact(self):
-        assert specfun.inv_reg_beta_symmetric(0.5, 1.5) == 0.5
-        assert specfun.inv_reg_beta_symmetric(0.0, 2.0) == 0.0
-
-    def test_round_trip_oracle(self):
-        x = specfun.inv_reg_beta_symmetric(0.25, 1.5)
-        x_ref = bisect(lambda t: specfun.reg_beta_i(t, 1.5, 1.5) - 0.25,
-                       0.0, 1.0)
-        assert x == pytest.approx(x_ref, abs=1e-12)
-        assert specfun.reg_beta_i(x, 1.5, 1.5) == pytest.approx(
-            0.25, abs=1e-12)
-
-    def test_round_trip_many(self):
-        rng = np.random.default_rng(3)
-        a = rng.uniform(0.3, 20.0, 50)
-        y = rng.uniform(0.0, 1.0, 50)
-        x = np.array([specfun.inv_reg_beta_symmetric(yy, aa)
-                      for yy, aa in zip(y, a)])
-        back = np.array([specfun.reg_beta_i(xx, aa, aa)
-                         for xx, aa in zip(x, a)])
-        np.testing.assert_allclose(back, y, atol=1e-12)
-
-
 def sphere_height_mpmath(u, a, dps=50):
     """Independent oracle: height 1 - 2x and scale 2 sqrt(x (1 - x)) of
     the solution x of I_x(a, a) = u, by Newton's method at `dps` digits
@@ -207,7 +183,35 @@ HEIGHT_U = np.array(
     + list(np.random.default_rng(11).random(40)))
 
 
+def height_root(u, a):
+    """The solution x of I_x(a, a) = u from sphere_height's t = 1 - 2x,
+    taken as scale^2 / (2 (1 + t)) for t >= 0 so that small x keeps its
+    relative accuracy (1 - t cancels there)."""
+    t, scale = specfun.sphere_height(u, a)
+    return np.where(t >= 0, scale**2 / (2.0 * (1.0 + t)), (1.0 - t) / 2.0)
+
+
 class TestSphereHeight:
+    def test_symmetry_point_exact(self):
+        assert height_root(0.5, 1.5) == 0.5
+        assert height_root(0.0, 2.0) == 0.0
+
+    def test_round_trip_oracle(self):
+        x = height_root(0.25, 1.5)
+        x_ref = bisect(lambda t: specfun.reg_beta_i(t, 1.5, 1.5) - 0.25,
+                       0.0, 1.0)
+        assert x == pytest.approx(x_ref, abs=1e-12)
+        assert specfun.reg_beta_i(x, 1.5, 1.5) == pytest.approx(
+            0.25, abs=1e-12)
+
+    def test_round_trip_many(self):
+        # shapes off the half-integer grid the sphere map uses
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.3, 20.0, 50)
+        y = rng.uniform(0.0, 1.0, 50)
+        back = specfun.reg_beta_i(height_root(y, a), a, a)
+        np.testing.assert_allclose(back, y, atol=1e-12)
+
     @pytest.mark.parametrize("q", range(3, 30))
     def test_against_mpmath(self, q):
         # both sides of the median band and its edges, the Sobol' grid's
@@ -313,8 +317,6 @@ P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
 SCALAR_RULE = {
     "inv_reg_gamma_q": lambda v: specfun.inv_reg_gamma_q(1.5, v),
     "inv_reg_gamma_p": lambda v: specfun.inv_reg_gamma_p(1.5, v),
-    "inv_reg_beta_symmetric": lambda v: specfun.inv_reg_beta_symmetric(
-        v, 2.5),
     "sphere_height.t": lambda v: specfun.sphere_height(v, 2.5)[0],
     "sphere_height.scale": lambda v: specfun.sphere_height(v, 2.5)[1],
     "chi_quantile": lambda v: specfun.chi_quantile(3, v),
@@ -353,8 +355,6 @@ CHECKED = {
                      True),
     "reg_beta_i.b": (lambda x, b: specfun.reg_beta_i(x, 2.0, b), 0.5, 1.5,
                      True),
-    "inv_reg_beta_symmetric": (specfun.inv_reg_beta_symmetric, 0.5, 1.5,
-                               True),
     "sphere_height": (specfun.sphere_height, 0.5, 1.5, True),
     "chi_cdf": (lambda x, k: specfun.chi_cdf(k, x), 0.5, 3.0, False),
     "chi_quantile": (lambda u, k: specfun.chi_quantile(k, u), 0.5, 3.0,

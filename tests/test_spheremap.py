@@ -3,11 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from spherecone import spheremap
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.lds import SobolStream
-from spherecone.specfun import inv_reg_beta_symmetric
 from spherecone.spheremap import (RadialShells, SpacePoints,
                                   cap_measure, equal_area_partition_s2,
                                   lift_to_space, map_to_sphere, radial_shells,
@@ -24,7 +24,7 @@ def map_to_sphere_loop(x):
         if q == 2:
             t = 1.0 - 2.0 * x[:, 1]
         else:
-            t = 1.0 - 2.0 * inv_reg_beta_symmetric(x[:, q - 1], q / 2.0)
+            t = 1.0 - 2.0 * sp.betaincinv(q / 2.0, q / 2.0, x[:, q - 1])
         scale = np.sqrt(np.maximum(0.0, 1.0 - t * t))
         y = np.concatenate([y * scale[:, None], t[:, None]], axis=1)
     return y
