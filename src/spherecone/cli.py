@@ -55,8 +55,8 @@ def _int_list(text):
     return [int(v) for v in text.split(",") if v]
 
 
-def _kernel_params(args):
-    return wce.KernelParams(mu=args.mu, A=args.A, B=args.B, d=args.d)
+def _kernel_params(args, d):
+    return wce.KernelParams(mu=args.mu, A=args.A, B=args.B, d=d)
 
 
 def _cube(args):
@@ -104,8 +104,7 @@ def _read_points(path):
 
 def cmd_wce(args):
     pts = _read_points(args.input)
-    p = wce.KernelParams(mu=args.mu, A=args.A, B=args.B,
-                         d=pts.directions.shape[1] - 1)
+    p = _kernel_params(args, pts.directions.shape[1] - 1)
     report = wce.wce_nakagami(p, pts)
     json.dump({"wce": report.wce,
                "double_sum_term": report.double_sum_term,
@@ -118,7 +117,7 @@ def cmd_wce(args):
 
 
 def cmd_rms_wce(args):
-    p = _kernel_params(args)
+    p = _kernel_params(args, args.d)
     out = {"iid_constant": wce.rms_wce_iid(p)}
     if args.N:
         out["iid_expected_wce_sq"] = out["iid_constant"] / args.N
@@ -144,7 +143,7 @@ def cmd_trial_integral(args):
 
 
 def cmd_strata(args):
-    p = _kernel_params(args)
+    p = _kernel_params(args, 2)
     rows, slope = wce.strata_scaling(p, _int_list(args.M_list), args.seed,
                                      args.draws)
     header = list(rows[0].keys())
@@ -261,11 +260,11 @@ def build_parser():
     _add_common(sp, dirfile=True)
     sp.set_defaults(func=cmd_trial_integral)
 
-    sp = sub.add_parser("strata", help="stratified-sampling scaling study")
+    sp = sub.add_parser("strata", allow_abbrev=False,  # --d is not --draws
+                        help="stratified-sampling scaling study")
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--B", type=float, required=True)
-    sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--M-list", default="64,256,1024,4096")
     sp.add_argument("--draws", type=int, default=0,
                     help="empirical stratified draws per M (0 = formula only)")

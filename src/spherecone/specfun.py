@@ -43,10 +43,11 @@ _U_CAP = 1.0 - 2.0**-32
 _U_FLOOR = 2.0**-33
 
 # sphere_height takes one Newton step on stdtr where |u - 1/2| is below
-# _NEWTON_BAND, and everywhere at _NEWTON_DOF degrees of freedom:
-# stdtrit's closed forms for 4 and 6 degrees of freedom lose absolute
-# accuracy near the median (1e-8 in T at |u - 1/2| = 2^-28), and the one
-# for 6 also in the tails (5e-15 relative for u in 4e-4..0.05).
+# _NEWTON_BAND, and everywhere at _NEWTON_DOF or non-integer degrees of
+# freedom: stdtrit's closed forms for 4 and 6 degrees of freedom lose
+# absolute accuracy near the median (1e-8 in T at |u - 1/2| = 2^-28), the
+# one for 6 also in the tails (5e-15 relative for u in 4e-4..0.05), and
+# off the integers it is 1e-13 off (x at a = 1.482, u = 0.803).
 _NEWTON_BAND = 2.0**-4
 _NEWTON_DOF = 6.0
 
@@ -161,14 +162,17 @@ def sphere_height(u, a):
     # its magnitude is used
     v = np.minimum(u_arr, 1.0 - u_arr)
     m = np.asarray(np.abs(sp.stdtrit(nu, v)))
-    step = ((v > 0.5 - _NEWTON_BAND) | (nu == _NEWTON_DOF)) & (m < np.inf)
+    step = (v > 0.5 - _NEWTON_BAND) | (nu == _NEWTON_DOF) | (nu % 1 != 0)
     if step.any():
         nu_s = np.broadcast_to(nu, m.shape)[step]
         m_s = m[step]
-        pdf = ((1.0 + m_s * m_s / nu_s) ** (-0.5 * (nu_s + 1.0))
-               / (np.sqrt(nu_s) * sp.beta(0.5 * nu_s, 0.5)))
-        m[step] = m_s + (sp.stdtr(nu_s, -m_s)
+        with np.errstate(all="ignore"):
+            pdf = ((1.0 + m_s * m_s / nu_s) ** (-0.5 * (nu_s + 1.0))
+                   / (np.sqrt(nu_s) * sp.beta(0.5 * nu_s, 0.5)))
+            new = m_s + (sp.stdtr(nu_s, -m_s)
                          - np.broadcast_to(v, m.shape)[step]) / pdf
+        # stdtrit's value stands at the poles and where the pdf underflows
+        m[step] = np.where(np.isfinite(new), new, m_s)
     root = np.sqrt(nu)
     r = np.hypot(root, m)
     with np.errstate(invalid="ignore"):  # inf / inf at the poles

@@ -165,16 +165,16 @@ def trial_integral_errors(dim, N_list, gen, seed, table=None):
     gen is "inverse_beta" (scrambled Sobol' points through the sphere
     map), "inverse_normal" (scrambled Sobol' points through the inverse
     normal cdf, normalized) or "random" (Philox uniforms through the
-    sphere map).  Each N takes the first N points of its generator.
+    sphere map).  Each N takes the first N of one draw of max(N_list) points.
     """
     if dim < 2:
         raise ConfigurationError(
             f"trial integral needs dim >= 2, got {dim}")
     if min(N_list, default=1) < 1:
         raise ConfigurationError(f"N must be at least 1, got {min(N_list)}")
-    return [abs(1.0 - float(np.mean(
-        _trial_points(gen, dim, n, seed, table).sum(axis=1)**2)))
-        for n in N_list]
+    f = _trial_points(gen, dim, max(N_list, default=0), seed,
+                      table).sum(axis=1)**2
+    return [abs(1.0 - float(np.mean(f[:n]))) for n in N_list]
 
 
 def cap_measure(m, t):

@@ -547,51 +547,28 @@ def _band_mean_chords(bands):
 
 def stratified_expected_wce_sq(p, partition, shells):
     """Exact E[wce^2] for stratified sampling: one psi-conditioned point
-    in each product cell (sphere cell) x (radial shell).
+    in each product cell (sphere cell) x (radial shell) of S^2 (p.d == 2).
 
-    The radial integrals per shell are one-dimensional quadratures in
-    closed-form-reduced variables; the mean chord of each band's cells,
-    shared by the congruent cells of the band, is a fixed Gauss-Legendre
-    rule in Duffy coordinates (_band_mean_chords), so the result is
-    deterministic.  Requires an S^2 partition (p.d == 2).
+    The shells enter through their means only, which sum in closed form:
+    with g = Lambda_K - I_{A/(A+B)}(mu, mu), Lambda_K = lambda_k(mu, B/A, K),
+    radial = (A/B)^mu (2 g - 1/K) / M and angular = C_2 (1 - 2 K (A/B)^mu g)
+    chord / (M K), chord the cells' mean chord by a fixed Gauss-Legendre
+    rule in Duffy coordinates (_band_mean_chords).
     """
-    from scipy import integrate
     if p.d != 2:
         raise ConfigurationError("stratified prediction implemented for d=2")
     if abs(shells.mu - p.mu) > 1e-12 or abs(shells.B - p.B) > 1e-12:
         raise ConfigurationError("shells must use the kernel's (mu, B)")
     M, K = partition.M, shells.K
-    consts = sphere_constants(2)
-    ba = p.B / p.A
     abmu = (p.A / p.B)**p.mu
-    # shell boundaries in the variable x = (mu/B) rho^2
-    xs = np.concatenate([[0.0],
-                         (p.mu / p.B) * shells.boundaries**2,
-                         [np.inf]])
-    G = np.empty(K)
-    H = np.empty(K)
-    for k in range(1, K + 1):
-        lo, hi = xs[k - 1], xs[k]
-        # (1 - Phi(rho)) psi(rho) drho = x^{mu-1} e^{-(B/A) x} dx / Gamma(mu)
-        I1, _ = integrate.quad(
-            lambda x: x**(p.mu - 1.0) * np.exp(-ba * x)
-            * reg_gamma_q(p.mu, x) / math.gamma(p.mu),
-            lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)
-        p_hi = reg_gamma_p(p.mu, ba * hi) if np.isfinite(hi) else 1.0
-        dPA = abmu * (p_hi - reg_gamma_p(p.mu, ba * lo))
-        F_k = 2.0 * K**2 * (I1 - (1.0 - k / K) * dPA)
-        H[k - 1] = 1.0 - F_k
-        # conditional mean of Phi over the shell, from the closed form
-        rho_lo = math.sqrt((p.B / p.mu) * lo)
-        rho_hi = (math.sqrt((p.B / p.mu) * hi) if np.isfinite(hi) else np.inf)
-        d_phi = (phi_psi_integral(p, rho_hi) if np.isfinite(rho_hi)
-                 else 1.0 - abmu) - phi_psi_integral(p, rho_lo)
-        G[k - 1] = K * d_phi - H[k - 1]
+    g = (lambda_k(p.mu, p.B / p.A, K)
+         - float(reg_beta_i(p.A / (p.A + p.B), p.mu, p.mu)))
     weights = np.array([b[2] for b in partition.bands], dtype=float)
     mean_dist = float(np.average(_band_mean_chords(partition.bands),
                                  weights=weights))
-    radial = float(np.mean(G)) / (M * K)
-    angular = consts.C_d / (M * K) * float(np.mean(H)) * mean_dist
+    radial = abmu * (2.0 * g - 1.0 / K) / M
+    angular = (sphere_constants(2).C_d * (1.0 - 2.0 * K * abmu * g)
+               * mean_dist / (M * K))
     return StratifiedWcePrediction(
         value=radial + angular, radial_term=radial, angular_term=angular,
         mean_cell_distance=mean_dist, M=M, K=K)
@@ -635,7 +612,8 @@ def strata_scaling(p, M_list, seed, draws=0):
 
 def lambda_k(mu, c, K):
     """The finite mean Lambda_K = (1/K) sum_k Q(mu, c Q^{-1}(mu, k/K)),
-    which approaches I_{1/(1+c)}(mu, mu) + 1/(2K) + O(K^{-2})."""
+    which approaches I_{1/(1+c)}(mu, mu) + 1/(2K) + O(K^{-2}); at c = B/A
+    it sums the K radial shells of stratified_expected_wce_sq."""
     if mu <= 0:
         raise DomainError("mu must be positive")
     if c <= 1:

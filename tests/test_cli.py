@@ -321,6 +321,15 @@ class TestStrata:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_d_option_removed(self, capsys, d):
+        # strata is d = 2 only; --d is refused, not taken for --draws
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["strata", "--mu", "1.5", "--A", "1.5", "--B", "3",
+                      "--M-list", "4", "--d", d])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --d" in capsys.readouterr().err
+
 
 class TestPriceAndTable:
     def test_price_sigma_zero(self, capsys):
@@ -472,7 +481,7 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "c49bc860ef4a5e9f686b095ade8762f9c4035d197cca58d59a20adf96cbf658f",
+        "87d3c448d5a47c51b83b0254b50b180b06e9ce9d074c37eeb577d5bdf04a7ab6",
         "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (
@@ -523,10 +532,14 @@ class TestConsoleScript:
         assert out.returncode == 0
         assert float(out.stdout.strip()) > 0
 
-    def test_price_does_not_load_quadrature(self):
+    @pytest.mark.parametrize("argv", [
+        ["price", "--N", "64", "--reps", "4"],
+        ["strata", "--mu", "1.5", "--A", "1.5", "--B", "3", "--M-list", "4,9",
+         "--draws", "2"]], ids=["price", "strata"])
+    def test_does_not_load_quadrature(self, argv):
         # scipy.integrate serves only the quadrature-based wce functions
         code = ("import sys; from spherecone import cli; "
-                "rc = cli.main(['price', '--N', '64', '--reps', '4']); "
+                f"rc = cli.main({argv!r}); "
                 "print(rc, 'scipy.integrate' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, env=child_env())

@@ -222,6 +222,18 @@ class TestSphereHeight:
             assert abs(t[i] - t_ref) <= 2e-15, u
             assert abs(scale[i] - scale_ref) <= 2e-15 * scale_ref, u
 
+    def test_off_grid_shapes_against_mpmath(self):
+        # 2a not an integer: a draw of acceptance criterion 1 that stdtrit
+        # alone put 1.2e-13 off, then random shapes and u; below a = 1 the
+        # root is worse conditioned (betaincinv is 1.6e-15 off at a = 0.3)
+        rng = np.random.default_rng(3)
+        a = np.concatenate([[1.482], rng.uniform(1.0, 20.0, 40)])
+        u = np.concatenate([[0.803], rng.uniform(0.0, 1.0, 40)])
+        x = height_root(u, a)
+        for i in range(len(a)):
+            x_ref = (1 - sphere_height_mpmath(u[i], a[i], dps=40)[0]) / 2
+            assert abs(x[i] / x_ref - 1) <= 1e-15, (u[i], a[i])
+
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 14.5])
     def test_poles_and_median(self, a):
         # stdtrit gives +inf at u = 0: the pole must still be t = +1
@@ -232,9 +244,11 @@ class TestSphereHeight:
         assert scale == 1.0
 
     def test_far_lower_tail(self):
-        # below about 2^-787 stdtrit(3, u) is +inf too: still the pole
-        for a in (1.5, 2.0, 2.5):
-            t, scale = specfun.sphere_height(1e-300, a)
+        # below about 2^-787 stdtrit(3, u) is +inf too: still the pole; at
+        # a = 0.75 the Newton step's pdf underflows, and stdtrit stands
+        for a, u in ((1.5, 1e-300), (2.0, 1e-300), (2.5, 1e-300),
+                     (0.75, 1e-230), (0.75, 1e-300)):
+            t, scale = specfun.sphere_height(u, a)
             assert t == 1.0 and 0.0 <= scale < 1e-70
 
     def test_antisymmetric(self):

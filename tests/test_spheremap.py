@@ -450,3 +450,19 @@ class TestSpacePointTypes:
         pts = SpacePoints.from_cartesian(np.zeros((1, 3)))
         assert pts.radii[0] == 0.0
         np.testing.assert_array_equal(pts.directions[0], [1.0, 0.0, 0.0])
+
+
+class TestTrialIntegral:
+    @pytest.mark.parametrize("gen", ["inverse_beta", "inverse_normal",
+                                     "random"])
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    def test_prefixes_of_one_draw_match_single_draws(self, gen, dim):
+        # N_list unsorted and with a repeat: each error is bitwise that of
+        # a draw of exactly N points
+        n_list = [1000, 3, 4096, 1, 100, 3]
+        got = spheremap.trial_integral_errors(dim, n_list, gen, 5)
+        assert got == [spheremap.trial_integral_errors(dim, [n], gen, 5)[0]
+                       for n in n_list]
+
+    def test_empty_list(self):
+        assert spheremap.trial_integral_errors(4, [], "random", 0) == []

@@ -1,21 +1,23 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.spatial.distance import cdist, pdist, squareform
 from itertools import permutations
 
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.lds import _rng
+from spherecone.specfun import reg_gamma_p, reg_gamma_q
 from spherecone.spheremap import (SpacePoints, equal_area_partition_s2,
                                   radial_shells, stratified_sample)
 from spherecone import wce
 from spherecone.wce import (KernelParams, expected_wce_sq_permutation,
                             kernel_K, lambda_k, mc_cone_discrepancy_oracle,
-                            phi_cdf, radial_discrepancy,
+                            phi_cdf, phi_psi_integral, radial_discrepancy,
                             rms_wce_fixed_directions, rms_wce_iid,
                             sphere_constants, stratified_expected_wce_sq,
                             w_kernel, w_kr_psi, wce_isotropic_general,
@@ -518,6 +520,23 @@ class TestStratifiedPrediction:
         se = vals.std(ddof=1) / math.sqrt(draws)
         assert abs(vals.mean() - pred.value) < 4 * se
 
+    @pytest.mark.parametrize("M, K", [(1, 1), (9, 3), (16, 4), (64, 8),
+                                      (256, 16), (1024, 32), (4096, 64)])
+    def test_matches_shell_quadrature(self, M, K):
+        pred = stratified_expected_wce_sq(
+            P232, equal_area_partition_s2(M), radial_shells(1.5, 3.0, K))
+        want = stratified_shell_quad_ref(P232, M, K, pred.mean_cell_distance)
+        np.testing.assert_allclose(
+            (pred.value, pred.radial_term, pred.angular_term), want,
+            rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("M, K", [(9, 3), (4096, 64)])
+    def test_radial_term_matches_mpmath(self, M, K):
+        pred = stratified_expected_wce_sq(
+            P232, equal_area_partition_s2(M), radial_shells(1.5, 3.0, K))
+        want = radial_term_mpmath(P232, M, K)
+        assert abs(pred.radial_term / float(want) - 1.0) <= 1e-12
+
     def test_terms_nonnegative(self):
         p = P232
         pred = stratified_expected_wce_sq(
@@ -550,6 +569,60 @@ class TestStratifiedPrediction:
         with pytest.raises(ConfigurationError):
             stratified_expected_wce_sq(
                 p, equal_area_partition_s2(4), radial_shells(1.0, 1.0, 2))
+
+
+def stratified_shell_quad_ref(p, M, K, mean_dist):
+    """(value, radial_term, angular_term) of the stratified E[wce^2] from
+    one adaptive quadrature per radial shell, given the mean cell chord.
+
+    In x = (mu/B) rho^2 each shell k has H_k = 1 - F_k, with
+    F_k = 2 K^2 (I1_k - (1 - k/K) dPA_k), I1_k the shell integral of
+    (1 - Phi) psi and dPA_k the shell's (A/B)^mu-weighted P(mu, (B/A) x)
+    mass, and G_k = K int_shell Phi psi - H_k; radial = mean(G) / (M K)
+    and angular = C_2 mean(H) mean_dist / (M K)."""
+    ba = p.B / p.A
+    abmu = (p.A / p.B)**p.mu
+    bounds = radial_shells(p.mu, p.B, K).boundaries
+    xs = np.concatenate([[0.0], (p.mu / p.B) * bounds**2, [np.inf]])
+    G = np.empty(K)
+    H = np.empty(K)
+    for k in range(1, K + 1):
+        lo, hi = xs[k - 1], xs[k]
+        I1, _ = integrate.quad(
+            lambda x: x**(p.mu - 1.0) * np.exp(-ba * x)
+            * reg_gamma_q(p.mu, x) / math.gamma(p.mu),
+            lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)
+        p_hi = reg_gamma_p(p.mu, ba * hi) if np.isfinite(hi) else 1.0
+        dPA = abmu * (p_hi - reg_gamma_p(p.mu, ba * lo))
+        H[k - 1] = 1.0 - 2.0 * K**2 * (I1 - (1.0 - k / K) * dPA)
+        rho_lo = math.sqrt((p.B / p.mu) * lo)
+        phi_hi = (phi_psi_integral(p, math.sqrt((p.B / p.mu) * hi))
+                  if np.isfinite(hi) else 1.0 - abmu)
+        G[k - 1] = K * (phi_hi - phi_psi_integral(p, rho_lo)) - H[k - 1]
+    radial = float(np.mean(G)) / (M * K)
+    angular = (sphere_constants(2).C_d / (M * K) * float(np.mean(H))
+               * mean_dist)
+    return radial + angular, radial, angular
+
+
+def radial_term_mpmath(p, M, K, dps=30):
+    """The closed-form radial term (A/B)^mu (2 g - 1/K) / M,
+    g = Lambda_K - I_{A/(A+B)}(mu, mu), at dps digits: each shell
+    boundary Q^{-1}(mu, k/K) is an mpmath root started at scipy's."""
+    with mpmath.workdps(dps):
+        mu, A, B = mpmath.mpf(p.mu), mpmath.mpf(p.A), mpmath.mpf(p.B)
+
+        def q(x):
+            return mpmath.gammainc(mu, x, mpmath.inf, regularized=True)
+
+        total = mpmath.mpf(1)  # k = K: Q^{-1}(mu, 1) = 0
+        for k in range(1, K):
+            x = mpmath.findroot(lambda x: q(x) - mpmath.mpf(k) / K,
+                                float(special.gammainccinv(p.mu, k / K)))
+            total += q(B / A * x)
+        g = total / K - mpmath.betainc(mu, mu, 0, A / (A + B),
+                                       regularized=True)
+        return (A / B)**mu * (2 * g - mpmath.mpf(1) / K) / M
 
 
 def cell_mean_distance_ref(t0, t1, phi_width, rng, n_samples):
@@ -609,7 +682,8 @@ def sector_mean_chord_ref(t0, t1, m):
 
 
 # (M, K): value, radial_term, angular_term and mean_cell_distance of
-# stratified_expected_wce_sq(P232, ...), band mean chords by quadrature
+# stratified_expected_wce_sq(P232, ...): shell terms in closed form, band
+# mean chords by quadrature
 STRATIFIED_PINS = {
     (1, 1): (0.313632675713277, 0.14722570886655229, 0.1664069668467247,
              1.3333333333333335),
@@ -619,7 +693,7 @@ STRATIFIED_PINS = {
               0.0010923959165665155, 0.46086661997073075),
     (64, 8): (0.00010992370792851884, 3.9437167116040646e-05,
               7.048654081247819e-05, 0.23050751903254574),
-    (4096, 64): (2.7592044379572544e-08, 9.856826415378774e-09,
+    (4096, 64): (2.759204437958178e-08, 9.856826415388075e-09,
                  1.773521796419377e-08, 0.0288830582492421),
 }
 
