@@ -51,6 +51,12 @@ _U_FLOOR = 2.0**-33
 _NEWTON_BAND = 2.0**-4
 _NEWTON_DOF = 6.0
 
+# below _TAIL_V, sphere_height takes the leading small-x term of
+# I_x(a, a) where it puts the root x below _TAIL_X; stdtrit stays
+# elsewhere, within 3e-16 at a = 29/2 for u = 1e-100 ... 1e-230
+_TAIL_V = 1e-100
+_TAIL_X = 1e-20
+
 
 def _like_input(x, out):
     """out as a Python float when the input x is 0-dimensional (a Python
@@ -147,6 +153,9 @@ def sphere_height(u, a):
     identity I_x(a, a) = F_t(T; 2a) with x = (1 + T/r)/2 and
     r = sqrt(2a + T^2): t = -T/r, and the scale is sqrt(2a)/r, taken
     directly so that it keeps its relative accuracy near the poles.
+    Below min(u, 1 - u) = _TAIL_V, where the leading small-x term
+    x^a / (a B(a, a)) puts x below _TAIL_X, t is +-1 and the scale
+    2 sqrt(x) comes from that term instead.
     a broadcasts against u (one shape per column of a batch).  u lies in
     [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
     gives (+0.0, 1).  Returns the pair (t, scale).
@@ -177,9 +186,39 @@ def sphere_height(u, a):
     r = np.hypot(root, m)
     with np.errstate(invalid="ignore"):  # inf / inf at the poles
         height = np.where(np.isinf(m), 1.0, m / r)
+    scale = np.asarray(root / r)
+    # far in the tails stdtrit is wrong (by a factor 2 in the scale at
+    # a = 3/2, u <= 1e-170), and below x = _TAIL_X the leading term is
+    # exact to double precision
+    tail = np.broadcast_to(v, m.shape) < _TAIL_V
+    if tail.any():
+        tail_scale = _tail_scale(np.broadcast_to(v, m.shape)[tail],
+                                 np.broadcast_to(0.5 * nu, m.shape)[tail])
+        small = tail_scale < 2.0 * math.sqrt(_TAIL_X)
+        height[tail] = np.where(small, 1.0, height[tail])
+        scale[tail] = np.where(small, tail_scale, scale[tail])
     # the sign of 1/2 - u, which is +0.0 at u = 1/2
     t = np.copysign(height, 0.5 - u_arr)
-    return _like_input(t, t), _like_input(t, root / r)
+    return _like_input(t, t), _like_input(t, scale)
+
+
+def _tail_scale(v, a):
+    """The scale 2 sqrt(x) of the root x ~ (v a B(a, a))^(1/a) of the
+    leading small-x term I_x(a, a) ~ x^a / (a B(a, a)) = v, formed
+    without x, which underflows (at a = 3/4, v = 1e-300).
+
+    v = f 2^k splits exactly, and 2^(k / 2a) = 2^j 2^(r / 2a) with
+    r = fmod(k, 2a) exact and j an integer, so that no exponent of
+    magnitude ~ 1000 is rounded: the plain power (v a B)^fl(1/2a) is
+    2.5e-14 off at a = 3/4, v = 1e-300, and 1.3e-14 at a = 3/2.  B(a, a)
+    enters through its logarithm, as it underflows from a ~ 540.
+    """
+    q = 2.0 * a
+    f, k = np.frexp(v)
+    r = np.fmod(k, q)
+    j = np.rint((k - r) / q).astype(int)
+    return np.ldexp(2.0 * (f * a)**(1.0 / q) * np.exp(sp.betaln(a, a) / q)
+                    * np.exp2(r / q), j)
 
 
 def chi_cdf(dof, x):

@@ -300,21 +300,34 @@ def stratified_sample(partition, shells, rng_seed):
     """One point per (cell, shell) stratum: direction uniform on the
     cell, radius from the shell's conditional distribution.
 
-    Returns SpacePoints of length M * K, ordered cell-major."""
+    Returns SpacePoints of length M * K, ordered cell-major; the draw
+    of rng_seed in _stratified_draws."""
+    dirs, radii = _stratified_draws(partition, shells, [rng_seed])
+    return SpacePoints(dirs[0], radii[0])
+
+
+def _stratified_draws(partition, shells, seeds):
+    """One stratified draw per seed, stacked: directions (B, M K, 3) and
+    radii (B, M K) for B = len(seeds), each draw cell-major.
+
+    Each seed's stream gives one (M, 3K) block of uniforms: per cell, K
+    (cos-theta, phi) pairs, then one radius quantile per shell.  Every
+    step after the draws is one vectorized pass over the whole stack,
+    the radii one inv_reg_gamma_p call."""
     if partition.cells.shape[1] != 4:
         raise ConfigurationError("partition must be an S^2 partition")
-    rng = _rng(rng_seed)
     M, K = partition.M, shells.K
-    # per cell: K (cos-theta, phi) pairs, then one radius quantile per shell
-    u = rng.random((M, 3 * K))
-    uc = u[:, :2 * K].reshape(M, K, 2)
+    u = np.empty((len(seeds), M, 3 * K))
+    for block, seed in zip(u, seeds):
+        _rng(seed).random(out=block)
+    uc = u[..., :2 * K].reshape(len(seeds), M, K, 2)
     t0, t1, p0, p1 = (partition.cells[:, i, None] for i in range(4))
     # cos(theta) uniform on the band gives uniform area
     ct = np.cos(t0) + uc[..., 0] * (np.cos(t1) - np.cos(t0))
     st = np.sqrt(np.maximum(0.0, 1.0 - ct**2))
     phi = p0 + uc[..., 1] * (p1 - p0)
     dirs = np.stack([st * np.cos(phi), st * np.sin(phi), ct],
-                    axis=-1).reshape(M * K, 3)
+                    axis=-1).reshape(len(seeds), M * K, 3)
     radii = shells.sample_radius(np.arange(1, K + 1),
-                                 u[:, 2 * K:]).reshape(M * K)
-    return SpacePoints(dirs, radii)
+                                 u[..., 2 * K:]).reshape(len(seeds), M * K)
+    return dirs, radii

@@ -31,9 +31,8 @@ from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
 from .specfun import (_check_positive_int, _like_input, inv_reg_gamma_q,
                       reg_beta_i, reg_gamma_p, reg_gamma_q)
-from .spheremap import (SpacePoints, _check_unit, cap_measure,
-                        equal_area_partition_s2, radial_shells,
-                        stratified_sample)
+from .spheremap import (SpacePoints, _check_unit, _stratified_draws,
+                        cap_measure, equal_area_partition_s2, radial_shells)
 
 __all__ = [
     "KernelParams",
@@ -64,9 +63,15 @@ __all__ = [
 _CANCEL_TOL = -1e-9
 
 # values held at once by the tiled pairwise sums and the chord rule: 1 MB
-# of doubles stays in cache, and small tiles keep the diagonal blocks'
-# triu cheap
+# of doubles stays in cache, and small tiles keep the work wasted on the
+# diagonal blocks' lower triangles small
 _TILE_ELEMS = 2**17
+
+# points of the stratified draws strata_scaling samples and scores at once:
+# stacks of a few hundred kB share the per-call costs of the sampler and
+# the wce core, where one stack per M took the peak RSS of the benchmark's
+# strata pass from 66 MB to 86 MB
+_STRATA_BATCH_POINTS = 2**13
 
 # cones drawn at once by mc_cone_discrepancy_oracle
 _ORACLE_CHUNK = 100_000
@@ -211,52 +216,67 @@ def kernel_psi_integral(p, rho):
 
 
 def _upper_distance_row_sums(X):
-    """s_i = sum_{j > i} ||x_i - x_j|| over the rows of X, in O(N) memory.
+    """s_bi = sum_{j > i} ||x_bi - x_bj|| over the rows of each set of the
+    stack X (B, n, D), in O(B n) memory.
 
-    Row tiles of at most _TILE_ELEMS distances.  A tile's squared
-    distances ||x||^2 + ||y||^2 - 2 x.y are one matmul of the rows
+    A tile holds at most _TILE_ELEMS distances: rows = min(n, _TILE_ELEMS
+    // n) rows of one set against their columns j >= i, for
+    _TILE_ELEMS // (rows n) sets at once.  A tile's squared distances
+    ||x||^2 + ||y||^2 - 2 x.y are one matmul per set of the rows
     [-2x, 1, ||x||^2] with [y, ||y||^2, 1], clamped at 0; the rows' own
     norms are used because directions may be off unit length by up to
-    spheremap._UNIT_TOL.
+    spheremap._UNIT_TOL.  The diagonal block keeps its strict upper
+    triangle through one 0/1 mask made per call, and its sum is kept
+    apart from the rest of the row, so each set's sums are bitwise those
+    of a stack of one.
     """
-    n = X.shape[0]
-    sq = np.einsum("ij,ij->i", X, X)[:, None]
+    n = X.shape[1]
+    sq = np.einsum("bij,bij->bi", X, X)[..., None]
     one = np.ones_like(sq)
-    left = np.hstack([-2.0 * X, one, sq])
-    right = np.hstack([X, sq, one])
-    rows = max(1, _TILE_ELEMS // n)
-    out = np.empty(n)
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        d = left[a:b] @ right[a:].T
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        out[a:b] = (np.triu(d[:, :b - a], 1).sum(axis=1)
-                    + d[:, b - a:].sum(axis=1))
+    left = np.concatenate([-2.0 * X, one, sq], axis=-1)
+    right = np.concatenate([X, sq, one], axis=-1)
+    rows = max(1, min(n, _TILE_ELEMS // n))
+    sets = max(1, _TILE_ELEMS // (rows * n))
+    upper = np.triu(np.ones((rows, rows)), 1)
+    out = np.empty(X.shape[:2])
+    for s in range(0, X.shape[0], sets):
+        t = slice(s, s + sets)
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            d = left[t, a:b] @ right[t, a:].transpose(0, 2, 1)
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+            diag = d[..., :b - a]
+            diag *= upper[:b - a, :b - a]
+            out[t, a:b] = diag.sum(axis=-1) + d[..., b - a:].sum(axis=-1)
     return out
 
 
 def _mean_distance(Y):
     """Mean of ||y_i - y_j|| over all N^2 ordered pairs, diagonal included."""
-    return 2.0 * math.fsum(_upper_distance_row_sums(Y).tolist()) / len(Y)**2
+    return 2.0 * math.fsum(
+        _upper_distance_row_sums(Y[None])[0].tolist()) / len(Y)**2
 
 
 def _kernel_sum(radii, phi, dirs=None, c_d=0.0):
-    """sum_ij Phi(min{r_i, r_j}) (1 - c_d ||x_i - x_j||) from phi = Phi(radii),
+    """sum_ij Phi(min{r_i, r_j}) (1 - c_d ||x_i - x_j||) for each set of
+    the stacks radii (B, n), phi = Phi(radii) and dirs (B, n, D), each
     rounded once by math.fsum; without directions, the radial sum alone.
+    Returns a list of B floats.
 
     Sorted by radius, every pair i < j takes the smaller point's value
     phi_(i), so the radial part is sum_k (2(N-1-k)+1) phi_(k) and the
     distance part needs only the row sums of the upper distance triangle.
     """
-    order = np.argsort(radii, kind="stable")
-    w = phi[order]
-    n = len(w)
+    order = np.argsort(radii, axis=-1, kind="stable")
+    w = np.take_along_axis(phi, order, axis=-1)
+    n = w.shape[-1]
     terms = [(2.0 * (n - 1 - np.arange(n)) + 1.0) * w]
     if dirs is not None:
+        sorted_dirs = np.take_along_axis(dirs, order[..., None], axis=1)
         terms.append((-2.0 * c_d) * w
-                     * _upper_distance_row_sums(dirs[order]))
-    return math.fsum(np.concatenate(terms).tolist())
+                     * _upper_distance_row_sums(sorted_dirs))
+    return [math.fsum(t.tolist()) for t in np.concatenate(terms, axis=-1)]
 
 
 def _finish_report(double_sum, single_sum, w_k, n):
@@ -271,19 +291,26 @@ def _finish_report(double_sum, single_sum, w_k, n):
                      W_K=w_k, n_points=n, wce_sq_raw=sq)
 
 
-def wce_nakagami(p, X):
-    """Worst-case error of the equal-weight rule on X, all radial
-    integrals in closed form.  O(N^2) time, O(N) memory."""
-    radii, dirs = _as_polar(X, p.d)
-    n = len(radii)
+def _wce_reports(p, radii, dirs):
+    """One WceReport per set of the stacks radii (B, n) and unit
+    directions dirs (B, n, d+1), all radial integrals in closed form."""
+    n = radii.shape[-1]
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
     w_k = w_kr * consts.W_KS
     phi = phi_cdf(p, radii)
-    double_sum = _kernel_sum(radii, phi, dirs, consts.C_d) / n**2 - w_k
-    bracket = _kr_psi_integral(p, radii, phi) - w_kr
-    single_sum = 2.0 * consts.W_KS * float(np.mean(bracket))
-    return _finish_report(double_sum, single_sum, w_k, n)
+    sums = _kernel_sum(radii, phi, dirs, consts.C_d)
+    brackets = np.mean(_kr_psi_integral(p, radii, phi) - w_kr, axis=-1)
+    return [_finish_report(s / n**2 - w_k,
+                           2.0 * consts.W_KS * float(bracket), w_k, n)
+            for s, bracket in zip(sums, brackets)]
+
+
+def wce_nakagami(p, X):
+    """Worst-case error of the equal-weight rule on X, all radial
+    integrals in closed form.  O(N^2) time, O(N) memory."""
+    radii, dirs = _as_polar(X, p.d)
+    return _wce_reports(p, radii[None], dirs[None])[0]
 
 
 def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
@@ -321,7 +348,8 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
     consts = sphere_constants(d)
     w_k = w_kr * consts.W_KS
     phi_vals = np.array([Phi(r) for r in radii])
-    double_sum = _kernel_sum(radii, phi_vals, dirs, consts.C_d) / n**2 - w_k
+    double_sum = (_kernel_sum(radii[None], phi_vals[None], dirs[None],
+                              consts.C_d)[0] / n**2 - w_k)
     bracket = np.array([
         phi_vals[j] * psi_tail_fn(radii[j]) + phi_psi_integral_fn(radii[j])
         - w_kr for j in range(n)])
@@ -429,7 +457,7 @@ def expected_wce_sq_permutation(p, Y, radii):
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
     phi = phi_cdf(p, radii)
-    kr_sum = _kernel_sum(radii, phi)
+    kr_sum = _kernel_sum(radii[None], phi[None])[0]
     trace = float(phi.sum())
     diag_mean = trace / n
     off_mean = (kr_sum - trace) / (n * (n - 1))
@@ -451,7 +479,7 @@ def radial_discrepancy(p, radii):
         raise DomainError("radii must be nonnegative")
     w_kr = w_kr_psi(p)
     phi = phi_cdf(p, radii)
-    kr_mean = _kernel_sum(radii, phi) / len(radii)**2
+    kr_mean = _kernel_sum(radii[None], phi[None])[0] / len(radii)**2
     single = _kr_psi_integral(p, radii, phi)
     sq = kr_mean + w_kr - 2.0 * float(np.mean(single))
     return math.sqrt(max(sq, 0.0))
@@ -581,7 +609,11 @@ def strata_scaling(p, M_list, seed, draws=0):
 
     M_list must be nonempty with distinct values; draws is 0 (formula
     only) or at least 2, so that the empirical standard error exists.
-    seed seeds the draws only; the formula is deterministic.
+    seed seeds the draws only (draw i of each M from seed + 1000 + i);
+    the formula is deterministic.  The draws are sampled and scored in
+    batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
+    _stratified_draws and _wce_reports, bitwise the same as one
+    stratified_sample and one wce_nakagami call per draw.
     """
     if not M_list:
         raise ConfigurationError("need at least one M")
@@ -598,9 +630,13 @@ def strata_scaling(p, M_list, seed, draws=0):
         pred = stratified_expected_wce_sq(p, part, shells)
         row = {"M": M, "K": K, "N": M * K, "formula": pred.value}
         if draws:
-            vals = [wce_nakagami(
-                p, stratified_sample(part, shells, seed + 1000 + i)
-            ).wce**2 for i in range(draws)]
+            seeds = range(seed + 1000, seed + 1000 + draws)
+            batch = max(1, _STRATA_BATCH_POINTS // (M * K))
+            vals = []
+            for a in range(0, draws, batch):
+                dirs, radii = _stratified_draws(part, shells,
+                                                seeds[a:a + batch])
+                vals += [r.wce**2 for r in _wce_reports(p, radii, dirs)]
             row["empirical"] = float(np.mean(vals))
             row["empirical_se"] = float(np.std(vals, ddof=1) / math.sqrt(draws))
         rows.append(row)

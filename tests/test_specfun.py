@@ -174,6 +174,29 @@ def sphere_height_mpmath(u, a, dps=50):
         return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
 
 
+def sphere_height_tail_mpmath(u, a, dps=40):
+    """Independent oracle for tiny u, where x can lie below the double
+    range: Newton's method at `dps` digits on log I_x(a, a) = log u in
+    y = log x, from the leading small-x term x^a / (a B(a, a)) = u.
+    Returns the height 1 - 2x and the scale 2 sqrt(x (1 - x))."""
+    with mpmath.workdps(dps):
+        u, a = mpmath.mpf(u), mpmath.mpf(a)
+        beta = mpmath.beta(a, a)
+        y = mpmath.log(u * a * beta) / a
+        for _ in range(50):
+            x = mpmath.exp(y)
+            ix = mpmath.betainc(a, a, 0, x, regularized=True)
+            dy = ((mpmath.log(ix) - mpmath.log(u))
+                  * beta * ix / (x**a * (1 - x)**(a - 1)))
+            y -= dy
+            if abs(dy) <= mpmath.mpf(10) ** (5 - dps):
+                break
+        else:
+            raise AssertionError(f"no convergence at u={u}, a={a}")
+        x = mpmath.exp(y)
+        return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
+
+
 BAND = specfun._NEWTON_BAND
 HEIGHT_U = np.array(
     [0.5 + sign * 2.0**-k for k in range(2, 53) for sign in (1, -1)]
@@ -244,12 +267,26 @@ class TestSphereHeight:
         assert scale == 1.0
 
     def test_far_lower_tail(self):
-        # below about 2^-787 stdtrit(3, u) is +inf too: still the pole; at
-        # a = 0.75 the Newton step's pdf underflows, and stdtrit stands
+        # below about 2^-787 stdtrit(3, u) is +inf, and at a = 0.75 the
+        # Newton step's pdf underflows: the height is still the pole's,
+        # with the small positive scale of the small-x term (1.4e-60 at
+        # a = 2.5, u = 1e-300, where stdtrit gave 0)
         for a, u in ((1.5, 1e-300), (2.0, 1e-300), (2.5, 1e-300),
                      (0.75, 1e-230), (0.75, 1e-300)):
             t, scale = specfun.sphere_height(u, a)
-            assert t == 1.0 and 0.0 <= scale < 1e-70
+            assert t == 1.0 and 0.0 < scale < 1e-50
+
+    @pytest.mark.parametrize("a", [0.75, 1.5, 2.0, 5.0, 14.5])
+    def test_far_lower_tail_against_mpmath(self, a):
+        # stdtrit put the scale 2x off at a = 1.5 for u <= 1e-170 and at
+        # a = 5 for u = 1e-300, and 6e45x off at a = 0.75, u = 1e-300;
+        # at a = 14.5 the root x is above 1e-20 but at u = 1e-300, and
+        # stdtrit stays
+        for u in (1e-100, 1e-170, 1e-230, 1e-300):
+            t, scale = specfun.sphere_height(u, a)
+            t_ref, scale_ref = sphere_height_tail_mpmath(u, a)
+            assert abs(t - t_ref) <= 2e-15, u
+            assert abs(scale / scale_ref - 1) <= 1e-14, u
 
     def test_antisymmetric(self):
         # on the Sobol' grid k/2^32, 1 - u is exact

@@ -9,8 +9,9 @@ from spherecone import spheremap
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.lds import SobolStream
 from spherecone.spheremap import (RadialShells, SpacePoints,
-                                  cap_measure, equal_area_partition_s2,
-                                  lift_to_space, map_to_sphere, radial_shells,
+                                  _stratified_draws, cap_measure,
+                                  equal_area_partition_s2, lift_to_space,
+                                  map_to_sphere, radial_shells,
                                   stratified_sample)
 
 
@@ -365,6 +366,18 @@ class TestStratifiedSample:
         dirs, radii = stratified_sample_loop(part, shells, M + K)
         np.testing.assert_array_equal(pts.directions, dirs)
         np.testing.assert_array_equal(pts.radii, radii)
+
+    @pytest.mark.parametrize("M, K", [(1, 1), (2, 3), (16, 4), (64, 8)])
+    def test_stacked_draws_match_per_seed(self, M, K):
+        part = equal_area_partition_s2(M)
+        shells = radial_shells(1.5, 3.0, K)
+        seeds = [7, 3, 1004, 7]
+        dirs, radii = _stratified_draws(part, shells, seeds)
+        assert dirs.shape == (4, M * K, 3) and radii.shape == (4, M * K)
+        for b, seed in enumerate(seeds):
+            pts = stratified_sample(part, shells, seed)
+            np.testing.assert_array_equal(dirs[b], pts.directions)
+            np.testing.assert_array_equal(radii[b], pts.radii)
 
     def test_shapes_and_determinism(self):
         part = equal_area_partition_s2(12)

@@ -256,6 +256,25 @@ def dense_sums(p, pts, c_d):
     return kr.sum(), (kr * (1.0 - c_d * dist)).sum(), dist.sum()
 
 
+def triu_row_sums_loop(X):
+    """sum_{j > i} ||x_i - x_j|| for one set X (n, D) by the one-set tile
+    loop with np.triu on each diagonal block: the reference for the
+    stacked _upper_distance_row_sums."""
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)[:, None]
+    one = np.ones_like(sq)
+    left = np.hstack([-2.0 * X, one, sq])
+    right = np.hstack([X, sq, one])
+    rows = max(1, wce._TILE_ELEMS // n)
+    out = np.empty(n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        d = np.sqrt(np.maximum(left[a:b] @ right[a:].T, 0.0))
+        out[a:b] = (np.triu(d[:, :b - a], 1).sum(axis=1)
+                    + d[:, b - a:].sum(axis=1))
+    return out
+
+
 class TestTiledCore:
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
     @pytest.mark.parametrize("rows", [1, 3, 7, None])
@@ -269,9 +288,10 @@ class TestTiledCore:
         c_d = sphere_constants(p.d).C_d
         phi = phi_cdf(p, pts.radii)
         ref_radial, ref_kernel, ref_dist = dense_sums(p, pts, c_d)
-        assert wce._kernel_sum(pts.radii, phi) == pytest.approx(
-            ref_radial, rel=1e-12)
-        assert wce._kernel_sum(pts.radii, phi, pts.directions, c_d) == \
+        assert wce._kernel_sum(pts.radii[None], phi[None])[0] == \
+            pytest.approx(ref_radial, rel=1e-12)
+        assert wce._kernel_sum(pts.radii[None], phi[None],
+                               pts.directions[None], c_d)[0] == \
             pytest.approx(ref_kernel, rel=1e-12)
         assert wce._mean_distance(pts.directions) == pytest.approx(
             ref_dist / n**2, rel=1e-12, abs=0)
@@ -284,10 +304,57 @@ class TestTiledCore:
         X *= 1.0 + rng.uniform(-5e-11, 5e-11, size=(300, 1))
         X[7] = X[3]  # a coincident pair: the clamp keeps it finite
         ref = np.triu(cdist(X, X), 1).sum(axis=1)
-        got = wce._upper_distance_row_sums(X)
+        got = wce._upper_distance_row_sums(X[None])[0]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-7)
         np.testing.assert_allclose(np.delete(got, 3), np.delete(ref, 3),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("sets, n, tile", [
+        (60, 50, None),   # 52 sets of 50 per tile: a ragged second tile
+        (7, 20, 3 * 400),  # 3 sets per tile
+        (3, 1000, None),  # 131 rows of one set per tile
+        (4, 9, 4 * 9),    # 4 rows per tile, ragged at the end of each set
+        (5, 1, None)])
+    def test_stack_matches_per_set_loop(self, monkeypatch, sets, n, tile):
+        # each set's row sums are bitwise the one-set tile loop's, which
+        # keeps the diagonal block's strict upper triangle by np.triu
+        if tile is not None:
+            monkeypatch.setattr(wce, "_TILE_ELEMS", tile)
+        rng = np.random.default_rng(sets * n)
+        X = rng.standard_normal((sets, n, 3))
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        got = wce._upper_distance_row_sums(X)
+        for b in range(sets):
+            np.testing.assert_array_equal(got[b], triu_row_sums_loop(X[b]))
+            np.testing.assert_array_equal(
+                got[b], wce._upper_distance_row_sums(X[b:b + 1])[0])
+
+    def test_stacked_kernel_sums_match_per_set(self):
+        pts = [random_points(P232, 40, seed) for seed in (27, 28, 29)]
+        radii = np.stack([q.radii for q in pts])
+        radii[1] = np.round(radii[1], 1)  # ties keep their order
+        dirs = np.stack([q.directions for q in pts])
+        phi = phi_cdf(P232, radii)
+        c_d = sphere_constants(2).C_d
+        stacked = wce._kernel_sum(radii, phi, dirs, c_d)
+        radial = wce._kernel_sum(radii, phi)
+        for b in range(3):
+            assert stacked[b] == wce._kernel_sum(
+                radii[b:b + 1], phi[b:b + 1], dirs[b:b + 1], c_d)[0]
+            assert radial[b] == wce._kernel_sum(radii[b:b + 1],
+                                                phi[b:b + 1])[0]
+
+    def test_strata_draws_memory_bound(self):
+        # one batch per M held 22.6 MB; the batches of
+        # _STRATA_BATCH_POINTS points stay near the one-draw-at-a-time
+        # peak (1.8 MB)
+        tracemalloc.start()
+        try:
+            wce.strata_scaling(P232, [64], 3, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 10**6),
@@ -563,6 +630,24 @@ class TestStratifiedPrediction:
         assert rows[0]["formula"] == pytest.approx(
             STRATIFIED_PINS[(9, 3)][0], rel=1e-13, abs=0)
         assert rows[0]["empirical_se"] > 0
+
+    @pytest.mark.parametrize("M", [1, 2, 9, 16, 64])
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_strata_batches_match_per_draw_loop(self, monkeypatch, M, batch):
+        # 37 draws: ragged last batches of 16 at M = 64 by default, and
+        # of 5 draws at every M with the batch patched
+        if batch is not None:
+            K = max(1, int(round(math.sqrt(M))))
+            monkeypatch.setattr(wce, "_STRATA_BATCH_POINTS", batch * M * K)
+        (row,), _ = wce.strata_scaling(P232, [M], seed=4, draws=37)
+        part = equal_area_partition_s2(M)
+        shells = radial_shells(P232.mu, P232.B, row["K"])
+        vals = [wce_nakagami(P232, stratified_sample(part, shells,
+                                                     4 + 1000 + i)).wce**2
+                for i in range(37)]
+        assert row["empirical"] == float(np.mean(vals))
+        assert row["empirical_se"] == float(np.std(vals, ddof=1)
+                                            / math.sqrt(37))
 
     def test_d_restriction(self):
         p = KernelParams(1.0, 0.5, 1.0, d=1)
