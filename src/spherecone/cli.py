@@ -10,6 +10,7 @@ sets round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -48,7 +49,9 @@ def _emit_csv(header, rows, path):
 def _direction_table(args):
     if getattr(args, "dirfile", None):
         return lds.DirectionNumberTable.from_file(args.dirfile)
-    return None  # SobolStream falls back to the embedded table
+    # SobolStream falls back to DirectionNumberTable.default(), which
+    # reads SPHERECONE_DIRFILE before the embedded table
+    return None
 
 
 def _int_list(text):
@@ -106,12 +109,7 @@ def cmd_wce(args):
     pts = _read_points(args.input)
     p = _kernel_params(args, pts.directions.shape[1] - 1)
     report = wce.wce_nakagami(p, pts)
-    json.dump({"wce": report.wce,
-               "double_sum_term": report.double_sum_term,
-               "single_sum_term": report.single_sum_term,
-               "W_K": report.W_K,
-               "n_points": report.n_points,
-               "wce_sq_raw": report.wce_sq_raw}, sys.stdout, indent=2)
+    json.dump(dataclasses.asdict(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 

@@ -198,37 +198,42 @@ def price_option(spec, construction, generator, n_points, n_replicates,
     The estimate is the mean of replicate prices; the spread field is
     the sample standard deviation of the replicate prices.
     """
-    return _price_constructions(spec, [construction], generator, n_points,
-                                n_replicates, seed)[0]
+    return _price_columns(spec, [(generator, construction)], n_points,
+                          n_replicates, seed)[0]
 
 
-def _price_constructions(spec, constructions, generator, n_points,
-                         n_replicates, seed):
-    """price_option for each construction, all on one draw of normals.
+def _price_columns(spec, columns, n_points, n_replicates, seed):
+    """price_option for each (generator, construction) column, in the
+    order given.
 
-    Each replicate's normals are drawn, priced under every construction
-    and dropped by one task, so no more than one replicate's draw per
-    thread is held at a time.
+    Each generator's replicates run on one thread pool: a task draws one
+    replicate's normals, prices them under every construction of that
+    generator's columns and drops them, so each draw serves all of its
+    generator's columns and no more than one draw per thread is held at
+    a time.
     """
-    pcs = [brownian_transform(spec.d_steps, spec.T, c) for c in constructions]
-    table = _check_draw(generator, n_points, n_replicates)
+    estimates = {}
+    for generator in dict.fromkeys(g for g, _ in columns):
+        table = _check_draw(generator, n_points, n_replicates)
+        constructions = dict.fromkeys(c for g, c in columns if g == generator)
+        pcs = [brownian_transform(spec.d_steps, spec.T, c)
+               for c in constructions]
 
-    def replicate_means(rep):
-        Z = _replicate_normals(generator, spec.d_steps, n_points, seed, rep,
-                               table)
-        return [_discounted_payoffs(spec, Z, pc.transform).mean()
-                for pc in pcs]
+        def replicate_means(rep):
+            Z = _replicate_normals(generator, spec.d_steps, n_points, seed,
+                                   rep, table)
+            return [_discounted_payoffs(spec, Z, pc.transform).mean()
+                    for pc in pcs]
 
-    # row i: construction i's replicate prices, in replicate order
-    means = np.array(_map_replicates(replicate_means, n_replicates)).T
-    estimates = []
-    for pc, rep_means in zip(pcs, means):
-        sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
-        estimates.append(PriceEstimate(
-            mean=float(rep_means.mean()), std_dev_across_replicates=sd,
-            n_points=n_points, n_replicates=n_replicates,
-            construction=pc.kind, generator=generator))
-    return estimates
+        # row i: construction i's replicate prices, in replicate order
+        means = np.array(_map_replicates(replicate_means, n_replicates)).T
+        for pc, rep_means in zip(pcs, means):
+            sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
+            estimates[generator, pc.kind] = PriceEstimate(
+                mean=float(rep_means.mean()), std_dev_across_replicates=sd,
+                n_points=n_points, n_replicates=n_replicates,
+                construction=pc.kind, generator=generator)
+    return [estimates[column] for column in columns]
 
 
 def mc_reference_price(spec, n_paths=2**24, seed=0):
@@ -276,13 +281,7 @@ def experiment_table(spec, N_list, seed, n_replicates=128):
         if N % n_replicates:
             raise ConfigurationError(
                 f"N={N} not divisible by {n_replicates} replicates")
-        per_rep = N // n_replicates
-        se = {}
-        for generator in GENERATORS:
-            constructions = [c for g, c in TABLE_COLUMNS if g == generator]
-            for est in _price_constructions(spec, constructions, generator,
-                                            per_rep, n_replicates, seed):
-                se[generator, est.construction] = est.std_error
-        row = [float(N)] + [se[column] for column in TABLE_COLUMNS]
-        rows.append(row)
+        ests = _price_columns(spec, TABLE_COLUMNS, N // n_replicates,
+                              n_replicates, seed)
+        rows.append([float(N)] + [est.std_error for est in ests])
     return header, rows

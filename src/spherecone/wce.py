@@ -23,6 +23,7 @@ truncated cones), which is what the MC oracle here samples.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,38 +280,43 @@ def _kernel_sum(radii, phi, dirs=None, c_d=0.0):
     return [math.fsum(t.tolist()) for t in np.concatenate(terms, axis=-1)]
 
 
-def _finish_report(double_sum, single_sum, w_k, n):
-    sq = double_sum - single_sum
-    if sq < _CANCEL_TOL:
-        import warnings
-        warnings.warn(f"squared wce {sq} below cancellation tolerance; "
-                      "clamping to 0", RuntimeWarning)
-    return WceReport(wce=math.sqrt(max(sq, 0.0)),
-                     double_sum_term=double_sum,
-                     single_sum_term=single_sum,
-                     W_K=w_k, n_points=n, wce_sq_raw=sq)
-
-
-def _wce_reports(p, radii, dirs):
-    """One WceReport per set of the stacks radii (B, n) and unit
-    directions dirs (B, n, d+1), all radial integrals in closed form."""
+def _wce_reports(d, w_kr, radii, phi, single, dirs):
+    """One WceReport per set of the stacks radii (B, n), unit directions
+    dirs (B, n, d+1) on S^d, and the radial values phi = Phi(radii) and
+    single = int_0^inf K_R(r, radii) psi(r) dr, with w_kr = W(K_R, psi).
+    A squared wce below _CANCEL_TOL warns before it is clamped to 0; the
+    report keeps the raw square."""
     n = radii.shape[-1]
-    consts = sphere_constants(p.d)
-    w_kr = w_kr_psi(p)
+    consts = sphere_constants(d)
     w_k = w_kr * consts.W_KS
-    phi = phi_cdf(p, radii)
     sums = _kernel_sum(radii, phi, dirs, consts.C_d)
-    brackets = np.mean(_kr_psi_integral(p, radii, phi) - w_kr, axis=-1)
-    return [_finish_report(s / n**2 - w_k,
-                           2.0 * consts.W_KS * float(bracket), w_k, n)
-            for s, bracket in zip(sums, brackets)]
+    brackets = np.mean(single - w_kr, axis=-1)
+    reports = []
+    for s, bracket in zip(sums, brackets):
+        double_sum = s / n**2 - w_k
+        single_sum = 2.0 * consts.W_KS * float(bracket)
+        sq = double_sum - single_sum
+        if sq < _CANCEL_TOL:
+            warnings.warn(f"squared wce {sq} below cancellation tolerance; "
+                          "clamping to 0", RuntimeWarning)
+        reports.append(WceReport(
+            wce=math.sqrt(max(sq, 0.0)), double_sum_term=double_sum,
+            single_sum_term=single_sum, W_K=w_k, n_points=n, wce_sq_raw=sq))
+    return reports
+
+
+def _nakagami_reports(p, radii, dirs):
+    """_wce_reports with every radial integral in closed form."""
+    phi = phi_cdf(p, radii)
+    return _wce_reports(p.d, w_kr_psi(p), radii, phi,
+                        _kr_psi_integral(p, radii, phi), dirs)
 
 
 def wce_nakagami(p, X):
     """Worst-case error of the equal-weight rule on X, all radial
     integrals in closed form.  O(N^2) time, O(N) memory."""
     radii, dirs = _as_polar(X, p.d)
-    return _wce_reports(p, radii[None], dirs[None])[0]
+    return _nakagami_reports(p, radii[None], dirs[None])[0]
 
 
 def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
@@ -344,17 +350,11 @@ def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
             0.0, np.inf, limit=200, epsabs=1e-10)
 
     radii, dirs = _as_polar(X, d)
-    n = len(radii)
-    consts = sphere_constants(d)
-    w_k = w_kr * consts.W_KS
-    phi_vals = np.array([Phi(r) for r in radii])
-    double_sum = (_kernel_sum(radii[None], phi_vals[None], dirs[None],
-                              consts.C_d)[0] / n**2 - w_k)
-    bracket = np.array([
-        phi_vals[j] * psi_tail_fn(radii[j]) + phi_psi_integral_fn(radii[j])
-        - w_kr for j in range(n)])
-    single_sum = 2.0 * consts.W_KS * float(np.mean(bracket))
-    return _finish_report(double_sum, single_sum, w_k, n)
+    phi = np.array([Phi(r) for r in radii])
+    single = np.array([f * psi_tail_fn(r) + phi_psi_integral_fn(r)
+                       for f, r in zip(phi, radii)])
+    return _wce_reports(d, w_kr, radii[None], phi[None], single[None],
+                        dirs[None])[0]
 
 
 def mc_cone_discrepancy_oracle(p, X, n_samples, seed):
@@ -452,15 +452,15 @@ def expected_wce_sq_permutation(p, Y, radii):
         raise DomainError("radii must be pairwise distinct")
     if len(np.unique(Y, axis=0)) != n:
         raise DomainError("directions must be pairwise distinct")
-    if n == 1:
-        return float(wce_nakagami(p, SpacePoints(Y, radii)).wce**2)
     consts = sphere_constants(p.d)
     w_kr = w_kr_psi(p)
     phi = phi_cdf(p, radii)
     kr_sum = _kernel_sum(radii[None], phi[None])[0]
     trace = float(phi.sum())
     diag_mean = trace / n
-    off_mean = (kr_sum - trace) / (n * (n - 1))
+    # at n = 1 the off-diagonal weights C_d W(S^d) and -(1 - W(K_S))
+    # cancel, so any off_mean gives the point's wce^2
+    off_mean = (kr_sum - trace) / max(n * (n - 1), 1)
     term1 = off_mean * consts.C_d * (consts.W_Sd - _mean_distance(Y))
     term2 = (1.0 / n) * (diag_mean - off_mean) * (1.0 - consts.W_KS)
     single = _kr_psi_integral(p, radii, phi)
@@ -636,7 +636,8 @@ def strata_scaling(p, M_list, seed, draws=0):
             for a in range(0, draws, batch):
                 dirs, radii = _stratified_draws(part, shells,
                                                 seeds[a:a + batch])
-                vals += [r.wce**2 for r in _wce_reports(p, radii, dirs)]
+                vals += [r.wce**2
+                         for r in _nakagami_reports(p, radii, dirs)]
             row["empirical"] = float(np.mean(vals))
             row["empirical_se"] = float(np.std(vals, ddof=1) / math.sqrt(draws))
         rows.append(row)

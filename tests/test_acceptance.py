@@ -23,8 +23,7 @@ import pytest
 from scipy import integrate
 
 from spherecone import finance, spheremap, wce
-from spherecone.finance import (GENERATORS, OptionSpec, brownian_transform,
-                                mc_reference_price, price_option)
+from spherecone.finance import OptionSpec, mc_reference_price
 from spherecone.specfun import (inv_normal_cdf, inv_reg_gamma_p,
                                 inv_reg_gamma_q, normal_cdf, reg_beta_i,
                                 reg_gamma_p, reg_gamma_q, sphere_height)
@@ -352,15 +351,10 @@ def test_criterion_8_stratified_scaling(capsys):
 def pricing_runs():
     """Column estimates at N = 2^15 and 2^19 for all kinds, shared by
     the pricing criteria."""
-    runs = {}
-    for kind, spec in OPTION_SPECS.items():
-        for n_total in (2**15, 2**19):
-            ests = []
-            for gen, con in finance.TABLE_COLUMNS:
-                ests.append(price_option(spec, con, gen, n_total // 128,
-                                         128, seed=21))
-            runs[kind, n_total] = ests
-    return runs
+    return {(kind, n_total): finance._price_columns(
+                spec, finance.TABLE_COLUMNS, n_total // 128, 128, seed=21)
+            for kind, spec in OPTION_SPECS.items()
+            for n_total in (2**15, 2**19)}
 
 
 def test_criterion_9a_degenerate_prices(capsys):
@@ -376,8 +370,8 @@ def test_criterion_9a_degenerate_prices(capsys):
             expect = disc * float(s_mean > spec.K_strike)
         else:
             expect = disc * max(s_mean - spec.K_strike, 0.0)
-        for gen, con in finance.TABLE_COLUMNS:
-            est = price_option(spec, con, gen, 32, 2, seed=1)
+        for est in finance._price_columns(spec, finance.TABLE_COLUMNS, 32, 2,
+                                          seed=1):
             worst = max(worst, abs(est.mean - expect))
     _report(capsys, "9a", "degenerate sigma=0 prices", worst < 1e-12,
             f"worst abs err {worst:.2e} over 15 kind/method combinations")

@@ -222,6 +222,25 @@ class TestExperimentTable:
                 price_option(spec, c, g, N // reps, reps, seed).std_error
                 for g, c in TABLE_COLUMNS]
 
+    def test_columns_keep_order_and_share_draws(self, monkeypatch):
+        # non-adjacent columns of a generator still share one draw each
+        columns = [("sphere_normal", "pca"), ("mc", "standard"),
+                   ("sphere_normal", "standard"),
+                   ("sobol_inverse_normal", "pca")]
+        draws = []
+        normals = finance._replicate_normals
+
+        def counted(generator, *args):
+            draws.append(generator)
+            return normals(generator, *args)
+
+        monkeypatch.setattr(finance, "_replicate_normals", counted)
+        ests = finance._price_columns(SPEC, columns, 64, 6, seed=2)
+        assert sorted(draws) == sorted(6 * list(GENERATORS))
+        assert [(e.generator, e.construction) for e in ests] == columns
+        assert ests == [price_option(SPEC, c, g, 64, 6, seed=2)
+                        for g, c in columns]
+
 
 class TestReplicateThreads:
     """Replicates run on a thread pool; results must not depend on its

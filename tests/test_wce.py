@@ -153,10 +153,15 @@ class TestWce:
         assert r.W_K == pytest.approx(w_kernel(P232), rel=1e-14)
 
     def test_raw_square_kept_when_clamped(self):
+        # one point at the origin with w_kr = 0: the double sum is 0 and
+        # the single sum 2 W(K_S) 1e-8, so the square is -1.3e-8
+        zero = np.zeros((1, 1))
         with pytest.warns(RuntimeWarning):
-            r = wce._finish_report(0.5, 0.5 + 1e-8, 0.1, 4)
+            r, = wce._wce_reports(2, 0.0, zero, zero, zero + 1e-8,
+                                  np.array([[[0.0, 0.0, 1.0]]]))
         assert r.wce == 0.0
-        assert r.wce_sq_raw == 0.5 - (0.5 + 1e-8)
+        assert r.double_sum_term == 0.0
+        assert r.wce_sq_raw == -r.single_sum_term < -1e-9
 
     @pytest.mark.parametrize("p", P_LIST)
     def test_matches_general_quadrature_route(self, p):
