@@ -20,9 +20,10 @@ and the reported estimate is the mean of replicate prices with their
 spread as the uncertainty.
 
 Replicates are drawn and priced concurrently, one thread per CPU the
-process may use; each replicate is a pure function of (seed, replicate)
-and results are combined in replicate order, so they do not depend on
-the thread count.
+process may use, in tasks of consecutive replicates whose draws are
+stacked; each replicate is a pure function of (seed, replicate) and
+results are combined in replicate order, so they do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ def brownian_transform(d_steps, T, kind):
     return PathConstruction(kind=kind, transform=A)
 
 
+# rows of the draw of one replicate task: the sphere lift of a 256-row
+# replicate is some 200 short numpy calls, which serialize on the
+# interpreter lock across the pool's threads, so a task stacks the draws
+# of replicates up to this many rows (2^10 rows was faster still, but
+# its working memory raised price-table's peak RSS by 8-10 %)
+_TASK_ROWS = 2**9
+
+
 def _worker_count():
     """Threads of a replicate pool: the CPUs this process may run on."""
     try:
@@ -163,12 +172,15 @@ def _check_draw(generator, n_points, n_replicates):
     return DirectionNumberTable.default()
 
 
-def _replicate_normals(generator, d, n_points, seed, rep, table):
-    """(n_points, d) standard normal vectors of replicate rep."""
+def _replicate_normals(generator, d, n_points, seed, reps, table):
+    """(len(reps) * n_points, d) standard normal vectors of the
+    replicates reps (a range), stacked in replicate order."""
     if generator == "mc":
-        return _rng(seed, rep).standard_normal((n_points, d))
-    u = SobolStream(d, seed=seed, scramble=True, table=table,
-                    replicate=rep).take(n_points)
+        return np.concatenate([_rng(seed, rep).standard_normal((n_points, d))
+                               for rep in reps])
+    u = np.concatenate([SobolStream(d, seed=seed, scramble=True, table=table,
+                                    replicate=rep).take(n_points)
+                        for rep in reps])
     if generator == "sobol_inverse_normal":
         return inv_normal_cdf(np.maximum(u, _U_FLOOR))
     return lift_to_space(u).cartesian
@@ -206,11 +218,12 @@ def _price_columns(spec, columns, n_points, n_replicates, seed):
     """price_option for each (generator, construction) column, in the
     order given.
 
-    Each generator's replicates run on one thread pool: a task draws one
-    replicate's normals, prices them under every construction of that
-    generator's columns and drops them, so each draw serves all of its
-    generator's columns and no more than one draw per thread is held at
-    a time.
+    Each generator's replicates run on one thread pool: a task draws the
+    normals of _TASK_ROWS // n_points consecutive replicates (at least
+    one) in one stack, prices each replicate under every construction of
+    that generator's columns and drops them, so each draw serves all of
+    its generator's columns and no more than one task's draw per thread
+    is held at a time.
     """
     estimates = {}
     for generator in dict.fromkeys(g for g, _ in columns):
@@ -219,14 +232,20 @@ def _price_columns(spec, columns, n_points, n_replicates, seed):
         pcs = [brownian_transform(spec.d_steps, spec.T, c)
                for c in constructions]
 
-        def replicate_means(rep):
+        per_task = max(1, _TASK_ROWS // n_points)
+
+        def task_means(task):
+            reps = range(task * per_task,
+                         min((task + 1) * per_task, n_replicates))
             Z = _replicate_normals(generator, spec.d_steps, n_points, seed,
-                                   rep, table)
-            return [_discounted_payoffs(spec, Z, pc.transform).mean()
-                    for pc in pcs]
+                                   reps, table)
+            return [[_discounted_payoffs(
+                spec, Z[i * n_points:(i + 1) * n_points], pc.transform).mean()
+                for pc in pcs] for i in range(len(reps))]
 
         # row i: construction i's replicate prices, in replicate order
-        means = np.array(_map_replicates(replicate_means, n_replicates)).T
+        tasks = _map_replicates(task_means, -(-n_replicates // per_task))
+        means = np.array([rep for task in tasks for rep in task]).T
         for pc, rep_means in zip(pcs, means):
             sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
             estimates[generator, pc.kind] = PriceEstimate(

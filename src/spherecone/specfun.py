@@ -4,9 +4,11 @@ Regularized incomplete gamma/beta functions, the gamma inverses, the
 sphere map's height inverse, the chi quantile and the inverse normal CDF.
 All functions are pure, accept floats or numpy arrays, and raise
 :class:`DomainError` on invalid input.  Evaluation is delegated to
-scipy.special (cephes); the test suite checks every function against
-independent adaptive-quadrature and bisection oracles, and the sphere
-height against mpmath.
+scipy.special, except the sphere height on the half-integer grid, which
+Halley steps on the closed-form Wallis CDF solve (off the grid it comes
+from scipy's Student-t quantile); the test suite checks every function
+against independent adaptive-quadrature and bisection oracles, and the
+sphere height against mpmath.
 """
 
 from __future__ import annotations
@@ -42,17 +44,41 @@ _TINY = 1e-300
 _U_CAP = 1.0 - 2.0**-32
 _U_FLOOR = 2.0**-33
 
-# sphere_height takes one Newton step on stdtr where |u - 1/2| is below
-# _NEWTON_BAND, and everywhere at _NEWTON_DOF or non-integer degrees of
-# freedom: stdtrit's closed forms for 4 and 6 degrees of freedom lose
-# absolute accuracy near the median (1e-8 in T at |u - 1/2| = 2^-28), the
-# one for 6 also in the tails (5e-15 relative for u in 4e-4..0.05), and
-# off the integers it is 1e-13 off (x at a = 1.482, u = 0.803).
-_NEWTON_BAND = 2.0**-4
-_NEWTON_DOF = 6.0
+# On the half-integer grid (2a = q an integer), sphere_height solves
+# F(phi) = v for the colatitude phi (see _wallis_height):
+# - the forward Wallis form of F serves roots above sin^2 phi =
+#   _FORWARD_S2 where its rounding, about (1 + m/9) _EPS_HALF in F,
+#   moves the height by less than _FORWARD_DT;
+# - scipy's betainc serves each column's lower tail below that, from
+#   the first Halley step where v < _FORWARD_V (there the forward form's
+#   rounding exceeds 1e-6 of F) and from the last step elsewhere;
+# - the positive series serves the v, or roots x, below _SERIES_V, where
+#   betainc loses digits to underflow (1e-7 of F at a = 30, v = 1e-290);
+#   _SERIES_TERMS terms reach 2^-56 of its first at sin^2 phi = 1/2.
+# Halley steps start from the leading small-phi term where that term
+# puts sin^2 phi below _LEAD_S2, and from a Cornish-Fisher t-quantile
+# elsewhere.
+_FORWARD_S2 = 0.5
+_FORWARD_DT = 1e-15
+_EPS_HALF = 2.0**-53
+_FORWARD_V = 1e-9
+_SERIES_V = 1e-250
+_SERIES_TERMS = 56
+_LEAD_S2 = 0.2
+# elements per block of the on-grid solve, which bounds its temporaries
+_BLOCK = 2**15
+# T / z = sum_j w^j sum_l _CORNISH_FISHER[j, l] / q^l with w = z^2 for
+# the t-quantile T of q degrees of freedom at the normal quantile z
+# (Abramowitz and Stegun 26.7.5)
+_CORNISH_FISHER = np.array([
+    [1.0, 1 / 4, 3 / 96, -15 / 384, -945 / 92160],
+    [0.0, 1 / 4, 16 / 96, 17 / 384, -1920 / 92160],
+    [0.0, 0.0, 5 / 96, 19 / 384, 1482 / 92160],
+    [0.0, 0.0, 0.0, 3 / 384, 776 / 92160],
+    [0.0, 0.0, 0.0, 0.0, 79 / 92160]])
 
-# below _TAIL_V, sphere_height takes the leading small-x term of
-# I_x(a, a) where it puts the root x below _TAIL_X; stdtrit stays
+# off the grid, below _TAIL_V, sphere_height takes the leading small-x
+# term of I_x(a, a) where it puts the root x below _TAIL_X; stdtrit stays
 # elsewhere, within 3e-16 at a = 29/2 for u = 1e-100 ... 1e-230
 _TAIL_V = 1e-100
 _TAIL_X = 1e-20
@@ -149,13 +175,13 @@ def sphere_height(u, a):
     """Height t = 1 - 2x of the solution x of I_x(a, a) = u, and its
     scale sqrt(1 - t^2).
 
-    The sphere map's height inverse, computed through the Student-t
-    identity I_x(a, a) = F_t(T; 2a) with x = (1 + T/r)/2 and
-    r = sqrt(2a + T^2): t = -T/r, and the scale is sqrt(2a)/r, taken
-    directly so that it keeps its relative accuracy near the poles.
-    Below min(u, 1 - u) = _TAIL_V, where the leading small-x term
-    x^a / (a B(a, a)) puts x below _TAIL_X, t is +-1 and the scale
-    2 sqrt(x) comes from that term instead.
+    With x = sin^2(phi / 2) the height is cos phi and the scale sin phi,
+    and I_x(a, a) = F(phi) = S_n(phi) / S_n(pi) with n = 2a - 1 and
+    S_n(phi) = int_0^phi sin^n.  When 2a is an integer (every shape the
+    sphere map uses), two Halley steps on log F solve for phi directly
+    (_wallis_height), so that the scale keeps its relative accuracy near
+    the poles.  Otherwise the height comes through the Student-t identity
+    I_x(a, a) = F_t(T; 2a) (_student_height).
     a broadcasts against u (one shape per column of a batch).  u lies in
     [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
     gives (+0.0, 1).  Returns the pair (t, scale).
@@ -165,41 +191,259 @@ def sphere_height(u, a):
     u_arr = np.asarray(u, dtype=float)
     if _any(~((u_arr >= 0.0) & (u_arr <= 1.0))):
         raise DomainError(f"u must be in [0, 1], got {u!r}")
-    nu = 2.0 * np.asarray(a, dtype=float)
-    # |T| from the lower tail, so that t(1 - u) = -t(u) exactly; stdtrit
-    # gives +inf rather than -inf at 0 (and below about 2^-787), so only
-    # its magnitude is used
+    q = 2.0 * np.asarray(a, dtype=float)
+    # both solvers work from the lower tail, so that t(1 - u) = -t(u)
+    # exactly, on a 2-D view with one shape per column: the last axis
+    # when a is a scalar or a row, else one column per element
     v = np.minimum(u_arr, 1.0 - u_arr)
-    m = np.asarray(np.abs(sp.stdtrit(nu, v)))
-    step = (v > 0.5 - _NEWTON_BAND) | (nu == _NEWTON_DOF) | (nu % 1 != 0)
-    if step.any():
-        nu_s = np.broadcast_to(nu, m.shape)[step]
-        m_s = m[step]
-        with np.errstate(all="ignore"):
-            pdf = ((1.0 + m_s * m_s / nu_s) ** (-0.5 * (nu_s + 1.0))
-                   / (np.sqrt(nu_s) * sp.beta(0.5 * nu_s, 0.5)))
-            new = m_s + (sp.stdtr(nu_s, -m_s)
-                         - np.broadcast_to(v, m.shape)[step]) / pdf
-        # stdtrit's value stands at the poles and where the pdf underflows
-        m[step] = np.where(np.isfinite(new), new, m_s)
+    shape = np.broadcast_shapes(v.shape, q.shape)
+    if 0 in shape:
+        return np.empty(shape), np.empty(shape)
+    if q.size == 1:
+        v2, q2 = np.broadcast_to(v, shape).reshape(-1, 1), q.reshape(1)
+    elif q.ndim == 1:
+        v2, q2 = np.broadcast_to(v, shape).reshape(-1, q.size), q
+    else:
+        v2 = np.broadcast_to(v, shape).reshape(1, -1)
+        q2 = np.broadcast_to(q, shape).reshape(-1)
+    grid = q2 % 1 == 0
+    if grid.all():
+        height, scale = _wallis_height(v2, q2)
+    elif not grid.any():
+        height, scale = _student_height(v2, q2)
+    else:
+        height, scale = np.empty(v2.shape), np.empty(v2.shape)
+        height[:, grid], scale[:, grid] = _wallis_height(v2[:, grid],
+                                                         q2[grid])
+        height[:, ~grid], scale[:, ~grid] = _student_height(v2[:, ~grid],
+                                                            q2[~grid])
+    # the sign of 1/2 - u, which is +0.0 at u = 1/2
+    t = np.copysign(height.reshape(shape), 0.5 - u_arr)
+    return _like_input(t, t), _like_input(t, scale.reshape(shape))
+
+
+def _student_height(v, nu):
+    """Height and scale for the lower-tail v <= 1/2 at 2a = nu off the
+    half-integer grid: T = -stdtrit(nu, v) with one Newton step on stdtr,
+    t = T / r and scale sqrt(nu) / r with r = sqrt(nu + T^2).
+
+    stdtrit alone is 1e-13 off there (x at a = 1.482, u = 0.803).  Below
+    v = _TAIL_V, where the leading small-x term x^a / (a B(a, a)) puts x
+    below _TAIL_X, t is 1 and the scale 2 sqrt(x) comes from that term.
+    """
+    # stdtrit gives +inf rather than -inf at 0 (and below about 2^-787),
+    # so only its magnitude is used
+    m = np.abs(sp.stdtrit(nu, v))
+    with np.errstate(all="ignore"):
+        pdf = ((1.0 + m * m / nu) ** (-0.5 * (nu + 1.0))
+               / (np.sqrt(nu) * sp.beta(0.5 * nu, 0.5)))
+        new = m + (sp.stdtr(nu, -m) - v) / pdf
+    # stdtrit's value stands at the poles and where the pdf underflows
+    m = np.where(np.isfinite(new), new, m)
     root = np.sqrt(nu)
     r = np.hypot(root, m)
     with np.errstate(invalid="ignore"):  # inf / inf at the poles
         height = np.where(np.isinf(m), 1.0, m / r)
-    scale = np.asarray(root / r)
+    scale = root / r
     # far in the tails stdtrit is wrong (by a factor 2 in the scale at
     # a = 3/2, u <= 1e-170), and below x = _TAIL_X the leading term is
     # exact to double precision
-    tail = np.broadcast_to(v, m.shape) < _TAIL_V
+    tail = v < _TAIL_V
     if tail.any():
-        tail_scale = _tail_scale(np.broadcast_to(v, m.shape)[tail],
-                                 np.broadcast_to(0.5 * nu, m.shape)[tail])
+        tail_scale = _tail_scale(v[tail], np.broadcast_to(0.5 * nu,
+                                                          v.shape)[tail])
         small = tail_scale < 2.0 * math.sqrt(_TAIL_X)
         height[tail] = np.where(small, 1.0, height[tail])
         scale[tail] = np.where(small, tail_scale, scale[tail])
-    # the sign of 1/2 - u, which is +0.0 at u = 1/2
-    t = np.copysign(height, 0.5 - u_arr)
-    return _like_input(t, t), _like_input(t, scale)
+    return height, scale
+
+
+def _wallis_height(v, q):
+    """cos phi and sin phi of the root phi in [0, pi/2] of F(phi) = v for
+    the lower tail v (rows, k) <= 1/2 and integers q = 2a (k,).
+
+    The Wallis recursion S_n = ((n-1)/n) S_{n-2} - sin^(n-1) cos / n
+    gives F in closed form: phi/pi - c s P(s^2) for even n and
+    (1 - c)/2 - c s^2 P(s^2) for odd n, with s = sin phi, c = cos phi and
+    P a polynomial of degree floor(n/2) - 1 whose coefficients depend
+    only on the parity of n.  This forward form cancels where F is small,
+    so each column's lower tail, below v_sub, takes F from betainc.
+    F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi), so each Halley
+    step on log F costs one evaluation of F.
+    """
+    # the constants once per distinct q (a call with one column per
+    # element repeats them), and the columns in the order of q
+    q_set, col = np.unique(q, return_inverse=True)
+    order = np.argsort(col, kind="stable")
+    q, col = q[order], col[order]
+    n = q - 1.0
+    m = np.floor(n / 2.0)  # the number of coefficients of P
+    s_set = sp.beta(0.5, 0.5 * q_set)  # S_n(pi)
+    big_s = s_set[col]
+    beta = _central_binomials(int(m.max()) + 1)[1:]
+    i = np.arange(beta.size)
+    coef = np.where(i[:, None] < m,
+                    np.where(n % 2 == 0,
+                             1.0 / (np.pi * beta * (2 * i + 2))[:, None],
+                             0.5 * beta[:, None]), 0.0)[:, :, None]
+    # Horner step i needs only the columns whose P has degree >= i: the
+    # rows from start[i] on of a block laid out one column per row
+    start = np.searchsorted(m, i, side="right")
+    # the forward form's rounding error in F, below (1 + m/9) eps/2 for
+    # q up to 191 against mpmath, moves the height by that over the
+    # slope s^(n-1) / S_n(pi) of F in t; v_sub is F where the move
+    # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher
+    n_set = q_set - 1.0
+    with np.errstate(divide="ignore"):
+        s_fwd = np.where(n_set > 1.0, (
+            s_set * (1.0 + np.floor(n_set / 2.0) / 9.0) * _EPS_HALF
+            / _FORWARD_DT) ** (1.0 / (n_set - 1.0)), 0.0)
+    # x = (1 - cos phi) / 2 at that sin^2 phi
+    x_sub = 0.5 * (1.0 - np.sqrt(1.0 - np.clip(s_fwd * s_fwd, _FORWARD_S2,
+                                                1.0)))
+    v_sub = sp.betainc(0.5 * q_set, 0.5 * q_set, x_sub)[col][:, None]
+    even, n_col, s_col, q_col = ((n % 2 == 0)[:, None], n[:, None],
+                                 big_s[:, None], q[:, None])
+    base = np.where(even, 1.0 / np.pi, 0.5)  # phi/pi or (1 - c)/2
+
+    def residual(phi, s, c, last):
+        z = s * s
+        acc = np.zeros_like(z)
+        for j in range(i.size - 1, -1, -1):
+            part = acc[start[j]:]
+            part *= z[start[j]:]
+            part += coef[j, start[j]:]
+        # in place where it can be, as these blocks are the solve's
+        # working memory
+        acc *= np.where(even, s, z)
+        acc *= c
+        f = np.where(even, phi, 1.0 - c)
+        f *= base
+        f -= acc
+        g = np.log(np.divide(f, vb, out=acc), out=acc)
+        slope = s**q_col
+        slope /= s_col
+        slope /= f
+        at, v_at, a_at = (tail, v_tail, a_tail) if last else first
+        if v_at.size:
+            s_at, c_at = s[at], c[at]
+            f = sp.betainc(a_at, a_at, s_at * s_at / (2.0 * (1.0 + c_at)))
+            g[at] = np.log(f / v_at)
+            slope[at] = s_at**(2.0 * a_at) / (big_s[at[0]] * f)
+        return g, slope
+
+    height, scale = np.empty(v.shape), np.empty(v.shape)
+    rows = max(1, _BLOCK // v.shape[1])
+    for r in range(0, v.shape[0], rows):
+        vb = v[r:r + rows].T[order]
+        tail = np.nonzero(vb < v_sub)
+        v_tail, a_tail = vb[tail], 0.5 * q[tail[0]]
+        low = v_tail < _FORWARD_V
+        first = (tail[0][low], tail[1][low]), v_tail[low], a_tail[low]
+        # the forward form fails in the tails, where betainc replaces it,
+        # and the series below _SERIES_V overwrites both
+        with np.errstate(all="ignore"):
+            s, c = _cornish_fisher(vb, q_col)
+            phi = np.arctan2(s, c)
+            lead = _tail_scale(v_tail, a_tail)
+            deep = lead * lead < _LEAD_S2
+            if deep.any():
+                a_d, s_d = a_tail[deep], lead[deep]
+                # the leading term with the series' second term folded in
+                phi_d = np.arcsin(s_d * (1.0 + a_d * s_d * s_d
+                                         / (2.0 * a_d + 2.0))**(-0.5 / a_d))
+                at = tail[0][deep], tail[1][deep]
+                phi[at], s[at], c[at] = phi_d, np.sin(phi_d), np.cos(phi_d)
+            # where the root's v or x ~ lead^2 / 4 underflows
+            series = np.minimum(v_tail, lead * lead) < _SERIES_V
+            at_series = tail[0][series], tail[1][series]
+            phi_series = phi[at_series]
+            c, s = _halley(phi, s, c, n_col, residual)
+            if phi_series.size:
+                c[at_series], s[at_series] = _wallis_series_root(
+                    v_tail[series], 2.0 * a_tail[series], lead[series],
+                    phi_series)
+        median = vb == 0.5
+        c[median], s[median] = 0.0, 1.0
+        height[r:r + rows, order], scale[r:r + rows, order] = c.T, s.T
+    return height, scale
+
+
+def _wallis_series_root(v, q, lead, phi):
+    """cos phi and sin phi of the roots of F(phi) = v below _SERIES_V,
+    from the start phi, with their q and leading-term roots lead.
+
+    There F = s^q Sigma(s) / S_n(pi), with the positive series
+    Sigma = sum_k C(2k, k) 4^-k s^(2k) / (q + 2k) of int_0^s w^n dw /
+    sqrt(1 - w^2), and log(F / v) = q log(s / lead) + log(q Sigma), as
+    lead^q = q S_n(pi) v (_tail_scale forms lead without v^(1/q), which
+    loses the subnormal v's digits).  v = 0 gives the pole (1, 0).
+    """
+    def residual(phi, s, c, last):
+        sigma = _wallis_series(s, q)
+        return q * np.log(s / lead) + np.log(q * sigma), 1.0 / sigma
+
+    c, s = _halley(phi, np.sin(phi), np.cos(phi), q - 1.0, residual)
+    pole = v == 0.0
+    c[pole], s[pole] = 1.0, 0.0
+    return c, s
+
+
+def _halley(phi, s, c, n, residual):
+    """cos phi and sin phi after two Halley steps on g = log F - log v
+    from phi, where s = sin phi and c = cos phi, all three updated in
+    place; residual(phi, s, c, last) gives g and the slope
+    h = s g' = s F'/F, the last step flagged, and g'' = h (n c - h) / s^2
+    follows from F'' = F' n c / s.  The step g / (g' - g g'' / 2g') is
+    taken as g s / (h - g (n c - h) / 2), which stays finite for
+    subnormal s."""
+    for last in (False, True):
+        g, slope = residual(phi, s, c, last)
+        step = n * c
+        step -= slope
+        step *= -0.5 * g
+        step += slope
+        g *= s
+        g /= step
+        phi -= g
+        np.sin(phi, out=s)
+        np.cos(phi, out=c)
+    return c, s
+
+
+def _cornish_fisher(v, q):
+    """sin phi and cos phi of the Cornish-Fisher start for F(phi) = v
+    <= 1/2: the t-quantile T of q degrees of freedom to 1/q^4, with
+    cos phi = -T / r and sin phi = sqrt(q) / r, r = sqrt(q + T^2)."""
+    z = sp.ndtri(v)
+    w = z * z
+    coef = np.power.outer(1.0 / q, np.arange(5.0)) @ _CORNISH_FISHER.T
+    t = coef[..., 4]
+    for j in range(3, -1, -1):
+        t = t * w + coef[..., j]
+    t *= z
+    r = np.sqrt(q + t * t)
+    return np.sqrt(q) / r, -t / r
+
+
+def _wallis_series(s, q):
+    """sum_k C(2k, k) 4^-k s^(2k) / (q + 2k) over k < _SERIES_TERMS, each
+    element's terms summed along one row, so that an element's sum does
+    not depend on the others."""
+    k = np.arange(_SERIES_TERMS)
+    powers = np.empty((s.size, _SERIES_TERMS))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = (s * s)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    powers *= _central_binomials(_SERIES_TERMS)
+    powers /= q[:, None] + 2.0 * k
+    return powers.sum(axis=1)
+
+
+def _central_binomials(m):
+    """C(2k, k) / 4^k for k = 0 ... m - 1."""
+    return np.cumprod(np.concatenate(
+        [[1.0], (2.0 * np.arange(1, m) - 1.0) / (2.0 * np.arange(1, m))]))
 
 
 def _tail_scale(v, a):

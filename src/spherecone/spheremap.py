@@ -7,9 +7,10 @@ each later coordinate q gives a height t_q = 1 - 2 h_q^{-1}(x_q) with
 h_q(x) = I_x(q/2, q/2), and the earlier coordinates are shrunk by
 sqrt(1 - t_q^2).  Uniform cube input gives uniform sphere output.
 h_2 is the identity; the heights t_3..t_s and their scales come from one
-`specfun.sphere_height` call over the whole block, through the Student-t
-quantile (I_x(a, a) = F_t(T; 2a)), and each output column is its base
-value times a reverse cumulative product of the later scales.
+`specfun.sphere_height` call over the whole block, which solves for each
+colatitude phi with t_q = cos phi by Halley steps on the closed-form
+Wallis CDF of the half-integer shape q/2, and each output column is its
+base value times a reverse cumulative product of the later scales.
 
 The lift appends a chi-distributed radius via the chi quantile of the
 last cube coordinate, so uniform cube points map to standard normal

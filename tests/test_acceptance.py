@@ -14,6 +14,8 @@ project's acceptance list:
 8. stratified scaling slope -4/3 and the iid baseline slope -1
 9. option-pricing columns: degenerate case, reference agreement,
    variance ordering and magnitudes
+10. lifted scrambled Sobol' points: mean wce^2 slope -(1 + 1/d) and
+    below the i.i.d. law
 """
 
 import math
@@ -24,6 +26,7 @@ from scipy import integrate
 
 from spherecone import finance, spheremap, wce
 from spherecone.finance import OptionSpec, mc_reference_price
+from spherecone.lds import SobolStream
 from spherecone.specfun import (inv_normal_cdf, inv_reg_gamma_p,
                                 inv_reg_gamma_q, normal_cdf, reg_beta_i,
                                 reg_gamma_p, reg_gamma_q, sphere_height)
@@ -345,6 +348,34 @@ def test_criterion_8_stratified_scaling(capsys):
     _report(capsys, 8, "stratified scaling", ok,
             f"stratified slope {slope:.3f} (want -1.333 +- 0.15), "
             f"iid slope {iid_slope:.3f} (want -1 +- 0.1)")
+
+
+def test_criterion_10_lifted_sobol_wce(capsys):
+    # the paper's construction: 8 scrambled Sobol' replicates lifted to
+    # R^(d+1) with a chi(d + 1) radius, scored with psi = chi(d + 1)
+    # (mu = A = (d + 1)/2, B = d + 1); the mean wce^2 decays like
+    # N^-(1 + 1/d), the order of Beck's spherical-cap bound, and stays
+    # below the i.i.d. law c/N
+    n_list = [2**m for m in range(6, 13)]
+    ok = True
+    slopes, worst = [], 0.0
+    for d in (2, 3):
+        p = KernelParams(mu=(d + 1) / 2.0, A=(d + 1) / 2.0, B=d + 1.0, d=d)
+        mean_sq = np.zeros(len(n_list))
+        for r in range(8):
+            x = SobolStream(d + 1, seed=10, scramble=True,
+                            replicate=r).take(n_list[-1])
+            for i, n in enumerate(n_list):
+                mean_sq[i] += wce_nakagami(p, lift_to_space(x[:n])).wce**2 / 8
+        slope = float(np.polyfit(np.log(n_list), np.log(mean_sq), 1)[0])
+        ratio = mean_sq * np.array(n_list) / rms_wce_iid(p)
+        slopes.append(slope)
+        worst = max(worst, float(ratio.max()))
+        ok = ok and abs(slope + 1.0 + 1.0 / d) <= 0.1 and ratio.max() < 1.0
+    _report(capsys, 10, "lifted Sobol' wce", ok,
+            f"slope {slopes[0]:.3f} at d=2 (want -1.5 +- 0.1), "
+            f"{slopes[1]:.3f} at d=3 (want -1.333 +- 0.1), "
+            f"worst mean wce^2 / iid law {worst:.2f} (want < 1)")
 
 
 @pytest.fixture(scope="module")

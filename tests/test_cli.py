@@ -443,12 +443,12 @@ GOLDEN = {
     "points-polar": (
         ["points", "--dim", "4", "--n", "8", "--gen", "sphere", "--polar",
          "--seed", "3"],
-        "62fe50d1ac78b38ae6a83b9f9056cad393abe4e4747becb29afe8834c10903a8",
+        "c44e27e78909b0b6ea903297da0adb67e217c15280f4fedba494fbfa32040006",
         NO_OUTPUT, 0),
     "sphere-map-sobol": (
         ["sphere-map", "--dim", "3", "--n", "16", "--gen", "sobol",
          "--scramble", "--seed", "2"],
-        "bfb95eba43bc6cbd17a949e08569f8aa08f3ec65a4a10f90f94ba3dcc66eb8c2",
+        "7eea0dd5328adbc94a8c483d94d8d62fe4f21a58a636773df7f497e7ce50bdf2",
         NO_OUTPUT, 0),
     "sphere-map-random": (
         ["sphere-map", "--dim", "2", "--n", "8", "--gen", "random", "--seed",
@@ -466,7 +466,7 @@ GOLDEN = {
     "trial-integral-inverse_beta": (
         ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
          "inverse_beta", "--seed", "1"],
-        "a28bb003627b48a966f204febbc380d92f1232219a07688d313a97a696a3f2be",
+        "7ba5e07411d364d41e699e9c227007b3b5077dd574b36966a4ee6f8e175c97a6",
         NO_OUTPUT, 0),
     "trial-integral-inverse_normal": (
         ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
@@ -476,7 +476,7 @@ GOLDEN = {
     "trial-integral-random": (
         ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
          "random", "--seed", "1"],
-        "4e9455683a047a043600d4ec796dee2f7c429aa15e3797b03e1741a6fa8d3f54",
+        "7c883943622df45667e147e76b215cfada97d3ac7f35ec121889ad3a10dad694",
         NO_OUTPUT, 0),
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
@@ -498,11 +498,11 @@ GOLDEN = {
         NO_OUTPUT, 0),
     "price-sphere": (
         ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
-        "19c8ebb43a12932500ee266f526da2063e5b35a62dd1ff255ff31f8d62c42f84",
+        "bea367f42ade0917aa604a165e918438b05b1c345c7e1673bc6a30f55cb00b9b",
         NO_OUTPUT, 0),
     "table": (
         ["table", "--n-list", "256"],
-        "7215982e5088b8c71edccfa40c3aca497fd25b5c7d4df186f1be47bfcb18deba",
+        "1c0ba933730d2480ccc4fdfe56315c5ccf22367356a5d6a2cf56d1a45d50d1d4",
         NO_OUTPUT, 0),
 }
 

@@ -60,7 +60,8 @@ class TestNormalVectors:
 
     @staticmethod
     def draw(gen, d, n, seed, rep):
-        return finance._replicate_normals(gen, d, n, seed, rep, None)
+        return finance._replicate_normals(gen, d, n, seed,
+                                          range(rep, rep + 1), None)
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_shape_and_determinism(self, gen):
@@ -69,6 +70,14 @@ class TestNormalVectors:
         np.testing.assert_array_equal(Z, self.draw(gen, 5, 64, 1, 0))
         assert np.any(Z != self.draw(gen, 5, 64, 1, 1))
         assert np.any(Z != self.draw(gen, 5, 64, 2, 0))
+
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_stack_matches_single_replicates(self, gen):
+        # a pool task's stacked draw is its replicates' draws, bitwise
+        stack = finance._replicate_normals(gen, 5, 64, 1, range(2, 5), None)
+        np.testing.assert_array_equal(
+            stack, np.concatenate([self.draw(gen, 5, 64, 1, r)
+                                   for r in range(2, 5)]))
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_moments(self, gen):
@@ -165,7 +174,7 @@ class TestPricing:
 
     def test_martingale_property(self):
         # the discounted terminal price has expectation S0
-        Z = finance._replicate_normals("mc", 30, 2**17, 10, 0, None)
+        Z = finance._replicate_normals("mc", 30, 2**17, 10, range(1), None)
         A = brownian_transform(30, 1.0, "standard").transform
         t = np.arange(1, 31) / 30.0
         S = SPEC.S0 * np.exp((SPEC.r - SPEC.sigma**2 / 2) * t
@@ -230,13 +239,14 @@ class TestExperimentTable:
         draws = []
         normals = finance._replicate_normals
 
-        def counted(generator, *args):
-            draws.append(generator)
-            return normals(generator, *args)
+        def counted(generator, d, n_points, seed, reps, table):
+            draws.extend((generator, rep) for rep in reps)
+            return normals(generator, d, n_points, seed, reps, table)
 
         monkeypatch.setattr(finance, "_replicate_normals", counted)
         ests = finance._price_columns(SPEC, columns, 64, 6, seed=2)
-        assert sorted(draws) == sorted(6 * list(GENERATORS))
+        assert sorted(draws) == sorted((g, rep) for g in GENERATORS
+                                       for rep in range(6))
         assert [(e.generator, e.construction) for e in ests] == columns
         assert ests == [price_option(SPEC, c, g, 64, 6, seed=2)
                         for g, c in columns]

@@ -197,7 +197,8 @@ def sphere_height_tail_mpmath(u, a, dps=40):
         return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
 
 
-BAND = specfun._NEWTON_BAND
+# the half-width of the band around the median whose edges HEIGHT_U holds
+BAND = 2.0**-4
 HEIGHT_U = np.array(
     [0.5 + sign * 2.0**-k for k in range(2, 53) for sign in (1, -1)]
     + [edge for mid in (0.5 - BAND, 0.5 + BAND)
@@ -235,6 +236,19 @@ class TestSphereHeight:
         back = specfun.reg_beta_i(height_root(y, a), a, a)
         np.testing.assert_allclose(back, y, atol=1e-12)
 
+    def test_round_trip_on_grid(self):
+        # every 2a = 1 ... 60 on the Sobol' grid k/2^32, where 1 - u is
+        # exact and the height antisymmetric
+        u = np.random.default_rng(4).integers(0, 2**32, 200) * 2.0**-32
+        a = np.arange(1, 61) / 2.0
+        back = specfun.reg_beta_i(height_root(u[:, None], a), a, a)
+        np.testing.assert_allclose(back, np.broadcast_to(u[:, None],
+                                                         back.shape),
+                                   atol=1e-12)
+        t = specfun.sphere_height(u[:, None], a)[0]
+        np.testing.assert_array_equal(
+            specfun.sphere_height(1.0 - u[:, None], a)[0], -t)
+
     @pytest.mark.parametrize("q", range(3, 30))
     def test_against_mpmath(self, q):
         # both sides of the median band and its edges, the Sobol' grid's
@@ -244,6 +258,17 @@ class TestSphereHeight:
             t_ref, scale_ref = sphere_height_mpmath(u, q / 2.0)
             assert abs(t[i] - t_ref) <= 2e-15, u
             assert abs(scale[i] - scale_ref) <= 2e-15 * scale_ref, u
+
+    @pytest.mark.parametrize("q", [30, 31, 60, 101, 191])
+    def test_beyond_29_against_mpmath(self, q):
+        # the heights of `points --dim 192` reach q = 191; both sides of
+        # the median and the Sobol' grid's extreme cells
+        u = HEIGHT_U[np.r_[0:102:6, 108:111]]
+        t, scale = specfun.sphere_height(u, q / 2.0)
+        for i, ui in enumerate(u):
+            t_ref, scale_ref = sphere_height_mpmath(ui, q / 2.0)
+            assert abs(t[i] - t_ref) <= 2e-15, ui
+            assert abs(scale[i] - scale_ref) <= 2e-15 * scale_ref, ui
 
     def test_off_grid_shapes_against_mpmath(self):
         # 2a not an integer: a draw of acceptance criterion 1 that stdtrit
@@ -276,13 +301,13 @@ class TestSphereHeight:
             t, scale = specfun.sphere_height(u, a)
             assert t == 1.0 and 0.0 < scale < 1e-50
 
-    @pytest.mark.parametrize("a", [0.75, 1.5, 2.0, 5.0, 14.5])
+    @pytest.mark.parametrize("a", [0.75, 1.5, 2.0, 5.0, 14.5, 30.0])
     def test_far_lower_tail_against_mpmath(self, a):
         # stdtrit put the scale 2x off at a = 1.5 for u <= 1e-170 and at
         # a = 5 for u = 1e-300, and 6e45x off at a = 0.75, u = 1e-300;
-        # at a = 14.5 the root x is above 1e-20 but at u = 1e-300, and
-        # stdtrit stays
-        for u in (1e-100, 1e-170, 1e-230, 1e-300):
+        # at a = 30 it was 1.1e-2 off at u = 1e-310 and fully off at
+        # u = 1e-320, where the root x is above 1e-20
+        for u in (1e-100, 1e-170, 1e-230, 1e-300, 1e-310, 1e-320):
             t, scale = specfun.sphere_height(u, a)
             t_ref, scale_ref = sphere_height_tail_mpmath(u, a)
             assert abs(t - t_ref) <= 2e-15, u
@@ -306,6 +331,11 @@ class TestSphereHeight:
             t_j, scale_j = specfun.sphere_height(u[:, j], a[j])
             np.testing.assert_array_equal(t[:, j], t_j)
             np.testing.assert_array_equal(scale[:, j], scale_j)
+        # and empty blocks keep their shape
+        for shape in ((0, 5), (4, 0)):
+            t, scale = specfun.sphere_height(np.empty(shape),
+                                             np.ones(shape[1]))
+            assert t.shape == scale.shape == shape
 
     def test_domain(self):
         for bad in (-0.1, 1.1, math.nan, math.inf):
