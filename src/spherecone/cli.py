@@ -69,6 +69,9 @@ def _cube(args):
 
 
 def cmd_points(args):
+    if args.gen == "sobol" and args.polar:
+        raise ConfigurationError(
+            "--polar needs lifted points; --gen sobol writes cube points")
     cube = _cube(args)
     header = [f"x{i+1}" for i in range(args.dim)]
     if args.gen == "sobol":
@@ -218,7 +221,8 @@ def build_parser():
                     choices=["sphere", "sobol", "random"])
     sp.add_argument("--scramble", action="store_true")
     sp.add_argument("--polar", action="store_true",
-                    help="emit radius,y1..yd instead of cartesian")
+                    help="emit radius,y1..yd instead of cartesian "
+                    "(lifted points: not with --gen sobol)")
     _add_common(sp, dirfile=True)
     sp.set_defaults(func=cmd_points)
 

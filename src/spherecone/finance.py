@@ -19,23 +19,20 @@ replicates, the price of each replicate is its mean discounted payoff,
 and the reported estimate is the mean of replicate prices with their
 spread as the uncertainty.
 
-Replicates are drawn and priced concurrently, one thread per CPU the
-process may use, in tasks of consecutive replicates whose draws are
-stacked; each replicate is a pure function of (seed, replicate) and
-results are combined in replicate order, so they do not depend on the
-thread count.
+Replicates are drawn and priced on the worker pool of `_pool`, in
+tasks of consecutive replicates whose draws are stacked; each replicate
+is a pure function of (seed, replicate).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._pool import _pool_map
 from .errors import ConfigurationError, DomainError
 from .lds import DirectionNumberTable, SobolStream, _rng
 from .specfun import _U_FLOOR, _check_positive_int, inv_normal_cdf
@@ -142,21 +139,6 @@ def brownian_transform(d_steps, T, kind):
 _TASK_ROWS = 2**9
 
 
-def _worker_count():
-    """Threads of a replicate pool: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_replicates(fn, n):
-    """[fn(0), ..., fn(n - 1)] computed on a thread pool that ends with
-    the call; the first exception raised by fn propagates."""
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        return list(ex.map(fn, range(n)))
-
-
 def _check_draw(generator, n_points, n_replicates):
     """Validate a draw's generator and sizes; return the direction table
     every replicate stream of a QMC generator uses (None for "mc")."""
@@ -244,7 +226,7 @@ def _price_columns(spec, columns, n_points, n_replicates, seed):
                 for pc in pcs] for i in range(len(reps))]
 
         # row i: construction i's replicate prices, in replicate order
-        tasks = _map_replicates(task_means, -(-n_replicates // per_task))
+        tasks = _pool_map(task_means, -(-n_replicates // per_task))
         means = np.array([rep for task in tasks for rep in task]).T
         for pc, rep_means in zip(pcs, means):
             sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0

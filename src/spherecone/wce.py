@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _pool_map
 from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
 from .specfun import (_check_positive_int, _like_input, inv_reg_gamma_q,
@@ -63,15 +64,20 @@ __all__ = [
 # squared-wce values below this trigger a loud diagnostic before clamping
 _CANCEL_TOL = -1e-9
 
-# values held at once by the tiled pairwise sums and the chord rule: 1 MB
-# of doubles stays in cache, and small tiles keep the work wasted on the
-# diagonal blocks' lower triangles small
+# values held at once by the cone oracle's membership tests and the chord
+# rule: 1 MB of doubles stays in cache
 _TILE_ELEMS = 2**17
 
-# points of the stratified draws strata_scaling samples and scores at once:
-# stacks of a few hundred kB share the per-call costs of the sampler and
-# the wce core, where one stack per M took the peak RSS of the benchmark's
-# strata pass from 66 MB to 86 MB
+# multiply-adds of one kernel-sum tile's matmul, at most: OpenBLAS runs a
+# gemm of more than 4 * 65536 on its own threads, which would compete with
+# the worker pool's (a tile of 2^17 distances at 512 points was one)
+_GEMM_SIZE = 2**18
+
+# points of the stratified draws one strata_scaling pool task samples and
+# scores at once: stacks of a few hundred kB share the per-call costs of
+# the sampler and the wce core, where one stack per M took the peak RSS of
+# the benchmark's strata pass from 66 MB to 86 MB; each worker holds one
+# batch at a time, about 1.8 MB at 512 points per draw
 _STRATA_BATCH_POINTS = 2**13
 
 # cones drawn at once by mc_cone_discrepancy_oracle
@@ -220,36 +226,51 @@ def _upper_distance_row_sums(X):
     """s_bi = sum_{j > i} ||x_bi - x_bj|| over the rows of each set of the
     stack X (B, n, D), in O(B n) memory.
 
-    A tile holds at most _TILE_ELEMS distances: rows = min(n, _TILE_ELEMS
-    // n) rows of one set against their columns j >= i, for
-    _TILE_ELEMS // (rows n) sets at once.  A tile's squared distances
-    ||x||^2 + ||y||^2 - 2 x.y are one matmul per set of the rows
-    [-2x, 1, ||x||^2] with [y, ||y||^2, 1], clamped at 0; the rows' own
-    norms are used because directions may be off unit length by up to
-    spheremap._UNIT_TOL.  The diagonal block keeps its strict upper
-    triangle through one 0/1 mask made per call, and its sum is kept
-    apart from the rest of the row, so each set's sums are bitwise those
-    of a stack of one.
+    A tile holds rows <= cols rows of one set against cols of its
+    columns, with rows cols (D + 2) <= _GEMM_SIZE so that the tile's
+    matmul stays below OpenBLAS's threading size: whole rows (cols = n)
+    while one row fits, else column blocks of _GEMM_SIZE // (D + 2);
+    small sets share a tile, up to _GEMM_SIZE // (D + 2) distances in
+    all.  A row block meets the column blocks from its diagonal on, the
+    first holding its diagonal block, whose strict upper triangle is kept
+    through one 0/1 mask made per call; each column block's sums are
+    added to the rows' totals in column order, so each set's sums are
+    bitwise those of a stack of one.
+    A tile's squared distances ||x||^2 + ||y||^2 - 2 x.y are one matmul
+    per set of the rows [-2x, 1, ||x||^2] with the columns [y, ||y||^2,
+    1], clamped at 0; the rows' own norms are used because directions
+    may be off unit length by up to spheremap._UNIT_TOL.
     """
-    n = X.shape[1]
-    sq = np.einsum("bij,bij->bi", X, X)[..., None]
-    one = np.ones_like(sq)
-    left = np.concatenate([-2.0 * X, one, sq], axis=-1)
-    right = np.concatenate([X, sq, one], axis=-1)
-    rows = max(1, min(n, _TILE_ELEMS // n))
-    sets = max(1, _TILE_ELEMS // (rows * n))
+    B, n, D = X.shape
+    k = D + 2
+    cols = min(n, _GEMM_SIZE // k)
+    rows = min(cols, _GEMM_SIZE // (cols * k))
+    sets = _GEMM_SIZE // (rows * cols * k)
     upper = np.triu(np.ones((rows, rows)), 1)
-    out = np.empty(X.shape[:2])
-    for s in range(0, X.shape[0], sets):
+    out = np.empty((B, n))
+    for s in range(0, B, sets):
+        Y = X[s:s + sets]
+        sq = np.einsum("bij,bij->bi", Y, Y)
+        left = np.empty((len(Y), n, k))
+        np.multiply(Y, -2.0, out=left[..., :D])
+        left[..., D] = 1.0
+        left[..., D + 1] = sq
+        right = np.empty((len(Y), k, n))
+        right[:, :D] = Y.transpose(0, 2, 1)
+        right[:, D] = sq
+        right[:, D + 1] = 1.0
         t = slice(s, s + sets)
         for a in range(0, n, rows):
             b = min(a + rows, n)
-            d = left[t, a:b] @ right[t, a:].transpose(0, 2, 1)
-            np.maximum(d, 0.0, out=d)
-            np.sqrt(d, out=d)
-            diag = d[..., :b - a]
-            diag *= upper[:b - a, :b - a]
-            out[t, a:b] = diag.sum(axis=-1) + d[..., b - a:].sum(axis=-1)
+            for c in range(a, n, cols):
+                d = np.matmul(left[:, a:b], right[:, :, c:c + cols])
+                np.maximum(d, 0.0, out=d)
+                np.sqrt(d, out=d)
+                if c == a:
+                    d[..., :b - a] *= upper[:b - a, :b - a]
+                    out[t, a:b] = d.sum(axis=-1)
+                else:
+                    out[t, a:b] += d.sum(axis=-1)
     return out
 
 
@@ -610,10 +631,12 @@ def strata_scaling(p, M_list, seed, draws=0):
     M_list must be nonempty with distinct values; draws is 0 (formula
     only) or at least 2, so that the empirical standard error exists.
     seed seeds the draws only (draw i of each M from seed + 1000 + i);
-    the formula is deterministic.  The draws are sampled and scored in
-    batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
-    _stratified_draws and _wce_reports, bitwise the same as one
-    stratified_sample and one wce_nakagami call per draw.
+    the formula is deterministic.  The draws of every M are sampled and
+    scored in batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
+    _stratified_draws and _nakagami_reports, one task of the worker pool
+    per batch, and combined in batch order: bitwise the same for any
+    thread count, and as one stratified_sample and one wce_nakagami call
+    per draw.
     """
     if not M_list:
         raise ConfigurationError("need at least one M")
@@ -623,24 +646,30 @@ def strata_scaling(p, M_list, seed, draws=0):
         raise ConfigurationError(
             f"draws must be 0 or at least 2, got {draws}")
     rows = []
+    batches = []  # (partition, shells, seeds) per draw batch, in M order
     for M in M_list:
         part = equal_area_partition_s2(M)
         K = max(1, int(round(math.sqrt(M))))
         shells = radial_shells(p.mu, p.B, K)
         pred = stratified_expected_wce_sq(p, part, shells)
-        row = {"M": M, "K": K, "N": M * K, "formula": pred.value}
         if draws:
             seeds = range(seed + 1000, seed + 1000 + draws)
-            batch = max(1, _STRATA_BATCH_POINTS // (M * K))
-            vals = []
-            for a in range(0, draws, batch):
-                dirs, radii = _stratified_draws(part, shells,
-                                                seeds[a:a + batch])
-                vals += [r.wce**2
-                         for r in _nakagami_reports(p, radii, dirs)]
-            row["empirical"] = float(np.mean(vals))
-            row["empirical_se"] = float(np.std(vals, ddof=1) / math.sqrt(draws))
-        rows.append(row)
+            step = max(1, _STRATA_BATCH_POINTS // (M * K))
+            batches += [(part, shells, seeds[a:a + step])
+                        for a in range(0, draws, step)]
+        rows.append({"M": M, "K": K, "N": M * K, "formula": pred.value})
+
+    def score(i):
+        part, shells, batch_seeds = batches[i]
+        dirs, radii = _stratified_draws(part, shells, batch_seeds)
+        return [r.wce**2 for r in _nakagami_reports(p, radii, dirs)]
+
+    vals = [v for task in _pool_map(score, len(batches)) for v in task]
+    if draws:
+        for i, row in enumerate(rows):
+            v = vals[i * draws:(i + 1) * draws]
+            row["empirical"] = float(np.mean(v))
+            row["empirical_se"] = float(np.std(v, ddof=1) / math.sqrt(draws))
     logs_n = np.log([r["N"] for r in rows])
     logs_f = np.log([r["formula"] for r in rows])
     slope = float(np.polyfit(logs_n, logs_f, 1)[0]) if len(rows) > 1 else None

@@ -72,6 +72,13 @@ class TestPoints:
         _, rows = read_csv_text(out)
         assert rows.shape == (8, 2)
 
+    def test_sobol_polar_rejected(self, capsys):
+        # cube points have no radius; --polar was dropped silently
+        code, out, err = run_cli(["points", "--dim", "3", "--n", "4",
+                                  "--gen", "sobol", "--polar"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --polar needs lifted points")
+
     @pytest.mark.parametrize("gen", ["sphere", "sobol", "random"])
     def test_negative_count_exit_2(self, capsys, gen):
         code, out, err = run_cli(["points", "--dim", "3", "--n", "-1",

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from spherecone import finance
+from spherecone import _pool, finance
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.finance import (CONSTRUCTIONS, GENERATORS, TABLE_COLUMNS,
                                 OptionSpec, brownian_transform,
@@ -257,7 +257,7 @@ class TestReplicateThreads:
     size, and no thread may outlive a call."""
 
     def run_with_workers(self, monkeypatch, workers, fn):
-        monkeypatch.setattr(finance, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
         return fn()
 
     @pytest.mark.parametrize("gen", GENERATORS)
@@ -278,7 +278,7 @@ class TestReplicateThreads:
         assert tables[0] == tables[1]
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(finance, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 3)
         before = threading.active_count()
         price_option(SPEC, "standard", "sobol_inverse_normal", 64, 8, seed=0)
         experiment_table(SPEC, [256], seed=0, n_replicates=8)
@@ -286,7 +286,7 @@ class TestReplicateThreads:
 
     def test_worker_error_propagates(self, monkeypatch):
         # the sphere lift needs d >= 2; each replicate task raises
-        monkeypatch.setattr(finance, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 3)
         before = threading.active_count()
         one_step = OptionSpec(100.0, 100.0, 1.0, 0.2, 0.05, 1)
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import mpmath
@@ -263,21 +264,36 @@ def dense_sums(p, pts, c_d):
 
 def triu_row_sums_loop(X):
     """sum_{j > i} ||x_i - x_j|| for one set X (n, D) by the one-set tile
-    loop with np.triu on each diagonal block: the reference for the
-    stacked _upper_distance_row_sums."""
+    loop, a row block against column blocks from its diagonal on, with
+    np.triu on each diagonal block: the reference for the stacked
+    _upper_distance_row_sums."""
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)[:, None]
     one = np.ones_like(sq)
     left = np.hstack([-2.0 * X, one, sq])
-    right = np.hstack([X, sq, one])
-    rows = max(1, wce._TILE_ELEMS // n)
-    out = np.empty(n)
+    right = np.ascontiguousarray(np.hstack([X, sq, one]).T)
+    k = left.shape[1]
+    cols = min(n, wce._GEMM_SIZE // k)
+    rows = min(cols, wce._GEMM_SIZE // (cols * k))
+    out = np.zeros(n)
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        d = np.sqrt(np.maximum(left[a:b] @ right[a:].T, 0.0))
-        out[a:b] = (np.triu(d[:, :b - a], 1).sum(axis=1)
-                    + d[:, b - a:].sum(axis=1))
+        for c in range(a, n, cols):
+            d = np.sqrt(np.maximum(left[a:b] @ right[:, c:c + cols], 0.0))
+            if c == a:
+                d[:, :b - a] = np.triu(d[:, :b - a], 1)
+            out[a:b] += d.sum(axis=1)
     return out
+
+
+def strata_draws_peak():
+    """tracemalloc peak of 200 stratified draws at M = 64 (512 points)."""
+    tracemalloc.start()
+    try:
+        wce.strata_scaling(P232, [64], 3, 200)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTiledCore:
@@ -287,7 +303,7 @@ class TestTiledCore:
         # rows per tile: 3 and 7 leave a ragged last tile at n = 50 and
         # 1000, 1 runs one tile per row; None keeps the module's tile size
         if rows is not None:
-            monkeypatch.setattr(wce, "_TILE_ELEMS", rows * n)
+            monkeypatch.setattr(wce, "_GEMM_SIZE", rows * n * 5)
         p = P232
         pts = random_points(p, n, seed=20 + n)
         c_d = sphere_constants(p.d).C_d
@@ -315,16 +331,18 @@ class TestTiledCore:
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("sets, n, tile", [
-        (60, 50, None),   # 52 sets of 50 per tile: a ragged second tile
-        (7, 20, 3 * 400),  # 3 sets per tile
-        (3, 1000, None),  # 131 rows of one set per tile
+        (60, 50, None),   # 20 sets of 50 per tile
+        (7, 20, 3 * 400),  # 3 sets per tile: a ragged last tile
+        (3, 1000, None),  # 52 rows of one set per tile
         (4, 9, 4 * 9),    # 4 rows per tile, ragged at the end of each set
+        (2, 300, 128),    # one row by 128 columns: ragged column blocks
         (5, 1, None)])
     def test_stack_matches_per_set_loop(self, monkeypatch, sets, n, tile):
         # each set's row sums are bitwise the one-set tile loop's, which
-        # keeps the diagonal block's strict upper triangle by np.triu
+        # keeps the diagonal block's strict upper triangle by np.triu;
+        # tile is the distances a tile holds, (D + 2) per multiply-add
         if tile is not None:
-            monkeypatch.setattr(wce, "_TILE_ELEMS", tile)
+            monkeypatch.setattr(wce, "_GEMM_SIZE", tile * 5)
         rng = np.random.default_rng(sets * n)
         X = rng.standard_normal((sets, n, 3))
         X /= np.linalg.norm(X, axis=-1, keepdims=True)
@@ -333,6 +351,24 @@ class TestTiledCore:
             np.testing.assert_array_equal(got[b], triu_row_sums_loop(X[b]))
             np.testing.assert_array_equal(
                 got[b], wce._upper_distance_row_sums(X[b:b + 1])[0])
+
+    @pytest.mark.parametrize("sets, n", [(1, 1), (128, 64), (16, 512),
+                                         (2, 1000), (1, 8192)])
+    def test_tile_matmul_below_blas_threading(self, monkeypatch, sets, n):
+        # OpenBLAS runs a gemm of more than 4 * 65536 multiply-adds on its
+        # own threads, which would compete with the worker pool's
+        shapes = []
+        matmul = np.matmul
+
+        def recorded(a, b):
+            shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        X = np.random.default_rng(n).standard_normal((sets, n, 3))
+        wce._upper_distance_row_sums(X)
+        assert shapes
+        assert max(m * k * c for m, k, c in shapes) <= 2**18
 
     def test_stacked_kernel_sums_match_per_set(self):
         pts = [random_points(P232, 40, seed) for seed in (27, 28, 29)]
@@ -353,13 +389,13 @@ class TestTiledCore:
         # one batch per M held 22.6 MB; the batches of
         # _STRATA_BATCH_POINTS points stay near the one-draw-at-a-time
         # peak (1.8 MB)
-        tracemalloc.start()
-        try:
-            wce.strata_scaling(P232, [64], 3, 200)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert strata_draws_peak() < 8e6
+
+    def test_strata_draws_memory_bound_four_workers(self, monkeypatch):
+        # no more batches are in flight than workers, each about 1.8 MB
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(4)))
+        assert strata_draws_peak() < 8e6
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), seed=st.integers(0, 10**6),
