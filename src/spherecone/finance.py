@@ -19,9 +19,11 @@ replicates, the price of each replicate is its mean discounted payoff,
 and the reported estimate is the mean of replicate prices with their
 spread as the uncertainty.
 
-Replicates are drawn and priced on the worker pool of `_pool`, in
-tasks of consecutive replicates whose draws are stacked; each replicate
-is a pure function of (seed, replicate).
+Replicates are drawn and priced on the worker processes of `_pool`, one
+pool per call for the replicates of every generator, in tasks of
+consecutive replicates of one generator whose draws are stacked; each
+replicate is a pure function of (seed, replicate), and a task returns
+only its replicates' prices.
 """
 
 from __future__ import annotations
@@ -131,11 +133,9 @@ def brownian_transform(d_steps, T, kind):
     return PathConstruction(kind=kind, transform=A)
 
 
-# rows of the draw of one replicate task: the sphere lift of a 256-row
-# replicate is some 200 short numpy calls, which serialize on the
-# interpreter lock across the pool's threads, so a task stacks the draws
-# of replicates up to this many rows (2^10 rows was faster still, but
-# its working memory raised price-table's peak RSS by 8-10 %)
+# rows of the draw of one replicate task: each worker holds one task's
+# draw and its paths at a time, so this bounds the workers' memory
+# (2^10 rows raised price-table's peak RSS by 8-10 %)
 _TASK_ROWS = 2**9
 
 
@@ -200,35 +200,38 @@ def _price_columns(spec, columns, n_points, n_replicates, seed):
     """price_option for each (generator, construction) column, in the
     order given.
 
-    Each generator's replicates run on one thread pool: a task draws the
-    normals of _TASK_ROWS // n_points consecutive replicates (at least
-    one) in one stack, prices each replicate under every construction of
-    that generator's columns and drops them, so each draw serves all of
-    its generator's columns and no more than one task's draw per thread
-    is held at a time.
+    The replicates of every generator run on one worker pool: a task
+    draws the normals of _TASK_ROWS // n_points consecutive replicates
+    (at least one) of one generator in one stack, prices each replicate
+    under every construction of that generator's columns and returns
+    the prices, so each draw serves all of its generator's columns and
+    no more than one task's draw per worker is held at a time.
     """
+    generators = dict.fromkeys(g for g, _ in columns)
+    tables = {g: _check_draw(g, n_points, n_replicates) for g in generators}
+    pcs = {g: [brownian_transform(spec.d_steps, spec.T, c)
+               for c in dict.fromkeys(c for h, c in columns if h == g)]
+           for g in generators}
+    per_task = max(1, _TASK_ROWS // n_points)
+    starts = range(0, n_replicates, per_task)
+    tasks = [(g, start) for g in generators for start in starts]
+
+    def task_means(i):
+        generator, start = tasks[i]
+        reps = range(start, min(start + per_task, n_replicates))
+        Z = _replicate_normals(generator, spec.d_steps, n_points, seed,
+                               reps, tables[generator])
+        return [[float(_discounted_payoffs(
+            spec, Z[k * n_points:(k + 1) * n_points], pc.transform).mean())
+            for pc in pcs[generator]] for k in range(len(reps))]
+
+    results = _pool_map(task_means, len(tasks))
     estimates = {}
-    for generator in dict.fromkeys(g for g, _ in columns):
-        table = _check_draw(generator, n_points, n_replicates)
-        constructions = dict.fromkeys(c for g, c in columns if g == generator)
-        pcs = [brownian_transform(spec.d_steps, spec.T, c)
-               for c in constructions]
-
-        per_task = max(1, _TASK_ROWS // n_points)
-
-        def task_means(task):
-            reps = range(task * per_task,
-                         min((task + 1) * per_task, n_replicates))
-            Z = _replicate_normals(generator, spec.d_steps, n_points, seed,
-                                   reps, table)
-            return [[_discounted_payoffs(
-                spec, Z[i * n_points:(i + 1) * n_points], pc.transform).mean()
-                for pc in pcs] for i in range(len(reps))]
-
+    for j, generator in enumerate(generators):
+        own = results[j * len(starts):(j + 1) * len(starts)]
         # row i: construction i's replicate prices, in replicate order
-        tasks = _pool_map(task_means, -(-n_replicates // per_task))
-        means = np.array([rep for task in tasks for rep in task]).T
-        for pc, rep_means in zip(pcs, means):
+        means = np.array([rep for task in own for rep in task]).T
+        for pc, rep_means in zip(pcs[generator], means):
             sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
             estimates[generator, pc.kind] = PriceEstimate(
                 mean=float(rep_means.mean()), std_dev_across_replicates=sd,

@@ -68,9 +68,16 @@ _CANCEL_TOL = -1e-9
 # rule: 1 MB of doubles stays in cache
 _TILE_ELEMS = 2**17
 
+# values of one elementwise pass of the chord rule, at most: temporaries
+# below glibc's default mmap threshold (128 KiB, less room for a chunk
+# header) come from the heap, where larger ones are mapped and
+# page-faulted in anew on every call
+_HEAP_ELEMS = 2**14 - 64
+
 # multiply-adds of one kernel-sum tile's matmul, at most: OpenBLAS runs a
-# gemm of more than 4 * 65536 on its own threads, which would compete with
-# the worker pool's (a tile of 2^17 distances at 512 points was one)
+# gemm of more than 4 * 65536 on threads of its own, in every worker
+# process of the pool, which would then compete for the same CPUs (a tile
+# of 2^17 distances at 512 points was one)
 _GEMM_SIZE = 2**18
 
 # points of the stratified draws one strata_scaling pool task samples and
@@ -566,7 +573,8 @@ def _band_mean_chords(bands):
     h = sin c = 0; _chord_rule takes h = H u, dphi = D v and
     c = t0 + (H - h) tau, so its Duffy maps smooth both.  The weight
     is sin^2(c + h/2) - sin^2(h/2), one sine per node.  Bands are
-    evaluated together, at most _TILE_ELEMS nodes of the rule at a time.
+    summed together, at most _TILE_ELEMS nodes of the rule at a time,
+    and their integrand is evaluated at most _HEAP_ELEMS values at a time.
     """
     pieces = _chord_rule(_CHORD_NODES)
     t0, t1, m = (np.array(c, dtype=float)[:, None, None, None]
@@ -576,19 +584,26 @@ def _band_mean_chords(bands):
     full = m == 1
     dphi_max = np.where(full, np.pi, width)
     out = np.zeros(len(m))
-    rows = max(1, _TILE_ELEMS // (len(pieces) * _CHORD_NODES**3))
+    nodes = _CHORD_NODES**3
+    rows = max(1, _TILE_ELEMS // (len(pieces) * nodes))
+    # the integrand of a tile's bands, filled a few bands at a time
+    chord = np.empty((min(rows, len(m)), nodes))
+    step = max(1, _HEAP_ELEMS // nodes)
     for a in range(0, len(m), rows):
-        b = slice(a, a + rows)
+        tile = slice(a, min(a + rows, len(m)))
         for u, v, tau, jac in pieces:
-            h = height[b] * u
-            sin_h = np.sin(0.5 * h)**2
-            dphi = dphi_max[b] * v
-            omega = np.where(full[b], 2.0 * np.pi, width[b] - dphi)
-            span = height[b] - h
-            weight = np.sin(t0[b] + span * tau + 0.5 * h)**2 - sin_h
-            chord = np.sqrt(sin_h + weight * np.sin(0.5 * dphi)**2)
-            chord *= weight * omega * span
-            out[b] += chord.reshape(len(chord), -1) @ jac.ravel()
+            for c in range(tile.start, tile.stop, step):
+                b = slice(c, min(c + step, tile.stop))
+                h = height[b] * u
+                sin_h = np.sin(0.5 * h)**2
+                dphi = dphi_max[b] * v
+                omega = np.where(full[b], 2.0 * np.pi, width[b] - dphi)
+                span = height[b] - h
+                weight = np.sin(t0[b] + span * tau + 0.5 * h)**2 - sin_h
+                f = np.sqrt(sin_h + weight * np.sin(0.5 * dphi)**2)
+                f *= weight * omega * span
+                chord[c - a:b.stop - a] = f.reshape(len(f), -1)
+            out[tile] += chord[:tile.stop - a] @ jac.ravel()
     area = (2.0 * np.sin(0.5 * (t0 + t1)) * np.sin(0.5 * height)
             * width).ravel()
     return 8.0 * height.ravel() * dphi_max.ravel() / area**2 * out
@@ -633,10 +648,10 @@ def strata_scaling(p, M_list, seed, draws=0):
     seed seeds the draws only (draw i of each M from seed + 1000 + i);
     the formula is deterministic.  The draws of every M are sampled and
     scored in batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
-    _stratified_draws and _nakagami_reports, one task of the worker pool
-    per batch, and combined in batch order: bitwise the same for any
-    thread count, and as one stratified_sample and one wce_nakagami call
-    per draw.
+    _stratified_draws and _nakagami_reports.  Each M's formula and each
+    batch is one task of one worker pool, and the batches are combined
+    in batch order: bitwise the same for any worker count, and as one
+    stratified_sample and one wce_nakagami call per draw.
     """
     if not M_list:
         raise ConfigurationError("need at least one M")
@@ -645,26 +660,30 @@ def strata_scaling(p, M_list, seed, draws=0):
     if draws != 0 and draws < 2:
         raise ConfigurationError(
             f"draws must be 0 or at least 2, got {draws}")
-    rows = []
+    shapes = []  # (M, K, partition, shells) per M
     batches = []  # (partition, shells, seeds) per draw batch, in M order
     for M in M_list:
         part = equal_area_partition_s2(M)
         K = max(1, int(round(math.sqrt(M))))
         shells = radial_shells(p.mu, p.B, K)
-        pred = stratified_expected_wce_sq(p, part, shells)
+        shapes.append((M, K, part, shells))
         if draws:
             seeds = range(seed + 1000, seed + 1000 + draws)
             step = max(1, _STRATA_BATCH_POINTS // (M * K))
             batches += [(part, shells, seeds[a:a + step])
                         for a in range(0, draws, step)]
-        rows.append({"M": M, "K": K, "N": M * K, "formula": pred.value})
 
-    def score(i):
-        part, shells, batch_seeds = batches[i]
+    def task(i):
+        if i < len(shapes):
+            return stratified_expected_wce_sq(p, *shapes[i][2:]).value
+        part, shells, batch_seeds = batches[i - len(shapes)]
         dirs, radii = _stratified_draws(part, shells, batch_seeds)
         return [r.wce**2 for r in _nakagami_reports(p, radii, dirs)]
 
-    vals = [v for task in _pool_map(score, len(batches)) for v in task]
+    results = _pool_map(task, len(shapes) + len(batches))
+    vals = [v for batch in results[len(shapes):] for v in batch]
+    rows = [{"M": M, "K": K, "N": M * K, "formula": formula}
+            for (M, K, _, _), formula in zip(shapes, results)]
     if draws:
         for i, row in enumerate(rows):
             v = vals[i * draws:(i + 1) * draws]

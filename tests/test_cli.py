@@ -553,6 +553,16 @@ class TestConsoleScript:
         assert out.returncode == 0
         assert out.stdout.splitlines()[-1] == "0 False"
 
+    def test_import_leaves_out_multiprocessing(self):
+        # the worker pool imports it on first use; eagerly it adds some
+        # milliseconds to every start of the command
+        code = ("import sys, spherecone.cli; "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"
+
     def test_dirfile_env_var(self, tmp_path):
         f = tmp_path / "dirs.txt"
         f.write_text("2 1 0 1\n")

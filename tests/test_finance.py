@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import threading
 
 import numpy as np
@@ -232,7 +233,9 @@ class TestExperimentTable:
                 for g, c in TABLE_COLUMNS]
 
     def test_columns_keep_order_and_share_draws(self, monkeypatch):
-        # non-adjacent columns of a generator still share one draw each
+        # non-adjacent columns of a generator still share one draw each;
+        # on one worker, so that the recording list sees every draw
+        monkeypatch.setattr(_pool, "_worker_count", lambda: 1)
         columns = [("sphere_normal", "pca"), ("mc", "standard"),
                    ("sphere_normal", "standard"),
                    ("sobol_inverse_normal", "pca")]
@@ -253,8 +256,8 @@ class TestExperimentTable:
 
 
 class TestReplicateThreads:
-    """Replicates run on a thread pool; results must not depend on its
-    size, and no thread may outlive a call."""
+    """Replicates run on a pool of worker processes; results must not
+    depend on its size, and no process or thread may outlive a call."""
 
     def run_with_workers(self, monkeypatch, workers, fn):
         monkeypatch.setattr(_pool, "_worker_count", lambda: workers)
@@ -283,6 +286,7 @@ class TestReplicateThreads:
         price_option(SPEC, "standard", "sobol_inverse_normal", 64, 8, seed=0)
         experiment_table(SPEC, [256], seed=0, n_replicates=8)
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
     def test_worker_error_propagates(self, monkeypatch):
         # the sphere lift needs d >= 2; each replicate task raises
@@ -292,3 +296,4 @@ class TestReplicateThreads:
         with pytest.raises(DomainError):
             price_option(one_step, "standard", "sphere_normal", 16, 4, 0)
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []

@@ -1,8 +1,9 @@
 """The worker pool: results must not depend on the CPU count the process
-may use, no thread may outlive a call, errors propagate, and pools do
-not nest."""
+may use or on whether it can fork, no process or thread may outlive a
+call, errors propagate, and pools do not nest."""
 
 import contextvars
+import multiprocessing
 import os
 import threading
 
@@ -52,6 +53,7 @@ def test_no_thread_outlives_strata(cpus):
     before = threading.active_count()
     wce.strata_scaling(P232, [16, 64], seed=0, draws=40)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_error_propagates(cpus, monkeypatch):
@@ -69,19 +71,40 @@ def test_batch_error_propagates(cpus, monkeypatch):
     with pytest.raises(NumericError, match="batch failed"):
         wce.strata_scaling(P232, [16, 64], seed=0, draws=40)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
-def test_nested_call_runs_on_task_thread(cpus):
+def test_nested_call_runs_in_task_process(cpus):
     cpus(4)
     var = contextvars.ContextVar("caller_value")
     var.set("caller")
 
     def task(i):
-        inner = _pool_map(lambda j: (threading.get_ident(), var.get()), 3)
-        return threading.get_ident(), inner
+        inner = _pool_map(lambda j: (os.getpid(), var.get()), 3)
+        return os.getpid(), inner
 
     results = _pool_map(task, 4)
     assert [len(inner) for _, inner in results] == [3] * 4
-    for ident, inner in results:
-        assert inner == [(ident, "caller")] * 3
-    assert threading.get_ident() not in {ident for ident, _ in results}
+    for pid, inner in results:
+        assert inner == [(pid, "caller")] * 3
+    assert os.getpid() not in {pid for pid, _ in results}
+
+
+def test_serial_where_fork_is_unavailable(cpus, monkeypatch):
+    def run():
+        return (experiment_table(SPEC, [256, 512], seed=1, n_replicates=8),
+                wce.strata_scaling(P232, [9, 16, 64], seed=5, draws=37))
+
+    cpus(1)
+    serial = run()
+    cpus(4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+
+    def no_start(process):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_start)
+    assert run() == serial
+    assert multiprocessing.active_children() == []
