@@ -15,20 +15,16 @@ indices and results are pickled, so results should be small (lists of
 floats).  A task's BLAS calls must stay below OpenBLAS's own threading
 size (see wce._GEMM_SIZE), or its threads compete with the workers.
 
-Pools do not nest: the initializer flags the worker, and a pool call
-made inside a task runs its tasks serially in that task's process.
+Pools do not nest: a pool call made inside a task (where the worker's
+task function is set) runs its tasks serially in that task's process.
 Where fork is unavailable, every pool call runs serially.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 
-# set in the pool's worker processes by their initializer
-_IN_TASK = contextvars.ContextVar("spherecone_in_pool_task", default=False)
-
-# the task function of this worker process, set by its initializer
+# the task function of a pool worker, set by its initializer; else None
 _task_fn = None
 
 
@@ -41,10 +37,9 @@ def _worker_count():
 
 
 def _init_worker(fn):
-    """Make fn this worker's task function and flag the worker."""
+    """Make fn this worker's task function."""
     global _task_fn
     _task_fn = fn
-    _IN_TASK.set(True)
 
 
 def _run_task(i):
@@ -58,7 +53,7 @@ def _pool_map(fn, n):
     exception raised by fn propagates, and the tasks not yet started are
     cancelled."""
     workers = min(_worker_count(), n)
-    if workers <= 1 or _IN_TASK.get():
+    if workers <= 1 or _task_fn is not None:
         return [fn(i) for i in range(n)]
     # imported here, not with the package: they add 5-8 ms to every
     # start of the command

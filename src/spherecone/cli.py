@@ -118,6 +118,8 @@ def cmd_wce(args):
 
 
 def cmd_rms_wce(args):
+    if args.N < 0:
+        raise ConfigurationError(f"--N must be >= 0, got {args.N}")
     p = _kernel_params(args, args.d)
     out = {"iid_constant": wce.rms_wce_iid(p)}
     if args.N:
@@ -173,6 +175,8 @@ _GEN_ALIASES = {"mc": "mc", "sobol": "sobol_inverse_normal",
 
 def cmd_price(args):
     spec = _option_spec(args)
+    if args.reps < 1:
+        raise ConfigurationError(f"--reps must be at least 1, got {args.reps}")
     if args.N % args.reps:
         raise ConfigurationError(
             f"N={args.N} not divisible by reps={args.reps}")
@@ -196,10 +200,9 @@ def cmd_table(args):
     return 0
 
 
-def _add_common(sp, output=True, dirfile=False, seed_help=None):
+def _add_common(sp, dirfile=False, seed_help=None):
     sp.add_argument("--seed", type=int, default=0, help=seed_help)
-    if output:
-        sp.add_argument("--output", default=None)
+    sp.add_argument("--output", default=None)
     if dirfile:
         sp.add_argument("--dirfile", default=None,
                         help="direction-number file overriding the "

@@ -4,11 +4,11 @@ Regularized incomplete gamma/beta functions, the gamma inverses, the
 sphere map's height inverse, the chi quantile and the inverse normal CDF.
 All functions are pure, accept floats or numpy arrays, and raise
 :class:`DomainError` on invalid input.  Evaluation is delegated to
-scipy.special, except the sphere height on the half-integer grid, which
-Halley steps on the closed-form Wallis CDF solve (off the grid it comes
-from scipy's Student-t quantile); the test suite checks every function
-against independent adaptive-quadrature and bisection oracles, and the
-sphere height against mpmath.
+scipy.special, except the sphere height, which Halley steps on the CDF
+solve: on the half-integer grid with the closed-form Wallis CDF, and
+off it (and in every lower tail) with scipy's betainc; the test suite
+checks every function against independent adaptive-quadrature and
+bisection oracles, and the sphere height against mpmath.
 """
 
 from __future__ import annotations
@@ -44,20 +44,23 @@ _TINY = 1e-300
 _U_CAP = 1.0 - 2.0**-32
 _U_FLOOR = 2.0**-33
 
-# On the half-integer grid (2a = q an integer), sphere_height solves
-# F(phi) = v for the colatitude phi (see _wallis_height):
-# - the forward Wallis form of F serves roots above sin^2 phi =
-#   _FORWARD_S2 where its rounding, about (1 + m/9) _EPS_HALF in F,
-#   moves the height by less than _FORWARD_DT;
-# - scipy's betainc serves each column's lower tail below that, from
-#   the first Halley step where v < _FORWARD_V (there the forward form's
-#   rounding exceeds 1e-6 of F) and from the last step elsewhere;
+# sphere_height solves F(phi) = v for the colatitude phi (see
+# _wallis_height):
+# - on the half-integer grid (2a = q an integer), the forward Wallis
+#   form of F serves roots above sin^2 phi = _FORWARD_S2 where its
+#   rounding, about (1 + m/9) _EPS_HALF in F, moves the height by less
+#   than _FORWARD_DT;
+# - scipy's betainc serves the rest, and every root off the grid, from
+#   the first Halley step off the grid and where v < _FORWARD_V (there
+#   the forward form's rounding exceeds 1e-6 of F), else from the last;
 # - the positive series serves the v, or roots x, below _SERIES_V, where
 #   betainc loses digits to underflow (1e-7 of F at a = 30, v = 1e-290);
 #   _SERIES_TERMS terms reach 2^-56 of its first at sin^2 phi = 1/2.
 # Halley steps start from the leading small-phi term where that term
 # puts sin^2 phi below _LEAD_S2, and from a Cornish-Fisher t-quantile
-# elsewhere.
+# elsewhere; below q = 1 (off the grid), where that series in 1/q fails,
+# from the leading term below _LEAD_S2_SMALL and from the median's
+# Taylor series F ~ 1/2 - (d - n d^3/6) / S_n(pi), d = pi/2 - phi, above.
 _FORWARD_S2 = 0.5
 _FORWARD_DT = 1e-15
 _EPS_HALF = 2.0**-53
@@ -65,6 +68,7 @@ _FORWARD_V = 1e-9
 _SERIES_V = 1e-250
 _SERIES_TERMS = 56
 _LEAD_S2 = 0.2
+_LEAD_S2_SMALL = 0.5
 # elements per block of the on-grid solve, which bounds its temporaries
 _BLOCK = 2**15
 # T / z = sum_j w^j sum_l _CORNISH_FISHER[j, l] / q^l with w = z^2 for
@@ -76,12 +80,6 @@ _CORNISH_FISHER = np.array([
     [0.0, 0.0, 5 / 96, 19 / 384, 1482 / 92160],
     [0.0, 0.0, 0.0, 3 / 384, 776 / 92160],
     [0.0, 0.0, 0.0, 0.0, 79 / 92160]])
-
-# off the grid, below _TAIL_V, sphere_height takes the leading small-x
-# term of I_x(a, a) where it puts the root x below _TAIL_X; stdtrit stays
-# elsewhere, within 3e-16 at a = 29/2 for u = 1e-100 ... 1e-230
-_TAIL_V = 1e-100
-_TAIL_X = 1e-20
 
 
 def _like_input(x, out):
@@ -177,11 +175,10 @@ def sphere_height(u, a):
 
     With x = sin^2(phi / 2) the height is cos phi and the scale sin phi,
     and I_x(a, a) = F(phi) = S_n(phi) / S_n(pi) with n = 2a - 1 and
-    S_n(phi) = int_0^phi sin^n.  When 2a is an integer (every shape the
-    sphere map uses), two Halley steps on log F solve for phi directly
-    (_wallis_height), so that the scale keeps its relative accuracy near
-    the poles.  Otherwise the height comes through the Student-t identity
-    I_x(a, a) = F_t(T; 2a) (_student_height).
+    S_n(phi) = int_0^phi sin^n.  Two Halley steps on log F solve for phi
+    directly (_wallis_height), so that the scale keeps its relative
+    accuracy near the poles; F comes in closed form when 2a is an integer
+    (every shape the sphere map uses), and from betainc otherwise.
     a broadcasts against u (one shape per column of a batch).  u lies in
     [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
     gives (+0.0, 1).  Returns the pair (t, scale).
@@ -192,7 +189,7 @@ def sphere_height(u, a):
     if _any(~((u_arr >= 0.0) & (u_arr <= 1.0))):
         raise DomainError(f"u must be in [0, 1], got {u!r}")
     q = 2.0 * np.asarray(a, dtype=float)
-    # both solvers work from the lower tail, so that t(1 - u) = -t(u)
+    # the solver works from the lower tail, so that t(1 - u) = -t(u)
     # exactly, on a 2-D view with one shape per column: the last axis
     # when a is a scalar or a row, else one column per element
     v = np.minimum(u_arr, 1.0 - u_arr)
@@ -206,78 +203,35 @@ def sphere_height(u, a):
     else:
         v2 = np.broadcast_to(v, shape).reshape(1, -1)
         q2 = np.broadcast_to(q, shape).reshape(-1)
-    grid = q2 % 1 == 0
-    if grid.all():
-        height, scale = _wallis_height(v2, q2)
-    elif not grid.any():
-        height, scale = _student_height(v2, q2)
-    else:
-        height, scale = np.empty(v2.shape), np.empty(v2.shape)
-        height[:, grid], scale[:, grid] = _wallis_height(v2[:, grid],
-                                                         q2[grid])
-        height[:, ~grid], scale[:, ~grid] = _student_height(v2[:, ~grid],
-                                                            q2[~grid])
+    height, scale = _wallis_height(v2, q2)
     # the sign of 1/2 - u, which is +0.0 at u = 1/2
     t = np.copysign(height.reshape(shape), 0.5 - u_arr)
     return _like_input(t, t), _like_input(t, scale.reshape(shape))
 
 
-def _student_height(v, nu):
-    """Height and scale for the lower-tail v <= 1/2 at 2a = nu off the
-    half-integer grid: T = -stdtrit(nu, v) with one Newton step on stdtr,
-    t = T / r and scale sqrt(nu) / r with r = sqrt(nu + T^2).
-
-    stdtrit alone is 1e-13 off there (x at a = 1.482, u = 0.803).  Below
-    v = _TAIL_V, where the leading small-x term x^a / (a B(a, a)) puts x
-    below _TAIL_X, t is 1 and the scale 2 sqrt(x) comes from that term.
-    """
-    # stdtrit gives +inf rather than -inf at 0 (and below about 2^-787),
-    # so only its magnitude is used
-    m = np.abs(sp.stdtrit(nu, v))
-    with np.errstate(all="ignore"):
-        pdf = ((1.0 + m * m / nu) ** (-0.5 * (nu + 1.0))
-               / (np.sqrt(nu) * sp.beta(0.5 * nu, 0.5)))
-        new = m + (sp.stdtr(nu, -m) - v) / pdf
-    # stdtrit's value stands at the poles and where the pdf underflows
-    m = np.where(np.isfinite(new), new, m)
-    root = np.sqrt(nu)
-    r = np.hypot(root, m)
-    with np.errstate(invalid="ignore"):  # inf / inf at the poles
-        height = np.where(np.isinf(m), 1.0, m / r)
-    scale = root / r
-    # far in the tails stdtrit is wrong (by a factor 2 in the scale at
-    # a = 3/2, u <= 1e-170), and below x = _TAIL_X the leading term is
-    # exact to double precision
-    tail = v < _TAIL_V
-    if tail.any():
-        tail_scale = _tail_scale(v[tail], np.broadcast_to(0.5 * nu,
-                                                          v.shape)[tail])
-        small = tail_scale < 2.0 * math.sqrt(_TAIL_X)
-        height[tail] = np.where(small, 1.0, height[tail])
-        scale[tail] = np.where(small, tail_scale, scale[tail])
-    return height, scale
-
-
 def _wallis_height(v, q):
     """cos phi and sin phi of the root phi in [0, pi/2] of F(phi) = v for
-    the lower tail v (rows, k) <= 1/2 and integers q = 2a (k,).
+    the lower tail v (rows, k) <= 1/2 and shapes q = 2a > 0 (k,).
 
-    The Wallis recursion S_n = ((n-1)/n) S_{n-2} - sin^(n-1) cos / n
-    gives F in closed form: phi/pi - c s P(s^2) for even n and
-    (1 - c)/2 - c s^2 P(s^2) for odd n, with s = sin phi, c = cos phi and
-    P a polynomial of degree floor(n/2) - 1 whose coefficients depend
-    only on the parity of n.  This forward form cancels where F is small,
-    so each column's lower tail, below v_sub, takes F from betainc.
-    F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi), so each Halley
-    step on log F costs one evaluation of F.
+    For integers q the Wallis recursion S_n = ((n-1)/n) S_{n-2} -
+    sin^(n-1) cos / n gives F in closed form: phi/pi - c s P(s^2) for
+    even n and (1 - c)/2 - c s^2 P(s^2) for odd n, with s = sin phi,
+    c = cos phi and P a polynomial of degree floor(n/2) - 1 whose
+    coefficients depend only on the parity of n.  This forward form
+    cancels where F is small, so each column's lower tail, below v_sub,
+    takes F from betainc, as does every column off the grid (v_sub = 1).
+    F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n,
+    so each Halley step on log F costs one evaluation of F.
     """
     # the constants once per distinct q (a call with one column per
-    # element repeats them), and the columns in the order of q
+    # element repeats them), and the columns in the order of the number
+    # m of coefficients of P (none off the grid), then of q
     q_set, col = np.unique(q, return_inverse=True)
-    order = np.argsort(col, kind="stable")
-    q, col = q[order], col[order]
+    off = q % 1 != 0
+    m = np.where(off, 0.0, np.floor((q - 1.0) / 2.0))
+    order = np.lexsort((col, m))
+    q, col, m, off = q[order], col[order], m[order], off[order]
     n = q - 1.0
-    m = np.floor(n / 2.0)  # the number of coefficients of P
     s_set = sp.beta(0.5, 0.5 * q_set)  # S_n(pi)
     big_s = s_set[col]
     beta = _central_binomials(int(m.max()) + 1)[1:]
@@ -294,14 +248,15 @@ def _wallis_height(v, q):
     # slope s^(n-1) / S_n(pi) of F in t; v_sub is F where the move
     # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher
     n_set = q_set - 1.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         s_fwd = np.where(n_set > 1.0, (
             s_set * (1.0 + np.floor(n_set / 2.0) / 9.0) * _EPS_HALF
             / _FORWARD_DT) ** (1.0 / (n_set - 1.0)), 0.0)
     # x = (1 - cos phi) / 2 at that sin^2 phi
     x_sub = 0.5 * (1.0 - np.sqrt(1.0 - np.clip(s_fwd * s_fwd, _FORWARD_S2,
                                                 1.0)))
-    v_sub = sp.betainc(0.5 * q_set, 0.5 * q_set, x_sub)[col][:, None]
+    v_sub = np.where(off, 1.0, sp.betainc(0.5 * q_set, 0.5 * q_set,
+                                          x_sub)[col])[:, None]
     even, n_col, s_col, q_col = ((n % 2 == 0)[:, None], n[:, None],
                                  big_s[:, None], q[:, None])
     base = np.where(even, 1.0 / np.pi, 0.5)  # phi/pi or (1 - c)/2
@@ -338,7 +293,7 @@ def _wallis_height(v, q):
         vb = v[r:r + rows].T[order]
         tail = np.nonzero(vb < v_sub)
         v_tail, a_tail = vb[tail], 0.5 * q[tail[0]]
-        low = v_tail < _FORWARD_V
+        low = (v_tail < _FORWARD_V) | off[tail[0]]
         first = (tail[0][low], tail[1][low]), v_tail[low], a_tail[low]
         # the forward form fails in the tails, where betainc replaces it,
         # and the series below _SERIES_V overwrites both
@@ -346,13 +301,19 @@ def _wallis_height(v, q):
             s, c = _cornish_fisher(vb, q_col)
             phi = np.arctan2(s, c)
             lead = _tail_scale(v_tail, a_tail)
-            deep = lead * lead < _LEAD_S2
-            if deep.any():
-                a_d, s_d = a_tail[deep], lead[deep]
-                # the leading term with the series' second term folded in
-                phi_d = np.arcsin(s_d * (1.0 + a_d * s_d * s_d
-                                         / (2.0 * a_d + 2.0))**(-0.5 / a_d))
-                at = tail[0][deep], tail[1][deep]
+            small = a_tail < 0.5
+            deep = lead * lead < np.where(small, _LEAD_S2_SMALL, _LEAD_S2)
+            own = deep | small
+            if own.any():
+                a_d, s_d = a_tail[own], lead[own]
+                d = (0.5 - v_tail[own]) * big_s[tail[0][own]]
+                # the leading term with the series' second term folded
+                # in, or the median's Taylor series in pi/2 - phi
+                phi_d = np.where(deep[own], np.arcsin(
+                    s_d * (1.0 + a_d * s_d * s_d / (2.0 * a_d + 2.0))
+                    ** (-0.5 / a_d)),
+                    0.5 * np.pi - d - (2.0 * a_d - 1.0) * d**3 / 6.0)
+                at = tail[0][own], tail[1][own]
                 phi[at], s[at], c[at] = phi_d, np.sin(phi_d), np.cos(phi_d)
             # where the root's v or x ~ lead^2 / 4 underflows
             series = np.minimum(v_tail, lead * lead) < _SERIES_V
@@ -377,14 +338,15 @@ def _wallis_series_root(v, q, lead, phi):
     Sigma = sum_k C(2k, k) 4^-k s^(2k) / (q + 2k) of int_0^s w^n dw /
     sqrt(1 - w^2), and log(F / v) = q log(s / lead) + log(q Sigma), as
     lead^q = q S_n(pi) v (_tail_scale forms lead without v^(1/q), which
-    loses the subnormal v's digits).  v = 0 gives the pole (1, 0).
+    loses the subnormal v's digits).  lead = 0, at v = 0 or where lead
+    underflows (below q = 1), gives the pole (1, 0).
     """
     def residual(phi, s, c, last):
         sigma = _wallis_series(s, q)
         return q * np.log(s / lead) + np.log(q * sigma), 1.0 / sigma
 
     c, s = _halley(phi, np.sin(phi), np.cos(phi), q - 1.0, residual)
-    pole = v == 0.0
+    pole = lead == 0.0
     c[pole], s[pole] = 1.0, 0.0
     return c, s
 

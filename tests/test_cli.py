@@ -243,6 +243,12 @@ class TestRmsWce:
             wce.rms_wce_iid(p) / 10)
         assert payload["fixed_directions_expected_wce_sq"] > 0
 
+    def test_negative_n_exit_2(self, capsys):
+        code, out, err = run_cli(["rms-wce", "--mu", "1.5", "--A", "1.5",
+                                  "--B", "3", "--N", "-4"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --N must be >= 0, got -4\n"
+
     def test_dimension_mismatch_exit_2(self, capsys, tmp_path):
         path = tmp_path / "pts5.csv"
         cli.main(["points", "--dim", "5", "--n", "8", "--gen", "sphere",
@@ -363,6 +369,12 @@ class TestPriceAndTable:
         code, _, err = run_cli(["price", "--N", "100", "--reps", "8"],
                                capsys)
         assert code == 2 and "error" in err
+
+    def test_zero_reps_exit_2(self, capsys):
+        code, out, err = run_cli(["price", "--N", "100", "--reps", "0"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --reps must be at least 1, got 0\n"
 
     def test_replicate_task_error_exit_2(self, capsys):
         # the sphere lift of a one-step path raises inside each replicate

@@ -281,6 +281,28 @@ class TestSphereHeight:
         for i in range(len(a)):
             x_ref = (1 - sphere_height_mpmath(u[i], a[i], dps=40)[0]) / 2
             assert abs(x[i] / x_ref - 1) <= 1e-15, (u[i], a[i])
+        # below a = 1, first two draws where a Cornish-Fisher start leaves
+        # both Halley steps 2e-14 (a = 0.3) and 6e-15 (a = 0.304) off;
+        # below a = 0.3 the root is worse conditioned near the median,
+        # where F is flat in t (slope 1/B(1/2, a), 0.03 at a = 0.05), and
+        # that start gives NaN there below a = 0.12.  The oracle runs at
+        # v = min(u, 1 - u), as its double start rounds roots x within
+        # 1e-16 of 1 to 1
+        a_low = np.concatenate([[0.3, 0.3036857131959023],
+                                rng.uniform(0.3, 1.0, 40)])
+        u_low = np.concatenate([[0.243, 0.30391802901193854],
+                                rng.uniform(0.0, 1.0, 40)])
+        a_small, u_small = rng.uniform(0.05, 0.3, 40), rng.random(40)
+        for a, u, bound in ((a_low, u_low, 2e-15),
+                            (a_small, u_small, 1e-14)):
+            t, scale = specfun.sphere_height(u, a)
+            for i in range(len(a)):
+                t_ref, scale_ref = sphere_height_mpmath(
+                    min(u[i], 1.0 - u[i]), a[i], dps=40)
+                t_ref = t_ref if u[i] <= 0.5 else -t_ref
+                assert abs(t[i] - t_ref) <= bound, (u[i], a[i])
+                assert abs(scale[i] - scale_ref) <= bound * scale_ref, (
+                    u[i], a[i])
 
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 14.5])
     def test_poles_and_median(self, a):
@@ -300,6 +322,8 @@ class TestSphereHeight:
                      (0.75, 1e-230), (0.75, 1e-300)):
             t, scale = specfun.sphere_height(u, a)
             assert t == 1.0 and 0.0 < scale < 1e-50
+        # below a = 1/2 the scale itself underflows there: the pole
+        assert specfun.sphere_height(1e-300, 0.4) == (1.0, 0.0)
 
     @pytest.mark.parametrize("a", [0.75, 1.5, 2.0, 5.0, 14.5, 30.0])
     def test_far_lower_tail_against_mpmath(self, a):
@@ -323,14 +347,15 @@ class TestSphereHeight:
         np.testing.assert_array_equal(scale, scale_ref)
 
     def test_columns_broadcast(self):
-        # one call over a block equals one call per column
+        # one call over a block equals one call per column, on the grid
+        # and with shapes off it among the columns
         u = np.random.default_rng(13).random((64, 5))
-        a = np.array([1.5, 2.0, 3.0, 3.5, 9.0])
-        t, scale = specfun.sphere_height(u, a)
-        for j in range(5):
-            t_j, scale_j = specfun.sphere_height(u[:, j], a[j])
-            np.testing.assert_array_equal(t[:, j], t_j)
-            np.testing.assert_array_equal(scale[:, j], scale_j)
+        for a in ([1.5, 2.0, 3.0, 3.5, 9.0], [1.5, 1.482, 2.0, 0.7, 9.0]):
+            t, scale = specfun.sphere_height(u, np.array(a))
+            for j in range(5):
+                t_j, scale_j = specfun.sphere_height(u[:, j], a[j])
+                np.testing.assert_array_equal(t[:, j], t_j)
+                np.testing.assert_array_equal(scale[:, j], scale_j)
         # and empty blocks keep their shape
         for shape in ((0, 5), (4, 0)):
             t, scale = specfun.sphere_height(np.empty(shape),
