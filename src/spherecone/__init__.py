@@ -9,10 +9,9 @@ from .spheremap import (SpacePoints, RadialShells, SpherePartition,
                         radial_shells, equal_area_partition_s2,
                         stratified_sample)
 from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
-                  kernel_K, w_kr_psi, w_kernel, wce_nakagami,
-                  wce_isotropic_general, mc_cone_discrepancy_oracle,
-                  wce_sphere_cap, rms_wce_iid, rms_wce_fixed_directions,
-                  expected_wce_sq_permutation, radial_discrepancy,
+                  w_kr_psi, w_kernel, wce_nakagami,
+                  mc_cone_discrepancy_oracle, rms_wce_iid,
+                  rms_wce_fixed_directions, expected_wce_sq_permutation,
                   stratified_expected_wce_sq, lambda_k)
 from .finance import (OptionSpec, PathConstruction, PriceEstimate,
                       brownian_transform, price_option, mc_reference_price,

@@ -45,7 +45,6 @@ __all__ = [
     "PathConstruction",
     "PriceEstimate",
     "brownian_transform",
-    "min_matrix_eigenvalues",
     "price_option",
     "mc_reference_price",
     "experiment_table",
@@ -105,13 +104,6 @@ class PriceEstimate:
     def std_error(self):
         """Standard error of the mean of replicate prices."""
         return self.std_dev_across_replicates / math.sqrt(self.n_replicates)
-
-
-def min_matrix_eigenvalues(d, dt):
-    """Analytic spectrum of the dt*min(i,j) matrix, sorted descending:
-    lambda_k = (dt/4) / sin^2((2k-1) pi / (2(2d+1)))."""
-    k = np.arange(1, d + 1)
-    return (dt / 4.0) / np.sin((2 * k - 1) * np.pi / (2.0 * (2 * d + 1)))**2
 
 
 def brownian_transform(d_steps, T, kind):
@@ -280,11 +272,16 @@ def experiment_table(spec, N_list, seed, n_replicates=128):
     """
     header = ["N", "mc", "sobol_standard", "sobol_pca",
               "sphere_standard", "sphere_pca"]
-    rows = []
+    if not N_list:
+        raise ConfigurationError("need at least one N")
     for N in N_list:
+        if N < 1:
+            raise ConfigurationError(f"N must be at least 1, got {N}")
         if N % n_replicates:
             raise ConfigurationError(
                 f"N={N} not divisible by {n_replicates} replicates")
+    rows = []
+    for N in N_list:
         ests = _price_columns(spec, TABLE_COLUMNS, N // n_replicates,
                               n_replicates, seed)
         rows.append([float(N)] + [est.std_error for est in ests])

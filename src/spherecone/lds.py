@@ -34,9 +34,14 @@ _MAX_INDEX = 2**31
 
 def _rng(*keys):
     """Philox generator seeded with the integer key sequence ``keys``;
-    every seeded random stream of the package comes from here."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(k) for k in keys])))
+    every seeded random stream of the package comes from here.  A
+    negative key raises ConfigurationError."""
+    keys = [int(k) for k in keys]
+    for k in keys:
+        if k < 0:
+            raise ConfigurationError(
+                f"seed keys must be non-negative integers, got {k}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
 
 
 class DirectionNumberTable:

@@ -27,7 +27,6 @@ __all__ = [
     "inv_reg_gamma_q",
     "reg_beta_i",
     "sphere_height",
-    "chi_cdf",
     "chi_quantile",
     "normal_cdf",
     "inv_normal_cdf",
@@ -425,12 +424,6 @@ def _tail_scale(v, a):
     j = np.rint((k - r) / q).astype(int)
     return np.ldexp(2.0 * (f * a)**(1.0 / q) * np.exp(sp.betaln(a, a) / q)
                     * np.exp2(r / q), j)
-
-
-def chi_cdf(dof, x):
-    """CDF of the chi distribution with `dof` degrees of freedom."""
-    _check_positive_int("dof", dof)
-    return reg_gamma_p(dof / 2.0, np.square(x) / 2.0)
 
 
 def chi_quantile(dof, u):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .lds import _cube_points, _rng
 from .specfun import (_U_CAP, _U_FLOOR, _check_positive_int, _like_input,
-                      chi_quantile, inv_normal_cdf, reg_beta_i, reg_gamma_q,
+                      chi_quantile, inv_normal_cdf, reg_beta_i,
                       inv_reg_gamma_q, inv_reg_gamma_p, sphere_height)
 
 __all__ = [
@@ -200,14 +200,6 @@ class RadialShells:
     B: float
     K: int
 
-    def shell_mass(self, k):
-        """Mass of shell k (1-based) under the density; should be 1/K."""
-        lo = 0.0 if k == 1 else self.boundaries[k - 2]
-        c = self.mu / self.B
-        upper = (reg_gamma_q(self.mu, c * self.boundaries[k - 1] ** 2)
-                 if k < self.K else 0.0)
-        return reg_gamma_q(self.mu, c * lo**2) - upper
-
     def sample_radius(self, k, u):
         """Radius at conditional quantile u within shell k (1-based)."""
         p = (k - 1 + np.asarray(u, dtype=float)) / self.K
@@ -240,10 +232,6 @@ class SpherePartition:
     cells: np.ndarray
     bands: list
     M: int
-
-    def cell_area(self, i):
-        t0, t1, p0, p1 = self.cells[i]
-        return (np.cos(t0) - np.cos(t1)) * (p1 - p0) / (4.0 * np.pi)
 
 
 def equal_area_partition_s2(M):

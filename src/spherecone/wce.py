@@ -42,20 +42,14 @@ __all__ = [
     "WceReport",
     "StratifiedWcePrediction",
     "sphere_constants",
-    "kernel_K",
-    "kernel_psi_integral",
     "phi_cdf",
-    "phi_psi_integral",
     "w_kr_psi",
     "w_kernel",
     "wce_nakagami",
-    "wce_isotropic_general",
     "mc_cone_discrepancy_oracle",
-    "wce_sphere_cap",
     "rms_wce_iid",
     "rms_wce_fixed_directions",
     "expected_wce_sq_permutation",
-    "radial_discrepancy",
     "stratified_expected_wce_sq",
     "strata_scaling",
     "lambda_k",
@@ -149,23 +143,6 @@ def psi_tail(p, rho):
     return reg_gamma_q(p.mu, (p.mu / p.B) * np.asarray(rho, dtype=float)**2)
 
 
-def psi_density(p, r):
-    """Nakagami radial density with shape mu and spread B."""
-    r = np.asarray(r, dtype=float)
-    c = p.mu / p.B
-    return (2.0 / math.gamma(p.mu)) * c**p.mu * r**(2 * p.mu - 1) * np.exp(
-        -c * r**2)
-
-
-def phi_psi_integral(p, rho):
-    """int_0^rho Phi(r) psi(r) dr
-    = P(mu, (mu/B) rho^2) - (A/B)^mu P(mu, (mu/A) rho^2)."""
-    rho = np.asarray(rho, dtype=float)
-    out = (reg_gamma_p(p.mu, (p.mu / p.B) * rho**2)
-           - (p.A / p.B)**p.mu * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
-    return _like_input(rho, out)
-
-
 def w_kr_psi(p):
     """Double radial integral W(K_R, psi) = int int Phi(min{r, rho})
     psi(r) psi(rho) dr drho = 1 - 2 (A/B)^mu I_{B/(A+B)}(mu, mu)."""
@@ -198,35 +175,12 @@ def _as_polar(X, d):
     return X.radii, _directions(X.directions, d)
 
 
-def kernel_K(p, x, y):
-    """Kernel value Phi(min{||x||, ||y||}) (1 - C_d ||x* - y*||).
-
-    Anchored at the origin: K(0, y) = 0.
-    """
-    rx, dx = _as_polar(x, p.d)
-    ry, dy = _as_polar(y, p.d)
-    r = min(rx[0], ry[0])
-    if r == 0.0:
-        return 0.0
-    c_d = sphere_constants(p.d).C_d
-    return float(phi_cdf(p, r) * (1.0 - c_d * np.linalg.norm(dx[0] - dy[0])))
-
-
 def _kr_psi_integral(p, rho, phi):
     """int_0^inf K_R(r, rho) psi(r) dr from phi = Phi(rho):
     1 - (1 - Phi(rho)) Q(mu, (mu/B) rho^2) - (A/B)^mu P(mu, (mu/A) rho^2)."""
     return (1.0
             - (1.0 - phi) * psi_tail(p, rho)
             - (p.A / p.B)**p.mu * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
-
-
-def kernel_psi_integral(p, rho):
-    """int K(x, rho y*) psi(x) dlambda(x), independent of y*:
-    W(K_S) int_0^inf K_R(r, rho) psi(r) dr."""
-    rho = np.asarray(rho, dtype=float)
-    w_ks = sphere_constants(p.d).W_KS
-    return _like_input(rho, w_ks * _kr_psi_integral(p, rho,
-                                                    phi_cdf(p, rho)))
 
 
 def _upper_distance_row_sums(X):
@@ -347,44 +301,6 @@ def wce_nakagami(p, X):
     return _nakagami_reports(p, radii[None], dirs[None])[0]
 
 
-def wce_isotropic_general(Phi, psidens, d, X, psi_tail_fn=None,
-                          phi_psi_integral_fn=None, w_kr=None):
-    """Worst-case error for a user-supplied radial cdf Phi and density
-    psidens, radial integrals by adaptive quadrature unless closed-form
-    callables are given.
-
-    Phi must be a cdf anchored at 0 and psidens a probability density on
-    [0, inf); both are validated numerically.
-    """
-    from scipy import integrate
-    if abs(Phi(0.0)) > 1e-8 or abs(Phi(1e8) - 1.0) > 1e-6:
-        raise ConfigurationError("Phi must satisfy Phi(0)=0 and Phi(inf)=1")
-    total, _ = integrate.quad(psidens, 0.0, np.inf, limit=200)
-    if abs(total - 1.0) > 1e-8:
-        raise ConfigurationError(
-            f"psidens must integrate to 1, got {total}")
-    if psi_tail_fn is None:
-        def psi_tail_fn(rho):
-            val, _ = integrate.quad(psidens, rho, np.inf, limit=200)
-            return val
-    if phi_psi_integral_fn is None:
-        def phi_psi_integral_fn(rho):
-            val, _ = integrate.quad(lambda r: Phi(r) * psidens(r), 0.0, rho,
-                                    limit=200)
-            return val
-    if w_kr is None:
-        w_kr, _ = integrate.quad(
-            lambda r: 2.0 * Phi(r) * psidens(r) * psi_tail_fn(r),
-            0.0, np.inf, limit=200, epsabs=1e-10)
-
-    radii, dirs = _as_polar(X, d)
-    phi = np.array([Phi(r) for r in radii])
-    single = np.array([f * psi_tail_fn(r) + phi_psi_integral_fn(r)
-                       for f, r in zip(phi, radii)])
-    return _wce_reports(d, w_kr, radii[None], phi[None], single[None],
-                        dirs[None])[0]
-
-
 def mc_cone_discrepancy_oracle(p, X, n_samples, seed):
     """Monte Carlo estimate of the squared spherical-cone L2 discrepancy.
 
@@ -426,16 +342,6 @@ def mc_cone_discrepancy_oracle(p, X, n_samples, seed):
     est = 2.0 * mean
     se = 2.0 * math.sqrt(var / n_samples)
     return est, se
-
-
-def wce_sphere_cap(d, Y):
-    """Worst-case error on the sphere alone:
-    sqrt(C_d [W(S^d) - mean pairwise distance]), the spherical-cap L2
-    discrepancy of the directions Y."""
-    Y = _directions(Y, d)
-    consts = sphere_constants(d)
-    return math.sqrt(max(consts.C_d * (consts.W_Sd - _mean_distance(Y)),
-                         0.0))
 
 
 def rms_wce_iid(p):
@@ -495,22 +401,6 @@ def expected_wce_sq_permutation(p, Y, radii):
     term3 = (kr_sum / n**2 + w_kr - 2.0 * float(np.mean(single))
              ) * consts.W_KS
     return term1 + term2 + term3
-
-
-def radial_discrepancy(p, radii):
-    """L2 discrepancy of the radii against the radial density: the wce
-    of the one-dimensional rule with kernel K_R(r, rho) = Phi(min)."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.shape[0] == 0:
-        raise DomainError("need a nonempty list of radii")
-    if np.any(radii < 0):
-        raise DomainError("radii must be nonnegative")
-    w_kr = w_kr_psi(p)
-    phi = phi_cdf(p, radii)
-    kr_mean = _kernel_sum(radii[None], phi[None])[0] / len(radii)**2
-    single = _kr_psi_integral(p, radii, phi)
-    sq = kr_mean + w_kr - 2.0 * float(np.mean(single))
-    return math.sqrt(max(sq, 0.0))
 
 
 @dataclass(frozen=True)

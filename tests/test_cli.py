@@ -86,6 +86,15 @@ class TestPoints:
         assert code == 2 and out == ""
         assert err == "error: count must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("gen", [["sobol", "--scramble"],
+                                     ["sphere", "--scramble"], ["random"]])
+    def test_negative_seed_exit_2(self, capsys, gen):
+        code, out, err = run_cli(["points", "--dim", "2", "--n", "4",
+                                  "--seed", "-1", "--gen", *gen], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: seed keys must be non-negative integers, "
+                       "got -1\n")
+
 
 class TestSphereMap:
     def test_unit_norms(self, capsys):
@@ -376,6 +385,17 @@ class TestPriceAndTable:
         assert code == 2 and out == ""
         assert err == "error: --reps must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("n_list, message", [
+        ("-5", "N must be at least 1, got -5"),
+        ("0", "N must be at least 1, got 0"),
+        ("256,-128", "N must be at least 1, got -128"),
+        (",", "need at least one N"),
+    ])
+    def test_table_bad_n_list_exit_2(self, capsys, n_list, message):
+        code, out, err = run_cli(["table", "--n-list", n_list], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_replicate_task_error_exit_2(self, capsys):
         # the sphere lift of a one-step path raises inside each replicate
         # task; the typed error still reaches the CLI
@@ -556,7 +576,7 @@ class TestConsoleScript:
         ["strata", "--mu", "1.5", "--A", "1.5", "--B", "3", "--M-list", "4,9",
          "--draws", "2"]], ids=["price", "strata"])
     def test_does_not_load_quadrature(self, argv):
-        # scipy.integrate serves only the quadrature-based wce functions
+        # no command imports scipy.integrate; only the test oracles use it
         code = ("import sys; from spherecone import cli; "
                 f"rc = cli.main({argv!r}); "
                 "print(rc, 'scipy.integrate' in sys.modules)")

@@ -9,9 +9,9 @@ from spherecone import _pool, finance
 from spherecone.errors import ConfigurationError, DomainError
 from spherecone.finance import (CONSTRUCTIONS, GENERATORS, TABLE_COLUMNS,
                                 OptionSpec, brownian_transform,
-                                experiment_table,
-                                mc_reference_price, min_matrix_eigenvalues,
+                                experiment_table, mc_reference_price,
                                 price_option)
+from oracles import min_matrix_eigenvalues
 
 SPEC = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
                   d_steps=30)

@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import qmc
 
 from spherecone.errors import ConfigurationError, ExhaustionError
-from spherecone.lds import DirectionNumberTable, SobolStream
+from spherecone.finance import OptionSpec, mc_reference_price
+from spherecone.lds import DirectionNumberTable, SobolStream, _rng
 
 
 def scramble_loop(V, rng):
@@ -196,6 +197,19 @@ class TestExhaustion:
             SobolStream(0)
         with pytest.raises(ConfigurationError):
             SobolStream(2).take(-1)
+
+
+class TestSeedKeys:
+    def test_negative_key_is_configuration_error(self):
+        # SeedSequence refuses negative entropy with an untyped ValueError;
+        # the one seeding helper raises the typed error, naming the key
+        for keys in [(-1,), (3, -2)]:
+            with pytest.raises(ConfigurationError,
+                               match=f"got {keys[-1]}$"):
+                _rng(*keys)
+        spec = OptionSpec(100.0, 100.0, 1.0, 0.2, 0.05, 30)
+        with pytest.raises(ConfigurationError, match="got -1$"):
+            mc_reference_price(spec, 2**10, seed=-1)
 
 
 class TestDirectionNumberTable:

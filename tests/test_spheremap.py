@@ -13,6 +13,7 @@ from spherecone.spheremap import (RadialShells, SpacePoints,
                                   equal_area_partition_s2, lift_to_space,
                                   map_to_sphere, radial_shells,
                                   stratified_sample)
+from oracles import cell_area, shell_mass
 
 
 def map_to_sphere_loop(x):
@@ -234,12 +235,12 @@ class TestRadialShells:
         assert shells.boundaries.shape == (7,)
         assert np.all(np.diff(shells.boundaries) > 0)
         for k in range(1, 9):
-            assert shells.shell_mass(k) == pytest.approx(1 / 8, rel=1e-12)
+            assert shell_mass(shells, k) == pytest.approx(1 / 8, rel=1e-12)
 
     def test_single_shell(self):
         shells = radial_shells(2.0, 1.0, 1)
         assert shells.boundaries.size == 0
-        assert shells.shell_mass(1) == pytest.approx(1.0)
+        assert shell_mass(shells, 1) == pytest.approx(1.0)
 
     def test_sample_radius_within_shell(self):
         shells = radial_shells(1.5, 3.0, 5)
@@ -303,7 +304,7 @@ class TestPartition:
     def test_equal_areas(self, M):
         part = equal_area_partition_s2(M)
         assert part.M == M and part.cells.shape == (M, 4)
-        areas = np.array([part.cell_area(i) for i in range(M)])
+        areas = np.array([cell_area(part, i) for i in range(M)])
         np.testing.assert_allclose(areas, 1.0 / M, rtol=1e-9)
 
     @pytest.mark.parametrize("M", [1, 2, 5, 10, 100, 1000, 5000])

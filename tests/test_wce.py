@@ -17,12 +17,13 @@ from spherecone.spheremap import (SpacePoints, equal_area_partition_s2,
                                   radial_shells, stratified_sample)
 from spherecone import wce
 from spherecone.wce import (KernelParams, expected_wce_sq_permutation,
-                            kernel_K, lambda_k, mc_cone_discrepancy_oracle,
-                            phi_cdf, phi_psi_integral, radial_discrepancy,
+                            lambda_k, mc_cone_discrepancy_oracle, phi_cdf,
                             rms_wce_fixed_directions, rms_wce_iid,
                             sphere_constants, stratified_expected_wce_sq,
-                            w_kernel, w_kr_psi, wce_isotropic_general,
-                            wce_nakagami, wce_sphere_cap)
+                            w_kernel, w_kr_psi, wce_nakagami)
+from oracles import (kernel_K, kernel_psi_integral, phi_psi_integral,
+                     psi_density, radial_discrepancy, wce_isotropic_general,
+                     wce_sphere_cap)
 
 P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
 P_LIST = [P232,
@@ -82,7 +83,7 @@ class TestRadialKernel:
         for p in P_LIST:
             def inner(r):
                 tail = wce.psi_tail(p, r)
-                return 2.0 * phi_cdf(p, r) * wce.psi_density(p, r) * tail
+                return 2.0 * phi_cdf(p, r) * psi_density(p, r) * tail
             ref, _ = integrate.quad(inner, 0, np.inf, limit=200,
                                     epsabs=1e-12)
             assert w_kr_psi(p) == pytest.approx(ref, rel=1e-9)
@@ -91,13 +92,13 @@ class TestRadialKernel:
         p = P232
         for rho in (0.5, 1.3, 4.0):
             ref, _ = integrate.quad(
-                lambda r: phi_cdf(p, r) * wce.psi_density(p, r), 0, rho)
-            assert wce.phi_psi_integral(p, rho) == pytest.approx(
+                lambda r: phi_cdf(p, r) * psi_density(p, r), 0, rho)
+            assert phi_psi_integral(p, rho) == pytest.approx(
                 ref, rel=1e-10)
 
     def test_total_phi_psi_mass(self):
         for p in P_LIST:
-            full = wce.phi_psi_integral(p, 1e6)
+            full = phi_psi_integral(p, 1e6)
             assert full == pytest.approx(1.0 - (p.A / p.B)**p.mu, rel=1e-8)
 
 
@@ -135,7 +136,7 @@ class TestKernel:
             1 - 0.25 * np.linalg.norm(dirs - y0.directions[0], axis=1))
         ref = vals.mean()
         se = vals.std() / math.sqrt(n)
-        assert wce.kernel_psi_integral(p, 1.2) == pytest.approx(
+        assert kernel_psi_integral(p, 1.2) == pytest.approx(
             ref, abs=4 * se)
 
 
@@ -169,7 +170,7 @@ class TestWce:
         pts = random_points(p, 8, seed=3)
         closed = wce_nakagami(p, pts)
         general = wce_isotropic_general(
-            lambda r: phi_cdf(p, r), lambda r: float(wce.psi_density(p, r)),
+            lambda r: phi_cdf(p, r), lambda r: float(psi_density(p, r)),
             p.d, pts)
         assert closed.wce == pytest.approx(general.wce, rel=1e-7, abs=1e-9)
 
@@ -182,7 +183,7 @@ class TestWce:
         n = len(pts)
         kmat = np.array([[kernel_K(p, pts[i], pts[j]) for j in range(n)]
                          for i in range(n)])
-        cross = np.array([wce.kernel_psi_integral(p, r) for r in pts.radii])
+        cross = np.array([kernel_psi_integral(p, r) for r in pts.radii])
         base = kmat.mean() - 2 * cross.mean() + w_kernel(p)
         shifted = ((kmat + shift).mean() - 2 * (cross + shift).mean()
                    + (w_kernel(p) + shift))
@@ -429,9 +430,9 @@ class TestTiledCore:
         pts = random_points(p, n, seed=23 + n)
         closed = wce_nakagami(p, pts)
         general = wce_isotropic_general(
-            lambda r: phi_cdf(p, r), lambda r: float(wce.psi_density(p, r)),
+            lambda r: phi_cdf(p, r), lambda r: float(psi_density(p, r)),
             p.d, pts, psi_tail_fn=lambda r: float(wce.psi_tail(p, r)),
-            phi_psi_integral_fn=lambda r: wce.phi_psi_integral(p, r),
+            phi_psi_integral_fn=lambda r: phi_psi_integral(p, r),
             w_kr=w_kr_psi(p))
         assert general.double_sum_term == pytest.approx(
             closed.double_sum_term, rel=1e-12)
