@@ -2,7 +2,8 @@
 spherical-cone discrepancies, and option-pricing experiments."""
 
 from .errors import (SphereconeError, DomainError, InfiniteResultError,
-                     ConfigurationError, ExhaustionError, NumericError)
+                     ConfigurationError, ExhaustionError, NumericError,
+                     WorkerError)
 from .lds import DirectionNumberTable, SobolStream
 from .spheremap import (SpacePoints, RadialShells, SpherePartition,
                         map_to_sphere, lift_to_space, cap_measure,
@@ -15,6 +16,6 @@ from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
                   stratified_expected_wce_sq, lambda_k)
 from .finance import (OptionSpec, PathConstruction, PriceEstimate,
                       brownian_transform, price_option, mc_reference_price,
-                      experiment_table)
+                      experiment_table, experiment_tables)
 
 __version__ = "0.1.0"

@@ -23,3 +23,7 @@ class ExhaustionError(SphereconeError, RuntimeError):
 
 class NumericError(SphereconeError, ArithmeticError):
     """A numerical routine failed to converge or validate."""
+
+
+class WorkerError(SphereconeError, RuntimeError):
+    """A worker process of the pool ended without returning its results."""

@@ -20,10 +20,14 @@ and the reported estimate is the mean of replicate prices with their
 spread as the uncertainty.
 
 Replicates are drawn and priced on the worker processes of `_pool`, one
-pool per call for the replicates of every generator, in tasks of
-consecutive replicates of one generator whose draws are stacked; each
-replicate is a pure function of (seed, replicate), and a task returns
-only its replicates' prices.
+pool per call, in tasks of consecutive replicates.  A task draws its
+replicates' normals once for every generator: the pseudo-random
+normals, and one scrambled Sobol' stream per replicate that feeds both
+the inverse normal and the sphere lift.  It builds the path matrix once
+per (generator, construction) and takes the payoff of every option spec
+of the call from it, so specs priced together must share S0, T, sigma,
+r and d_steps.  Each replicate is a pure function of (seed, replicate),
+and a task returns only its replicates' prices.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "price_option",
     "mc_reference_price",
     "experiment_table",
+    "experiment_tables",
     "GENERATORS",
     "CONSTRUCTIONS",
 ]
@@ -55,8 +60,10 @@ __all__ = [
 GENERATORS = ("mc", "sobol_inverse_normal", "sphere_normal")
 CONSTRUCTIONS = ("standard", "pca")
 
-# paths drawn and priced at once by mc_reference_price
+# paths summed at once by mc_reference_price, and the tiles in which it
+# draws and prices them
 _REFERENCE_CHUNK = 2**19
+_REFERENCE_TILE = 2**16
 
 
 @dataclass(frozen=True)
@@ -126,19 +133,36 @@ def brownian_transform(d_steps, T, kind):
 
 
 # rows of the draw of one replicate task: each worker holds one task's
-# draw and its paths at a time, so this bounds the workers' memory
+# draws and its paths at a time, so this bounds the workers' memory
 # (2^10 rows raised price-table's peak RSS by 8-10 %)
 _TASK_ROWS = 2**9
 
 
-def _check_draw(generator, n_points, n_replicates):
-    """Validate a draw's generator and sizes; return the direction table
-    every replicate stream of a QMC generator uses (None for "mc")."""
-    if generator not in GENERATORS:
-        raise ConfigurationError(f"unknown generator {generator!r}")
+def _path_specs(specs):
+    """specs as a tuple, checked to be nonempty and to share their paths
+    (equal S0, T, sigma, r and d_steps), so that one path matrix serves
+    every payoff."""
+    specs = tuple(specs)
+    if not specs:
+        raise ConfigurationError("need at least one option spec")
+    paths = {(s.S0, s.T, s.sigma, s.r, s.d_steps) for s in specs}
+    if len(paths) > 1:
+        raise ConfigurationError(
+            "option specs priced together need equal S0, T, sigma, r and "
+            f"d_steps, got {sorted(paths)}")
+    return specs
+
+
+def _check_draw(generators, n_points, n_replicates):
+    """Validate a draw's generators and sizes; return the direction table
+    every replicate stream of the QMC generators uses (None for "mc"
+    alone)."""
+    for generator in generators:
+        if generator not in GENERATORS:
+            raise ConfigurationError(f"unknown generator {generator!r}")
     if n_points < 1 or n_replicates < 1:
         raise ConfigurationError("need n_points >= 1 and n_replicates >= 1")
-    if generator == "mc":
+    if set(generators) <= {"mc"}:
         return None
     if n_points & (n_points - 1):
         raise ConfigurationError(
@@ -146,27 +170,40 @@ def _check_draw(generator, n_points, n_replicates):
     return DirectionNumberTable.default()
 
 
-def _replicate_normals(generator, d, n_points, seed, reps, table):
-    """(len(reps) * n_points, d) standard normal vectors of the
-    replicates reps (a range), stacked in replicate order."""
-    if generator == "mc":
-        return np.concatenate([_rng(seed, rep).standard_normal((n_points, d))
-                               for rep in reps])
-    u = np.concatenate([SobolStream(d, seed=seed, scramble=True, table=table,
-                                    replicate=rep).take(n_points)
-                        for rep in reps])
-    if generator == "sobol_inverse_normal":
-        return inv_normal_cdf(np.maximum(u, _U_FLOOR))
-    return lift_to_space(u).cartesian
+def _replicate_normals(generators, d, n_points, seed, reps, table):
+    """{generator: (len(reps) * n_points, d) standard normal vectors of
+    the replicates reps (a range), stacked in replicate order} for each
+    of generators.  The QMC generators take the same scrambled Sobol'
+    points, so each replicate's stream is built and taken once for
+    both."""
+    normals = {}
+    if "mc" in generators:
+        normals["mc"] = np.concatenate(
+            [_rng(seed, rep).standard_normal((n_points, d)) for rep in reps])
+    if set(generators) - {"mc"}:
+        u = np.concatenate([SobolStream(d, seed=seed, scramble=True,
+                                        table=table, replicate=rep)
+                            .take(n_points) for rep in reps])
+        if "sobol_inverse_normal" in generators:
+            normals["sobol_inverse_normal"] = inv_normal_cdf(
+                np.maximum(u, _U_FLOOR))
+        if "sphere_normal" in generators:
+            normals["sphere_normal"] = lift_to_space(u).cartesian
+    return normals
 
 
-def _discounted_payoffs(spec, Z, A):
-    """Discounted payoff of each path given normal draws Z (n, d)."""
+def _paths(spec, Z, A):
+    """Price paths S (n, d) at the monitoring dates from the normal draws
+    Z (n, d) under the construction A; any spec of a set that shares its
+    paths gives the same S."""
     dt = spec.T / spec.d_steps
     t = dt * np.arange(1, spec.d_steps + 1)
-    B = Z @ A.T
-    S = spec.S0 * np.exp((spec.r - spec.sigma**2 / 2.0) * t
-                         + spec.sigma * B)
+    return spec.S0 * np.exp((spec.r - spec.sigma**2 / 2.0) * t
+                            + spec.sigma * (Z @ A.T))
+
+
+def _discounted_payoffs(spec, S):
+    """Discounted payoff of spec's kind on each path of S (n, d)."""
     s_mean = S.mean(axis=1)
     disc = math.exp(-spec.r * spec.T)
     if spec.kind == "asian":
@@ -184,71 +221,97 @@ def price_option(spec, construction, generator, n_points, n_replicates,
     The estimate is the mean of replicate prices; the spread field is
     the sample standard deviation of the replicate prices.
     """
-    return _price_columns(spec, [(generator, construction)], n_points,
-                          n_replicates, seed)[0]
+    return _price_columns([spec], [(generator, construction)], n_points,
+                          n_replicates, seed)[0][0]
 
 
-def _price_columns(spec, columns, n_points, n_replicates, seed):
-    """price_option for each (generator, construction) column, in the
-    order given.
+def _price_columns(specs, columns, n_points, n_replicates, seed):
+    """price_option for each of specs and each (generator, construction)
+    column: one list of estimates per spec, in the orders given.
 
-    The replicates of every generator run on one worker pool: a task
-    draws the normals of _TASK_ROWS // n_points consecutive replicates
-    (at least one) of one generator in one stack, prices each replicate
-    under every construction of that generator's columns and returns
-    the prices, so each draw serves all of its generator's columns and
-    no more than one task's draw per worker is held at a time.
+    The specs must share their paths (equal S0, T, sigma, r and d_steps).
+    The replicates run on one worker pool, in tasks of _TASK_ROWS //
+    n_points consecutive replicates (at least one).  A task draws its
+    replicates' normals once for every generator of the columns, builds
+    each replicate's paths once per column and takes every spec's payoff
+    from them, and returns the replicate prices; so no more than one
+    task's draws per worker are held at a time.
     """
-    generators = dict.fromkeys(g for g, _ in columns)
-    tables = {g: _check_draw(g, n_points, n_replicates) for g in generators}
-    pcs = {g: [brownian_transform(spec.d_steps, spec.T, c)
-               for c in dict.fromkeys(c for h, c in columns if h == g)]
-           for g in generators}
+    specs = _path_specs(specs)
+    spec = specs[0]
+    generators = list(dict.fromkeys(g for g, _ in columns))
+    table = _check_draw(generators, n_points, n_replicates)
+    transforms = {c: brownian_transform(spec.d_steps, spec.T, c).transform
+                  for c in dict.fromkeys(c for _, c in columns)}
+    unique = list(dict.fromkeys(columns))
     per_task = max(1, _TASK_ROWS // n_points)
     starts = range(0, n_replicates, per_task)
-    tasks = [(g, start) for g in generators for start in starts]
 
-    def task_means(i):
-        generator, start = tasks[i]
-        reps = range(start, min(start + per_task, n_replicates))
-        Z = _replicate_normals(generator, spec.d_steps, n_points, seed,
-                               reps, tables[generator])
-        return [[float(_discounted_payoffs(
-            spec, Z[k * n_points:(k + 1) * n_points], pc.transform).mean())
-            for pc in pcs[generator]] for k in range(len(reps))]
+    def task_prices(i):
+        reps = range(starts[i], min(starts[i] + per_task, n_replicates))
+        Z = _replicate_normals(generators, spec.d_steps, n_points, seed,
+                               reps, table)
+        prices = []  # [replicate][column][spec]
+        for k in range(len(reps)):
+            at = slice(k * n_points, (k + 1) * n_points)
+            prices.append([])
+            for g, c in unique:
+                S = _paths(spec, Z[g][at], transforms[c])
+                prices[-1].append([float(_discounted_payoffs(s, S).mean())
+                                   for s in specs])
+        return prices
 
-    results = _pool_map(task_means, len(tasks))
-    estimates = {}
-    for j, generator in enumerate(generators):
-        own = results[j * len(starts):(j + 1) * len(starts)]
-        # row i: construction i's replicate prices, in replicate order
-        means = np.array([rep for task in own for rep in task]).T
-        for pc, rep_means in zip(pcs[generator], means):
+    results = _pool_map(task_prices, len(starts))
+    # prices[s, j]: spec s's replicate prices under column j, in
+    # replicate order
+    prices = np.array([rep for task in results for rep in task]).T
+    estimates = []
+    for spec_prices in prices:
+        own = {}
+        for (generator, construction), rep_means in zip(unique, spec_prices):
             sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
-            estimates[generator, pc.kind] = PriceEstimate(
+            own[generator, construction] = PriceEstimate(
                 mean=float(rep_means.mean()), std_dev_across_replicates=sd,
                 n_points=n_points, n_replicates=n_replicates,
-                construction=pc.kind, generator=generator)
-    return [estimates[column] for column in columns]
+                construction=construction, generator=generator)
+        estimates.append([own[column] for column in columns])
+    return estimates
 
 
-def mc_reference_price(spec, n_paths=2**24, seed=0):
-    """Plain Monte Carlo reference price and its standard error."""
-    pc = brownian_transform(spec.d_steps, spec.T, "standard")
+def mc_reference_price(specs, n_paths=2**24, seed=0):
+    """Plain Monte Carlo reference price and its standard error, one
+    (mean, se) per spec of specs, from one stream of paths.
+
+    The specs must share their paths (equal S0, T, sigma, r and d_steps).
+    The paths are drawn in chunks of _REFERENCE_CHUNK; each chunk is
+    drawn and priced in tiles of _REFERENCE_TILE paths, so that its
+    normals and paths are never held whole, and each spec's payoffs are
+    summed over the chunk.
+    """
+    specs = _path_specs(specs)
+    _check_positive_int("n_paths", n_paths)
+    spec = specs[0]
+    A = brownian_transform(spec.d_steps, spec.T, "standard").transform
     rng = _rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_paths:
+    total = [0.0] * len(specs)
+    total_sq = [0.0] * len(specs)
+    pay = np.empty((len(specs), min(_REFERENCE_CHUNK, n_paths)))
+    for done in range(0, n_paths, _REFERENCE_CHUNK):
         m = min(_REFERENCE_CHUNK, n_paths - done)
-        pay = _discounted_payoffs(
-            spec, rng.standard_normal((m, spec.d_steps)), pc.transform)
-        total += float(pay.sum())
-        total_sq += float((pay**2).sum())
-        done += m
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean**2, 0.0)
-    return mean, math.sqrt(var / n_paths)
+        for a in range(0, m, _REFERENCE_TILE):
+            b = min(a + _REFERENCE_TILE, m)
+            S = _paths(spec, rng.standard_normal((b - a, spec.d_steps)), A)
+            for row, s in zip(pay, specs):
+                row[a:b] = _discounted_payoffs(s, S)
+        for k, row in enumerate(pay[:, :m]):
+            total[k] += float(row.sum())
+            total_sq[k] += float((row**2).sum())
+    results = []
+    for k in range(len(specs)):
+        mean = total[k] / n_paths
+        var = max(total_sq[k] / n_paths - mean**2, 0.0)
+        results.append((mean, math.sqrt(var / n_paths)))
+    return results
 
 
 # the five method columns of the experiment tables
@@ -264,14 +327,20 @@ TABLE_COLUMNS = (
 def experiment_table(spec, N_list, seed, n_replicates=128):
     """One row per total point count N: the per-column uncertainty of the
     replicate-mean price (standard error over n_replicates replicates of
-    N / n_replicates points each).  Each generator draws its normals once
-    for all of its columns.
+    N / n_replicates points each).  Each replicate's draw serves every
+    column.
 
     Returns (header, rows) where each row is
     [N, se_mc, se_sobol_std, se_sobol_pca, se_sphere_std, se_sphere_pca].
     """
-    header = ["N", "mc", "sobol_standard", "sobol_pca",
-              "sphere_standard", "sphere_pca"]
+    return experiment_tables([spec], N_list, seed, n_replicates)[0]
+
+
+def experiment_tables(specs, N_list, seed, n_replicates=128):
+    """experiment_table of each of specs, which share their paths (equal
+    S0, T, sigma, r and d_steps), from one pricing per N: every spec's
+    payoff comes from the same paths.  Returns one (header, rows) per
+    spec, in the order given."""
     if not N_list:
         raise ConfigurationError("need at least one N")
     for N in N_list:
@@ -280,9 +349,12 @@ def experiment_table(spec, N_list, seed, n_replicates=128):
         if N % n_replicates:
             raise ConfigurationError(
                 f"N={N} not divisible by {n_replicates} replicates")
-    rows = []
+    specs = _path_specs(specs)
+    tables = [(["N", "mc", "sobol_standard", "sobol_pca", "sphere_standard",
+                "sphere_pca"], []) for _ in specs]
     for N in N_list:
-        ests = _price_columns(spec, TABLE_COLUMNS, N // n_replicates,
+        ests = _price_columns(specs, TABLE_COLUMNS, N // n_replicates,
                               n_replicates, seed)
-        rows.append([float(N)] + [est.std_error for est in ests])
-    return header, rows
+        for (_, rows), spec_ests in zip(tables, ests):
+            rows.append([float(N)] + [est.std_error for est in spec_ests])
+    return tables

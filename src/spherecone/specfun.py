@@ -68,6 +68,10 @@ _SERIES_V = 1e-250
 _SERIES_TERMS = 56
 _LEAD_S2 = 0.2
 _LEAD_S2_SMALL = 0.5
+# off the grid, roots with cos^2 phi below _MEDIAN_C2 take F as
+# (1 - I_{c^2}(1/2, a)) / 2, whose absolute error near the median is a
+# few ulps of the small I, where betainc(a, a, x) is a few ulps of 1/2
+_MEDIAN_C2 = 0.5
 # elements per block of the on-grid solve, which bounds its temporaries
 _BLOCK = 2**15
 # T / z = sum_j w^j sum_l _CORNISH_FISHER[j, l] / q^l with w = z^2 for
@@ -282,6 +286,10 @@ def _wallis_height(v, q):
         if v_at.size:
             s_at, c_at = s[at], c[at]
             f = sp.betainc(a_at, a_at, s_at * s_at / (2.0 * (1.0 + c_at)))
+            mid = off[at[0]] & (c_at * c_at < _MEDIAN_C2)
+            if mid.any():
+                f[mid] = 0.5 * (1.0 - sp.betainc(0.5, a_at[mid],
+                                                 c_at[mid] * c_at[mid]))
             g[at] = np.log(f / v_at)
             slope[at] = s_at**(2.0 * a_at) / (big_s[at[0]] * f)
         return g, slope

@@ -535,7 +535,7 @@ def strata_scaling(p, M_list, seed, draws=0):
 
     M_list must be nonempty with distinct values; draws is 0 (formula
     only) or at least 2, so that the empirical standard error exists.
-    seed seeds the draws only (draw i of each M from seed + 1000 + i);
+    seed >= 0 seeds the draws only (draw i of each M from seed + 1000 + i);
     the formula is deterministic.  The draws of every M are sampled and
     scored in batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
     _stratified_draws and _nakagami_reports.  Each M's formula and each
@@ -550,6 +550,8 @@ def strata_scaling(p, M_list, seed, draws=0):
     if draws != 0 and draws < 2:
         raise ConfigurationError(
             f"draws must be 0 or at least 2, got {draws}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     shapes = []  # (M, K, partition, shells) per M
     batches = []  # (partition, shells, seeds) per draw batch, in M order
     for M in M_list:

@@ -381,28 +381,34 @@ def test_criterion_10_lifted_sobol_wce(capsys):
 @pytest.fixture(scope="module")
 def pricing_runs():
     """Column estimates at N = 2^15 and 2^19 for all kinds, shared by
-    the pricing criteria."""
-    return {(kind, n_total): finance._price_columns(
-                spec, finance.TABLE_COLUMNS, n_total // 128, 128, seed=21)
-            for kind, spec in OPTION_SPECS.items()
-            for n_total in (2**15, 2**19)}
+    the pricing criteria; the kinds of one N are priced from one draw."""
+    runs = {}
+    for n_total in (2**15, 2**19):
+        ests = finance._price_columns(OPTION_SPECS.values(),
+                                      finance.TABLE_COLUMNS,
+                                      n_total // 128, 128, seed=21)
+        runs.update(((kind, n_total), kind_ests)
+                    for kind, kind_ests in zip(OPTION_SPECS, ests))
+    return runs
 
 
 def test_criterion_9a_degenerate_prices(capsys):
     worst = 0.0
-    for kind, base in OPTION_SPECS.items():
-        spec = OptionSpec(base.S0, base.K_strike, base.T, 0.0, base.r,
-                          base.d_steps, kind=base.kind,
-                          barrier_b=base.barrier_b)
+    specs = [OptionSpec(base.S0, base.K_strike, base.T, 0.0, base.r,
+                        base.d_steps, kind=base.kind,
+                        barrier_b=base.barrier_b)
+             for base in OPTION_SPECS.values()]
+    ests = finance._price_columns(specs, finance.TABLE_COLUMNS, 32, 2,
+                                  seed=1)
+    for spec, spec_ests in zip(specs, ests):
         t = np.arange(1, 31) / 30.0
         s_mean = float(np.mean(spec.S0 * np.exp(spec.r * t)))
         disc = math.exp(-spec.r * spec.T)
-        if kind == "digital":
+        if spec.kind == "digital":
             expect = disc * float(s_mean > spec.K_strike)
         else:
             expect = disc * max(s_mean - spec.K_strike, 0.0)
-        for est in finance._price_columns(spec, finance.TABLE_COLUMNS, 32, 2,
-                                          seed=1):
+        for est in spec_ests:
             worst = max(worst, abs(est.mean - expect))
     _report(capsys, "9a", "degenerate sigma=0 prices", worst < 1e-12,
             f"worst abs err {worst:.2e} over 15 kind/method combinations")
@@ -411,8 +417,9 @@ def test_criterion_9a_degenerate_prices(capsys):
 def test_criterion_9b_reference_agreement(capsys, pricing_runs):
     ok = True
     worst_z = 0.0
-    for kind, spec in OPTION_SPECS.items():
-        ref, ref_se = mc_reference_price(spec, n_paths=2**24, seed=5)
+    # the kinds' references come from one stream of 2^24 paths
+    refs = mc_reference_price(OPTION_SPECS.values(), n_paths=2**24, seed=5)
+    for kind, (ref, ref_se) in zip(OPTION_SPECS, refs):
         for est in pricing_runs[kind, 2**15]:
             z = abs(est.mean - ref) / math.hypot(est.std_error, ref_se)
             worst_z = max(worst_z, z)

@@ -1,5 +1,6 @@
+import dataclasses
 import math
-import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -19,6 +20,12 @@ BARRIER = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
                      d_steps=30, kind="barrier", barrier_b=130.0)
 DIGITAL = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
                      d_steps=30, kind="digital")
+
+
+def assert_no_child_left():
+    # every child process the call started has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def covariance(d, dt):
@@ -61,8 +68,8 @@ class TestNormalVectors:
 
     @staticmethod
     def draw(gen, d, n, seed, rep):
-        return finance._replicate_normals(gen, d, n, seed,
-                                          range(rep, rep + 1), None)
+        return finance._replicate_normals([gen], d, n, seed,
+                                          range(rep, rep + 1), None)[gen]
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_shape_and_determinism(self, gen):
@@ -75,10 +82,22 @@ class TestNormalVectors:
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_stack_matches_single_replicates(self, gen):
         # a pool task's stacked draw is its replicates' draws, bitwise
-        stack = finance._replicate_normals(gen, 5, 64, 1, range(2, 5), None)
+        stack = finance._replicate_normals([gen], 5, 64, 1, range(2, 5),
+                                           None)[gen]
         np.testing.assert_array_equal(
             stack, np.concatenate([self.draw(gen, 5, 64, 1, r)
                                    for r in range(2, 5)]))
+
+    def test_generators_share_one_draw(self):
+        # the QMC generators transform one Sobol' stream per replicate;
+        # drawn together, every generator's normals are its own, bitwise
+        together = finance._replicate_normals(GENERATORS, 5, 64, 1,
+                                              range(2, 5), None)
+        assert list(together) == list(GENERATORS)
+        for gen in GENERATORS:
+            np.testing.assert_array_equal(
+                together[gen], finance._replicate_normals(
+                    [gen], 5, 64, 1, range(2, 5), None)[gen])
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_moments(self, gen):
@@ -175,7 +194,8 @@ class TestPricing:
 
     def test_martingale_property(self):
         # the discounted terminal price has expectation S0
-        Z = finance._replicate_normals("mc", 30, 2**17, 10, range(1), None)
+        Z = finance._replicate_normals(["mc"], 30, 2**17, 10, range(1),
+                                       None)["mc"]
         A = brownian_transform(30, 1.0, "standard").transform
         t = np.arange(1, 31) / 30.0
         S = SPEC.S0 * np.exp((SPEC.r - SPEC.sigma**2 / 2) * t
@@ -190,7 +210,7 @@ class TestPricing:
             est.std_dev_across_replicates / 4.0, rel=1e-14)
 
     def test_mc_reference_consistency(self):
-        ref, se = mc_reference_price(SPEC, n_paths=2**18, seed=12)
+        [(ref, se)] = mc_reference_price([SPEC], n_paths=2**18, seed=12)
         est = price_option(SPEC, "standard", "mc", 2048, 32, seed=13)
         assert abs(ref - est.mean) < 4 * math.hypot(se, est.std_error)
 
@@ -233,26 +253,52 @@ class TestExperimentTable:
                 for g, c in TABLE_COLUMNS]
 
     def test_columns_keep_order_and_share_draws(self, monkeypatch):
-        # non-adjacent columns of a generator still share one draw each;
-        # on one worker, so that the recording list sees every draw
+        # non-adjacent columns, and both QMC generators, share one
+        # scrambled stream per (seed, replicate); on one worker, so that
+        # the recording list sees every stream built
         monkeypatch.setattr(_pool, "_worker_count", lambda: 1)
         columns = [("sphere_normal", "pca"), ("mc", "standard"),
                    ("sphere_normal", "standard"),
                    ("sobol_inverse_normal", "pca")]
-        draws = []
-        normals = finance._replicate_normals
+        builds = []
+        stream = finance.SobolStream
 
-        def counted(generator, d, n_points, seed, reps, table):
-            draws.extend((generator, rep) for rep in reps)
-            return normals(generator, d, n_points, seed, reps, table)
+        def counted(*args, **kwargs):
+            builds.append((kwargs["seed"], kwargs["replicate"]))
+            return stream(*args, **kwargs)
 
-        monkeypatch.setattr(finance, "_replicate_normals", counted)
-        ests = finance._price_columns(SPEC, columns, 64, 6, seed=2)
-        assert sorted(draws) == sorted((g, rep) for g in GENERATORS
-                                       for rep in range(6))
+        monkeypatch.setattr(finance, "SobolStream", counted)
+        [ests] = finance._price_columns([SPEC], columns, 64, 6, seed=2)
+        assert sorted(builds) == [(2, rep) for rep in range(6)]
         assert [(e.generator, e.construction) for e in ests] == columns
         assert ests == [price_option(SPEC, c, g, 64, 6, seed=2)
                         for g, c in columns]
+
+    def test_specs_share_paths(self):
+        # kinds priced from one set of paths price as each kind alone
+        specs = [SPEC, BARRIER, DIGITAL]
+        assert finance._price_columns(specs, TABLE_COLUMNS, 64, 6,
+                                      seed=2) == [
+            finance._price_columns([spec], TABLE_COLUMNS, 64, 6, seed=2)[0]
+            for spec in specs]
+        assert finance.experiment_tables(specs[::-1], [64, 128], 4,
+                                         n_replicates=8) == [
+            experiment_table(spec, [64, 128], 4, n_replicates=8)
+            for spec in specs[::-1]]
+
+    @pytest.mark.parametrize("field", ["S0", "T", "sigma", "r", "d_steps"])
+    def test_specs_need_equal_paths(self, field):
+        other = dataclasses.replace(SPEC, **{field: 2 * getattr(SPEC, field)})
+        calls = [lambda specs: finance._price_columns(specs, TABLE_COLUMNS,
+                                                      64, 2, seed=0),
+                 lambda specs: finance.experiment_tables(specs, [128], 0,
+                                                         n_replicates=2),
+                 lambda specs: mc_reference_price(specs, 2**10)]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="equal S0, T"):
+                call([SPEC, other])
+            with pytest.raises(ConfigurationError, match="at least one"):
+                call([])
 
 
 class TestReplicateThreads:
@@ -286,7 +332,7 @@ class TestReplicateThreads:
         price_option(SPEC, "standard", "sobol_inverse_normal", 64, 8, seed=0)
         experiment_table(SPEC, [256], seed=0, n_replicates=8)
         assert threading.active_count() == before
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_worker_error_propagates(self, monkeypatch):
         # the sphere lift needs d >= 2; each replicate task raises
@@ -296,4 +342,30 @@ class TestReplicateThreads:
         with pytest.raises(DomainError):
             price_option(one_step, "standard", "sphere_normal", 16, 4, 0)
         assert threading.active_count() == before
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+class TestReferencePrice:
+    """One serial stream of paths prices every spec, chunk by chunk."""
+
+    def test_specs_share_one_stream(self):
+        specs = [SPEC, BARRIER, DIGITAL]
+        assert mc_reference_price(specs, 2**17 + 5, seed=3) == [
+            mc_reference_price([spec], 2**17 + 5, seed=3)[0]
+            for spec in specs]
+
+    @pytest.mark.parametrize("n_paths", [0, -5, 2.5])
+    def test_bad_path_count(self, n_paths):
+        with pytest.raises(DomainError, match="n_paths must be a positive"):
+            mc_reference_price([SPEC], n_paths)
+
+    def test_tiles_do_not_change_prices(self, monkeypatch):
+        # a chunk drawn and priced in tiles sums to the bits of the chunk
+        # drawn whole, also for a last chunk and tile cut short
+        monkeypatch.setattr(finance, "_REFERENCE_CHUNK", 2**15)
+        runs = []
+        for tile in (2**12, 2**15):
+            monkeypatch.setattr(finance, "_REFERENCE_TILE", tile)
+            runs.append(mc_reference_price([SPEC, BARRIER, DIGITAL],
+                                           3 * 2**15 + 1000, seed=4))
+        assert runs[0] == runs[1]

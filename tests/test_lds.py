@@ -209,7 +209,7 @@ class TestSeedKeys:
                 _rng(*keys)
         spec = OptionSpec(100.0, 100.0, 1.0, 0.2, 0.05, 30)
         with pytest.raises(ConfigurationError, match="got -1$"):
-            mc_reference_price(spec, 2**10, seed=-1)
+            mc_reference_price([spec], 2**10, seed=-1)
 
 
 class TestDirectionNumberTable:

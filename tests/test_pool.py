@@ -1,23 +1,39 @@
 """The worker pool: results must not depend on the CPU count the process
 may use or on whether it can fork, no process or thread may outlive a
-call, errors propagate, and pools do not nest."""
+call, errors propagate in task order, and pools do not nest."""
 
 import contextvars
-import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
-from spherecone import wce
+from spherecone import finance, wce
 from spherecone._pool import _pool_map
-from spherecone.errors import NumericError
+from spherecone.errors import NumericError, WorkerError
 from spherecone.finance import OptionSpec, experiment_table
 from spherecone.wce import KernelParams
 
 P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
 SPEC = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
                   d_steps=30)
+BARRIER = OptionSpec(S0=100.0, K_strike=100.0, T=1.0, sigma=0.2, r=0.05,
+                     d_steps=30, kind="barrier", barrier_b=130.0)
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def assert_no_child_left():
+    # every child process the call started has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -53,7 +69,7 @@ def test_no_thread_outlives_strata(cpus):
     before = threading.active_count()
     wce.strata_scaling(P232, [16, 64], seed=0, draws=40)
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_batch_error_propagates(cpus, monkeypatch):
@@ -71,7 +87,7 @@ def test_batch_error_propagates(cpus, monkeypatch):
     with pytest.raises(NumericError, match="batch failed"):
         wce.strata_scaling(P232, [16, 64], seed=0, draws=40)
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_nested_call_runs_in_task_process(cpus):
@@ -98,13 +114,119 @@ def test_serial_where_fork_is_unavailable(cpus, monkeypatch):
     cpus(1)
     serial = run()
     cpus(4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn", "forkserver"])
-
-    def no_start(process):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        no_start)
+    # a call of os.fork would now raise AttributeError
+    monkeypatch.delattr(os, "fork")
     assert run() == serial
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_pricing_independent_of_cpus_and_fork(cpus, monkeypatch):
+    def run():
+        return (experiment_table(SPEC, [256, 512], seed=1, n_replicates=8),
+                finance._price_columns([SPEC, BARRIER],
+                                       finance.TABLE_COLUMNS, 32, 8, seed=3))
+
+    runs = []
+    for count in (1, 4):
+        cpus(count)
+        runs.append(run())
+    monkeypatch.delattr(os, "fork")
+    runs.append(run())
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_more_indices_than_a_pipe_holds(cpus):
+    # 20000 4-byte indices overfill the 64 KiB pipe buffer
+    cpus(4)
+    assert _pool_map(lambda i: 3 * i, 20000) == [3 * i for i in
+                                                 range(20000)]
+    assert_no_child_left()
+
+
+def test_first_failure_in_task_order(cpus):
+    # task 9 fails first in time, task 7 first in task order, as serially
+    cpus(4)
+
+    def task(i):
+        if i == 7:
+            time.sleep(0.2)
+            raise NumericError("task 7")
+        if i == 9:
+            raise KeyError("task 9")
+        return i
+
+    with pytest.raises(NumericError, match="task 7"):
+        _pool_map(task, 40)
+    assert_no_child_left()
+
+
+def test_failure_stops_later_tasks(cpus, tmp_path):
+    cpus(4)
+    log = tmp_path / "started"
+
+    def task(i):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, b"%d\n" % i)
+        os.close(fd)
+        if i == 20:
+            raise NumericError("task 20")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(NumericError, match="task 20"):
+        _pool_map(task, 1000)
+    started = set(map(int, log.read_text().split()))
+    # every task below the failure ran; of those above it, only the few
+    # the other workers had taken before it failed
+    assert set(range(21)) <= started
+    assert len(started) < 200
+    assert_no_child_left()
+
+
+def test_worker_death_is_typed_error(cpus):
+    cpus(4)
+
+    def task(i):
+        if i == 5:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(WorkerError, match="signal 9"):
+        _pool_map(task, 40)
+    assert_no_child_left()
+
+
+def test_unpicklable_result_is_typed_error(cpus):
+    cpus(2)
+    with pytest.raises(WorkerError, match="could not be pickled"):
+        _pool_map(lambda i: (lambda: i), 4)
+    assert_no_child_left()
+
+
+def test_exception_that_cannot_be_rebuilt_is_typed_error(cpus):
+    cpus(2)
+
+    def task(i):
+        raise TwoArgError("task", i)
+
+    with pytest.raises(WorkerError, match="could not be unpickled"):
+        _pool_map(task, 4)
+    assert_no_child_left()
+
+
+def test_interrupted_call_leaves_no_worker(cpus):
+    # task 0 interrupts the caller while every other task sleeps: the
+    # caller kills and reaps the workers instead of waiting for them
+    cpus(4)
+    caller = os.getpid()
+
+    def task(i):
+        if i == 0:
+            os.kill(caller, signal.SIGINT)
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _pool_map(task, 8)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()

@@ -304,6 +304,21 @@ class TestSphereHeight:
                 assert abs(scale[i] - scale_ref) <= bound * scale_ref, (
                     u[i], a[i])
 
+    def test_off_grid_near_median_against_mpmath(self):
+        # near the median F comes from 1/2 - I_{c^2}(1/2, a)/2, not from
+        # betainc(a, a, x), whose ulps of 1/2 put t 1.3e-15 off at the
+        # first, recorded draw; then random shapes off the grid
+        rng = np.random.default_rng(8)
+        a = np.concatenate([[32.961439323205624], rng.uniform(0.3, 40.0, 40)])
+        a[2 * a % 1 == 0] += 1e-3
+        u = np.concatenate([[0.5743780480979319], rng.uniform(0.3, 0.7, 40)])
+        t = specfun.sphere_height(u, a)[0]
+        for i in range(len(a)):
+            t_ref = sphere_height_mpmath(min(u[i], 1.0 - u[i]), a[i],
+                                         dps=40)[0]
+            t_ref = t_ref if u[i] <= 0.5 else -t_ref
+            assert abs(t[i] - t_ref) <= 1e-15, (u[i], a[i])
+
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 14.5])
     def test_poles_and_median(self, a):
         # stdtrit gives +inf at u = 0: the pole must still be t = +1
