@@ -16,6 +16,6 @@ from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
                   stratified_expected_wce_sq, lambda_k)
 from .finance import (OptionSpec, PathConstruction, PriceEstimate,
                       brownian_transform, price_option, mc_reference_price,
-                      experiment_table, experiment_tables)
+                      experiment_table)
 
 __version__ = "0.1.0"

@@ -73,8 +73,9 @@ def _pool_map(fn, n):
     parent, pids, outs = os.getpid(), [], []
     # a worker inherits the caller's buffered output; flushed, so that
     # no worker holds a copy
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
     try:
         for slot in range(workers):
             out_r, out_w = os.pipe()

@@ -163,10 +163,10 @@ def cmd_lambda(args):
     return 0
 
 
-def _option_spec(args, kind):
+def _option_spec(args):
     return finance.OptionSpec(
         S0=args.S0, K_strike=args.K, T=args.T, sigma=args.sigma, r=args.r,
-        d_steps=args.steps, kind=kind, barrier_b=args.barrier)
+        d_steps=args.steps, kind=args.kind, barrier_b=args.barrier)
 
 
 _GEN_ALIASES = {"mc": "mc", "sobol": "sobol_inverse_normal",
@@ -174,7 +174,7 @@ _GEN_ALIASES = {"mc": "mc", "sobol": "sobol_inverse_normal",
 
 
 def cmd_price(args):
-    spec = _option_spec(args, args.kind)
+    spec = _option_spec(args)
     if args.reps < 1:
         raise ConfigurationError(f"--reps must be at least 1, got {args.reps}")
     if args.N % args.reps:
@@ -193,17 +193,9 @@ def cmd_price(args):
 
 
 def cmd_table(args):
-    kinds = [kind for kind in args.kind.split(",") if kind]
-    if not kinds:
-        raise ConfigurationError("--kind needs at least one kind")
-    tables = finance.experiment_tables(
-        [_option_spec(args, kind) for kind in kinds],
-        _int_list(args.n_list), args.seed)
-    # one block per kind: a later block's header line is a row of text
-    # cells
-    (header, rows), *more = tables
-    for more_header, more_rows in more:
-        rows += [more_header, *more_rows]
+    spec = _option_spec(args)
+    header, rows = finance.experiment_table(spec, _int_list(args.n_list),
+                                            args.seed)
     _emit_csv(header, rows, args.output)
     return 0
 
@@ -293,13 +285,8 @@ def build_parser():
 
     for name in ("price", "table"):
         sp = sub.add_parser(name, help=f"option pricing ({name})")
-        if name == "price":
-            sp.add_argument("--kind", default="asian",
-                            choices=["asian", "barrier", "digital"])
-        else:
-            sp.add_argument("--kind", default="asian",
-                            help="comma list of asian,barrier,digital; "
-                            "one CSV block per kind, in this order")
+        sp.add_argument("--kind", default="asian",
+                        choices=["asian", "barrier", "digital"])
         sp.add_argument("--S0", type=float, default=100.0)
         sp.add_argument("--K", type=float, default=100.0)
         sp.add_argument("--T", type=float, default=1.0)

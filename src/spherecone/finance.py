@@ -52,7 +52,6 @@ __all__ = [
     "price_option",
     "mc_reference_price",
     "experiment_table",
-    "experiment_tables",
     "GENERATORS",
     "CONSTRUCTIONS",
 ]
@@ -333,14 +332,8 @@ def experiment_table(spec, N_list, seed, n_replicates=128):
     Returns (header, rows) where each row is
     [N, se_mc, se_sobol_std, se_sobol_pca, se_sphere_std, se_sphere_pca].
     """
-    return experiment_tables([spec], N_list, seed, n_replicates)[0]
-
-
-def experiment_tables(specs, N_list, seed, n_replicates=128):
-    """experiment_table of each of specs, which share their paths (equal
-    S0, T, sigma, r and d_steps), from one pricing per N: every spec's
-    payoff comes from the same paths.  Returns one (header, rows) per
-    spec, in the order given."""
+    header = ["N", "mc", "sobol_standard", "sobol_pca",
+              "sphere_standard", "sphere_pca"]
     if not N_list:
         raise ConfigurationError("need at least one N")
     for N in N_list:
@@ -349,12 +342,9 @@ def experiment_tables(specs, N_list, seed, n_replicates=128):
         if N % n_replicates:
             raise ConfigurationError(
                 f"N={N} not divisible by {n_replicates} replicates")
-    specs = _path_specs(specs)
-    tables = [(["N", "mc", "sobol_standard", "sobol_pca", "sphere_standard",
-                "sphere_pca"], []) for _ in specs]
+    rows = []
     for N in N_list:
-        ests = _price_columns(specs, TABLE_COLUMNS, N // n_replicates,
-                              n_replicates, seed)
-        for (_, rows), spec_ests in zip(tables, ests):
-            rows.append([float(N)] + [est.std_error for est in spec_ests])
-    return tables
+        [ests] = _price_columns([spec], TABLE_COLUMNS, N // n_replicates,
+                                n_replicates, seed)
+        rows.append([float(N)] + [est.std_error for est in ests])
+    return header, rows

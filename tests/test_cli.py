@@ -218,7 +218,6 @@ class TestEmitCsv:
         ["points", "--dim", "4", "--n", "50", "--gen", "random", "--polar"],
         ["points", "--dim", "2", "--n", "16", "--gen", "sobol"],
         ["table", "--n-list", "256", "--kind", "digital"],
-        ["table", "--kind", "digital,asian", "--n-list", "256"],
         ["strata", "--mu", "1.5", "--A", "1.5", "--B", "3",
          "--M-list", "16,64", "--draws", "2"],
         ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
@@ -383,27 +382,6 @@ class TestPriceAndTable:
         header, rows = read_csv_text(out)
         assert len(header) == 6 and rows.shape == (1, 6)
         assert rows[0, 0] == 256
-
-    def test_table_kind_list(self, capsys, tmp_path):
-        # one block per kind, in the order given, each as the kind alone
-        common = ["--n-list", "256,512", "--barrier", "130", "--seed", "4"]
-        singles = []
-        for kind in ("digital", "asian", "barrier"):
-            code, out, _ = run_cli(["table", "--kind", kind, *common], capsys)
-            assert code == 0
-            singles.append(out)
-        code, out, err = run_cli(
-            ["table", "--kind", "digital,asian,barrier", *common], capsys)
-        assert (code, out, err) == (0, "".join(singles), "")
-
-    @pytest.mark.parametrize("kind, message", [
-        (",", "--kind needs at least one kind"),
-        ("asian,lookback", "unknown payoff kind 'lookback'"),
-    ])
-    def test_table_bad_kind_exit_2(self, capsys, kind, message):
-        code, out, err = run_cli(["table", "--kind", kind], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: {message}\n"
 
     def test_indivisible_n_rejected(self, capsys):
         code, _, err = run_cli(["price", "--N", "100", "--reps", "8"],

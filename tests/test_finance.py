@@ -254,22 +254,29 @@ class TestExperimentTable:
 
     def test_columns_keep_order_and_share_draws(self, monkeypatch):
         # non-adjacent columns, and both QMC generators, share one
-        # scrambled stream per (seed, replicate); on one worker, so that
-        # the recording list sees every stream built
+        # scrambled stream per (seed, replicate), and the mc columns one
+        # pseudo-random draw per replicate; on one worker, so that the
+        # recording lists see every stream and generator built
         monkeypatch.setattr(_pool, "_worker_count", lambda: 1)
         columns = [("sphere_normal", "pca"), ("mc", "standard"),
                    ("sphere_normal", "standard"),
-                   ("sobol_inverse_normal", "pca")]
-        builds = []
-        stream = finance.SobolStream
+                   ("sobol_inverse_normal", "pca"), ("mc", "pca")]
+        builds, rngs = [], []
+        stream, rng = finance.SobolStream, finance._rng
 
-        def counted(*args, **kwargs):
+        def counted_stream(*args, **kwargs):
             builds.append((kwargs["seed"], kwargs["replicate"]))
             return stream(*args, **kwargs)
 
-        monkeypatch.setattr(finance, "SobolStream", counted)
+        def counted_rng(*args):
+            rngs.append(args)
+            return rng(*args)
+
+        monkeypatch.setattr(finance, "SobolStream", counted_stream)
+        monkeypatch.setattr(finance, "_rng", counted_rng)
         [ests] = finance._price_columns([SPEC], columns, 64, 6, seed=2)
         assert sorted(builds) == [(2, rep) for rep in range(6)]
+        assert sorted(rngs) == [(2, rep) for rep in range(6)]
         assert [(e.generator, e.construction) for e in ests] == columns
         assert ests == [price_option(SPEC, c, g, 64, 6, seed=2)
                         for g, c in columns]
@@ -281,18 +288,12 @@ class TestExperimentTable:
                                       seed=2) == [
             finance._price_columns([spec], TABLE_COLUMNS, 64, 6, seed=2)[0]
             for spec in specs]
-        assert finance.experiment_tables(specs[::-1], [64, 128], 4,
-                                         n_replicates=8) == [
-            experiment_table(spec, [64, 128], 4, n_replicates=8)
-            for spec in specs[::-1]]
 
     @pytest.mark.parametrize("field", ["S0", "T", "sigma", "r", "d_steps"])
     def test_specs_need_equal_paths(self, field):
         other = dataclasses.replace(SPEC, **{field: 2 * getattr(SPEC, field)})
         calls = [lambda specs: finance._price_columns(specs, TABLE_COLUMNS,
                                                       64, 2, seed=0),
-                 lambda specs: finance.experiment_tables(specs, [128], 0,
-                                                         n_replicates=2),
                  lambda specs: mc_reference_price(specs, 2**10)]
         for call in calls:
             with pytest.raises(ConfigurationError, match="equal S0, T"):

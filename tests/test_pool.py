@@ -143,6 +143,15 @@ def test_more_indices_than_a_pipe_holds(cpus):
     assert_no_child_left()
 
 
+def test_runs_without_standard_streams(cpus, monkeypatch):
+    # hosts such as pythonw have no sys.stdout or sys.stderr
+    cpus(2)
+    monkeypatch.setattr("sys.stdout", None)
+    monkeypatch.setattr("sys.stderr", None)
+    assert _pool_map(lambda i: i, 4) == [0, 1, 2, 3]
+    assert_no_child_left()
+
+
 def test_first_failure_in_task_order(cpus):
     # task 9 fails first in time, task 7 first in task order, as serially
     cpus(4)
