@@ -3,12 +3,19 @@
 Regularized incomplete gamma/beta functions, the gamma inverses, the
 sphere map's height inverse, the chi quantile and the inverse normal CDF.
 All functions are pure, accept floats or numpy arrays, and raise
-:class:`DomainError` on invalid input.  Evaluation is delegated to
-scipy.special, except the sphere height, which Halley steps on the CDF
-solve: on the half-integer grid with the closed-form Wallis CDF, and
-off it (and in every lower tail) with scipy's betainc; the test suite
-checks every function against independent adaptive-quadrature and
-bisection oracles, and the sphere height against mpmath.
+:class:`DomainError` on invalid input.  Two families are solved here on
+the half-integer grid, the shapes a with 2a an integer, and delegated to
+scipy.special off it:
+- the incomplete gamma functions of one scalar shape up to _GRID_CAP
+  (the chi lift's dof/2, the Nakagami mu of the wce kernel) take P and Q
+  in closed form, and their inverses and the chi quantile two Halley
+  steps on those forms; other shapes take scipy's gammainc, gammaincc
+  and their generic inverses;
+- the sphere height takes Halley steps on the closed-form Wallis CDF,
+  and off the grid (and in every lower tail) on scipy's betainc.
+The beta function and the normal CDF and its inverse are scipy's.  The
+test suite checks every function against independent adaptive-quadrature
+and bisection oracles, and the grid forms against mpmath.
 """
 
 from __future__ import annotations
@@ -42,6 +49,30 @@ _TINY = 1e-300
 # coordinate does not give -inf.
 _U_CAP = 1.0 - 2.0**-32
 _U_FLOOR = 2.0**-33
+
+# The incomplete gamma functions of a scalar shape a with 2a an integer
+# up to _GRID_CAP (DiDonato and Morris, ACM TOMS 12, 1986), see _grid_q
+# and _grid_p.  The closed forms cost O(a) and the series O(sqrt a)
+# vector operations, against scipy's fixed cost: measured per value over
+# 8192 values on 2 vCPUs, P took 141 ns against scipy's 253 ns at a = 30,
+# 168 against 245 at a = 50 and 210 against 234 at a = 70 (Q and the
+# inverse gain more).
+_GRID_CAP = 30.0
+_SQRT_PI = math.sqrt(math.pi)
+# h = e^(-x/2) is 0 from x = 1491 on
+_X_FLAT = 1500.0
+# The inverse (_gamma_halley) starts from the small-x leading term where
+# that lies below _LEAD_X a, in the upper tail from the large-x
+# asymptotic root where that lies above _ASYM_X[0] a + _ASYM_X[1], and
+# from Wilson-Hilferty elsewhere.  On the grid these starts lie within
+# 5 % of the root, from where _GAMMA_STEPS Halley steps reach it to
+# rounding: within 1.5e-15 of six steps over 2.2e5 random targets per
+# shape and tail (3.3e-15 at a = 1/2 near the median, where the steps
+# stall at the rounding of P and Q).  In the lower tail the starts and
+# first steps stayed below 0.99 a, inside the range of P's series.
+_LEAD_X = 0.2
+_ASYM_X = (4.65, 2.0)
+_GAMMA_STEPS = 2
 
 # sphere_height solves F(phi) = v for the colatitude phi (see
 # _wallis_height):
@@ -115,12 +146,20 @@ def _check_shape(a):
         raise DomainError(f"shape parameter must be > 0, got {a!r}")
 
 
+def _on_grid(a):
+    """Whether the checked shape a is one scalar with 2a an integer, up
+    to _GRID_CAP, so that the gamma functions take the closed forms."""
+    return np.ndim(a) == 0 and a <= _GRID_CAP and (2.0 * a) % 1 == 0
+
+
 def reg_gamma_p(a, x):
     """Lower regularized incomplete gamma function P(a, x)."""
     _check_shape(a)
     _check_finite("x", x)
     if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
+    if _on_grid(a):
+        return _grid_call(_grid_p, a, x)
     return sp.gammainc(a, x)
 
 
@@ -130,6 +169,8 @@ def reg_gamma_q(a, x):
     _check_finite("x", x)
     if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
+    if _on_grid(a):
+        return _grid_call(_grid_q, a, x)
     return sp.gammaincc(a, x)
 
 
@@ -147,7 +188,10 @@ def inv_reg_gamma_q(a, s):
         raise InfiniteResultError("inverse of Q(a, .) at s = 0 is infinite")
     if _any(s_arr < 0.0) or _any(s_arr > 1.0):
         raise DomainError(f"s must be in (0, 1], got {s!r}")
-    return _like_input(s, sp.gammainccinv(a, np.maximum(s_arr, _TINY)))
+    s_arr = np.maximum(s_arr, _TINY)
+    if _on_grid(a):
+        return _like_input(s, _gamma_root(float(a), 1.0 - s_arr, s_arr))
+    return _like_input(s, sp.gammainccinv(a, s_arr))
 
 
 def inv_reg_gamma_p(a, p):
@@ -159,7 +203,166 @@ def inv_reg_gamma_p(a, p):
         raise InfiniteResultError("inverse of P(a, .) at p = 1 is infinite")
     if _any(p_arr < 0.0) or _any(p_arr > 1.0):
         raise DomainError(f"p must be in [0, 1), got {p!r}")
+    if _on_grid(a):
+        return _like_input(p, _gamma_root(float(a), p_arr, 1.0 - p_arr))
     return _like_input(p, sp.gammaincinv(a, p_arr))
+
+
+def _grid_call(fn, a, x):
+    """fn(a, x) over the flattened x, in x's shape; a numpy float for
+    0-dimensional x, as scipy's ufuncs return."""
+    x = np.asarray(x, dtype=float)
+    return fn(float(a), x.reshape(-1)).reshape(x.shape)[()]
+
+
+def _grid_q(a, x):
+    """Q(a, x) for a on the grid and x (n,).
+
+    Q = e^-x sum_{k<a} x^k / k! for integer a, and e^-x (erfcx(sqrt x) +
+    sqrt x sum_{k<a-1/2} x^k / Gamma(k + 3/2)) otherwise, sums of positive
+    terms; the erfc term enters through erfcx, as scipy's erfc(sqrt x)
+    takes exp(-y^2) of the rounded y = sqrt x, 5e-14 off at x = 640.
+    e^-x enters as two factors h = e^(-x/2), so that Q stays normal where
+    e^-x underflows; the sum takes x up to _X_FLAT, where h is already 0,
+    so that it stays finite.
+    """
+    h = np.exp(-0.5 * x)
+    s = _horner(_GRID[int(2.0 * a) - 1][0], np.minimum(x, _X_FLAT))
+    if a % 1:
+        y = np.sqrt(x)
+        s = s * y + sp.erfcx(y)
+    return h * (h * s)
+
+
+def _grid_p(a, x):
+    """P(a, x) for a on the grid and x (n,): below x = a - 1/3, where
+    P < 1/2, the positive series of _series_p; above, 1 - Q with
+    Q < 0.57, which cancels no more than one bit."""
+    low = x < a - 1.0 / 3.0
+    p = np.empty_like(x)
+    p[low] = _series_p(a, x[low])[0]
+    p[~low] = 1.0 - _grid_q(a, x[~low])
+    return p
+
+
+def _series_p(a, x):
+    """P(a, x) = e^-x x^a / Gamma(a + 1) sum_k x^k / ((a + 1) ... (a + k))
+    and the sum, for a on the grid and x (n,) up to a."""
+    series = _horner(_GRID[int(2.0 * a) - 1][1], x)
+    return _head(a, x) * series, series
+
+
+def _head(a, x):
+    """e^-x x^a / Gamma(a + 1) for a on the grid and x (n,) below 1416,
+    where h = e^(-x/2) is normal."""
+    h = np.exp(-0.5 * x)
+    return np.power(x, a) * h * (h * _GRID[int(2.0 * a) - 1][2])
+
+
+def _horner(coef, x):
+    """The polynomial with coefficients coef, highest power first, at x."""
+    acc = np.full(x.shape, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _inv_gamma(b):
+    """1 / Gamma(b) for b >= 1 an integer or half-integer: 1 / (b - 1)!,
+    or 2^(k+1) / (1 3 ... (2k + 1)) / sqrt(pi) for b = k + 3/2, the
+    ratio of exact integers rounded once."""
+    if b % 1:
+        k = int(b - 1.5)
+        return 2**(k + 1) / math.prod(range(1, 2 * k + 2, 2)) / _SQRT_PI
+    return 1 / math.factorial(int(b) - 1)
+
+
+def _grid_constants(a):
+    """For a on the grid, the Horner coefficients, highest power first, of
+    Q's finite sum (see _grid_q; a zero for a = 1/2) and of P's series
+    (see _series_p), and 1 / Gamma(a + 1).  The series runs to the first
+    term below 2^-54 of its leading 1 at x = a, above every x it serves:
+    below a - 1/3 in _grid_p, and below the median, which lies under a,
+    in the lower tail of the inverse."""
+    if a % 1:
+        finite = [_inv_gamma(k + 1.5) for k in range(int(a))] or [0.0]
+    else:
+        finite = [_inv_gamma(k + 1.0) for k in range(int(a))]
+    series, term = [1.0], 1.0
+    while term >= 2.0**-54:
+        k = len(series)
+        series.append(series[-1] / (a + k))
+        term *= a / (a + k)
+    return (np.array(finite[::-1]), np.array(series[::-1]),
+            _inv_gamma(a + 1.0))
+
+
+# _grid_constants of every grid shape a = n / 2, at index n - 1
+_GRID = tuple(_grid_constants(n / 2.0)
+              for n in range(1, int(2 * _GRID_CAP) + 1))
+
+
+def _gamma_root(a, p, q):
+    """x with P(a, x) = p where p <= q, else with Q(a, x) = q, for a on
+    the grid and q = 1 - p; of each pair the smaller value must be exact,
+    as the solver takes that one.  p and q are arrays of one shape."""
+    shape = np.shape(p)
+    p, q = p.reshape(-1), q.reshape(-1)
+    upper = q < p
+    x = np.empty(p.shape)
+    for side, v in ((False, p), (True, q)):
+        at = upper == side
+        if at.any():
+            x[at] = _gamma_halley(a, v[at], side)
+    return x.reshape(shape)
+
+
+def _gamma_halley(a, v, upper):
+    """x with Q(a, x) = v if upper, else P(a, x) = v, for v (n,) in
+    [0, 1/2] and a on the grid: _GAMMA_STEPS Halley steps on
+    g = log(F / v), F = P or Q, from the start of _LEAD_X and _ASYM_X.
+
+    With the density f = x^(a-1) e^-x / Gamma(a), F' = f for P and -f for
+    Q, and F'' = F' ((a - 1) / x - 1), so that with w = F / F' the step
+    g / (g' - g g'' / 2g') is g w / (1 - g (((a - 1) / x - 1) w - 1) / 2).
+    Roots below the smallest normal number keep the leading term, which
+    is exact there.
+    """
+    z = sp.ndtri(v)
+    if upper:
+        z = -z
+    with np.errstate(all="ignore"):
+        x = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)))**3
+        if upper:
+            # the root of log Q = (a - 1) log x - x - log Gamma(a)
+            # + log(x / (x - a + 1)), Q's leading terms at large x
+            top = -np.log(v) - math.lgamma(a)
+            asym = top
+            for _ in range(3):
+                asym = top + (a - 1.0) * np.log(asym) - np.log1p(
+                    (1.0 - a) / asym)
+            x = np.where(asym > _ASYM_X[0] * a + _ASYM_X[1], asym, x)
+        else:
+            # P ~ x^a (1 - a x / (a + 1)) / Gamma(a + 1) at small x
+            lead = (v * math.gamma(a + 1.0))**(1.0 / a)
+            lead *= 1.0 + lead / (a + 1.0)
+            x = np.where(lead < _LEAD_X * a, lead, x)
+        for _ in range(_GAMMA_STEPS):
+            if upper:
+                value = _grid_q(a, x)
+                w = -value / (_head(a, x) * (a / x))
+            else:
+                # P's roots lie below the median, under a, where its
+                # series serves alone; w = F / f = x sum / a
+                value, series = _series_p(a, x)
+                w = series * (x / a)
+            g = np.log(value / v)
+            x = x - g * w / (1.0 - 0.5 * g * (((a - 1.0) / x - 1.0) * w
+                                               - 1.0))
+    if upper:
+        return x
+    return np.where(lead < np.finfo(float).tiny, lead, x)
 
 
 def reg_beta_i(x, a, b):
@@ -446,7 +649,12 @@ def chi_quantile(dof, u):
         raise InfiniteResultError("chi quantile at u = 1 is infinite")
     if _any(u_arr < 0.0) or _any(u_arr > 1.0):
         raise DomainError(f"u must be in [0, 1), got {u!r}")
-    return _like_input(u, np.sqrt(2.0 * sp.gammaincinv(dof / 2.0, u_arr)))
+    a = dof / 2.0
+    if _on_grid(a):
+        half_sq = _gamma_root(a, u_arr, 1.0 - u_arr)
+    else:
+        half_sq = sp.gammaincinv(a, u_arr)
+    return _like_input(u, np.sqrt(2.0 * half_sq))
 
 
 def normal_cdf(x):

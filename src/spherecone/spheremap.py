@@ -66,6 +66,8 @@ class SpacePoints:
         if directions.shape[0] != radii.shape[0]:
             raise ConfigurationError("directions and radii length mismatch")
         _check_unit(directions)
+        if not np.isfinite(radii).all():
+            raise DomainError("radii must be finite")
         if np.any(radii < 0):
             raise DomainError("radii must be nonnegative")
         self.directions = directions
@@ -86,6 +88,8 @@ class SpacePoints:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.size == 0:
             raise DomainError("point set must not be empty")
+        if not np.isfinite(xs).all():
+            raise DomainError("point coordinates must be finite")
         r = np.linalg.norm(xs, axis=1)
         dirs = np.empty_like(xs)
         zero = r == 0.0

@@ -539,9 +539,10 @@ def strata_scaling(p, M_list, seed, draws=0):
     the formula is deterministic.  The draws of every M are sampled and
     scored in batches of max(1, _STRATA_BATCH_POINTS // (M K)) through
     _stratified_draws and _nakagami_reports.  Each M's formula and each
-    batch is one task of one worker pool, and the batches are combined
-    in batch order: bitwise the same for any worker count, and as one
-    stratified_sample and one wce_nakagami call per draw.
+    batch is one task of one worker pool, the formulas first and largest
+    M first, and the batches are combined in batch order: bitwise the
+    same for any worker count, and as one stratified_sample and one
+    wce_nakagami call per draw.  Rows keep the order of M_list.
     """
     if not M_list:
         raise ConfigurationError("need at least one M")
@@ -565,17 +566,23 @@ def strata_scaling(p, M_list, seed, draws=0):
             batches += [(part, shells, seeds[a:a + step])
                         for a in range(0, draws, step)]
 
+    # the pool hands tasks out in index order, and a formula's cost grows
+    # with M
+    by_size = sorted(range(len(shapes)), key=lambda i: -shapes[i][0])
+
     def task(i):
         if i < len(shapes):
-            return stratified_expected_wce_sq(p, *shapes[i][2:]).value
+            return stratified_expected_wce_sq(
+                p, *shapes[by_size[i]][2:]).value
         part, shells, batch_seeds = batches[i - len(shapes)]
         dirs, radii = _stratified_draws(part, shells, batch_seeds)
         return [r.wce**2 for r in _nakagami_reports(p, radii, dirs)]
 
     results = _pool_map(task, len(shapes) + len(batches))
     vals = [v for batch in results[len(shapes):] for v in batch]
-    rows = [{"M": M, "K": K, "N": M * K, "formula": formula}
-            for (M, K, _, _), formula in zip(shapes, results)]
+    formulas = dict(zip(by_size, results))
+    rows = [{"M": M, "K": K, "N": M * K, "formula": formulas[i]}
+            for i, (M, K, _, _) in enumerate(shapes)]
     if draws:
         for i, row in enumerate(rows):
             v = vals[i * draws:(i + 1) * draws]

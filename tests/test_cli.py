@@ -201,6 +201,18 @@ class TestReadPoints:
         assert code == 2 and "error" in err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("radius,y1,y2\n1.0,0.6,0.8\nnan,0.6,0.8\n", "radii must be finite"),
+        ("x1,x2,x3\n0.5,1.0,0.2\nnan,0.2,0.3\n",
+         "point coordinates must be finite")], ids=["polar", "cartesian"])
+    def test_non_finite_input_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        code, _, err = run_cli(["wce", "--input", str(path), "--mu", "1.5",
+                                "--A", "1.5", "--B", "3"], capsys)
+        assert code == 2 and f"error: {message}" in err
+
+
 def emit_csv_loop(header, rows, path):
     """Per-element csv writer: the reference for cli._emit_csv."""
     with open(path, "w", newline="") as out:
@@ -476,7 +488,7 @@ GOLDEN = {
     "points-sphere": (
         ["points", "--dim", "3", "--n", "16", "--gen", "sphere",
          "--scramble", "--seed", "2"],
-        "c9c2fb03e7f9cd8d47312ac48c9523768f8163c94e2c7ecd932c187459950c09",
+        "7965b049127b5bc90788832a39afeea71c0ab4bd2b33a4f3e96bf53464311b93",
         NO_OUTPUT, 0),
     "points-sobol": (
         ["points", "--dim", "2", "--n", "8", "--gen", "sobol", "--scramble",
@@ -486,12 +498,12 @@ GOLDEN = {
     "points-random": (
         ["points", "--dim", "3", "--n", "8", "--gen", "random", "--seed",
          "5"],
-        "bdacf697082e00a9a8b3c420abe14785840e8c67a6da8186fcf81145211ae0e7",
+        "ea75f10a7152e74e51b244493ec5ff1e76d0de63f3175641230c13dfe355b109",
         NO_OUTPUT, 0),
     "points-polar": (
         ["points", "--dim", "4", "--n", "8", "--gen", "sphere", "--polar",
          "--seed", "3"],
-        "c44e27e78909b0b6ea903297da0adb67e217c15280f4fedba494fbfa32040006",
+        "6d719f3ed404f10b314868931f3b09d9f2a90a4542ef259845d8435112e6b714",
         NO_OUTPUT, 0),
     "sphere-map-sobol": (
         ["sphere-map", "--dim", "3", "--n", "16", "--gen", "sobol",
@@ -505,7 +517,7 @@ GOLDEN = {
         NO_OUTPUT, 0),
     "wce": (
         ["wce", "--input", "{points}", *KERNEL_ARGS],
-        "0f7b7a79f3b52a71c24d5a38a64eba01c44274f6655a3fab29b098e965785ec5",
+        "81073b67489565193a93b16153048a857e2028c7171d1e8fcf70319c2128996e",
         NO_OUTPUT, 0),
     "rms-wce": (
         ["rms-wce", *KERNEL_ARGS, "--N", "8", "--input", "{points}"],
@@ -529,12 +541,12 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "87d3c448d5a47c51b83b0254b50b180b06e9ce9d074c37eeb577d5bdf04a7ab6",
+        "cd8fdce95671864b3b52aae8a0451fcdeba2d089bec08a09f3b2649ede64914d",
         "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (
         ["lambda", "--mu", "1.5", "--c", "2", "--K", "8"],
-        "75ab5f59be5729d03ac4aa8414c699e53a497286ab6f0eeb984361e2cc60d4e2",
+        "fc7db843b8f0d99b1c62b565e0552cf1231fa28af85c5dca13ebb29edf330958",
         NO_OUTPUT, 0),
     "price-mc": (
         ["price", "--N", "64", "--reps", "4", "--gen", "mc"],
@@ -546,11 +558,11 @@ GOLDEN = {
         NO_OUTPUT, 0),
     "price-sphere": (
         ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
-        "bea367f42ade0917aa604a165e918438b05b1c345c7e1673bc6a30f55cb00b9b",
+        "391ac0fee231b132f6cf234bae7442d72d843d21eaad4379bcd8b507d2260c4d",
         NO_OUTPUT, 0),
     "table": (
         ["table", "--n-list", "256"],
-        "1c0ba933730d2480ccc4fdfe56315c5ccf22367356a5d6a2cf56d1a45d50d1d4",
+        "76c45d4f4ae07aedc8c83bb163b7098f8b8c255c51855fcfed33f535737fd316",
         NO_OUTPUT, 0),
 }
 

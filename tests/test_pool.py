@@ -14,6 +14,7 @@ from spherecone import finance, wce
 from spherecone._pool import _pool_map
 from spherecone.errors import NumericError, WorkerError
 from spherecone.finance import OptionSpec, experiment_table
+from spherecone.spheremap import equal_area_partition_s2, radial_shells
 from spherecone.wce import KernelParams
 
 P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
@@ -239,3 +240,24 @@ def test_interrupted_call_leaves_no_worker(cpus):
         _pool_map(task, 8)
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+def test_strata_formulas_start_largest_m_first(cpus, monkeypatch):
+    # the pool hands tasks out in index order, so the costliest formula
+    # must come first; the rows keep the order of M_list
+    calls = []
+    formula = wce.stratified_expected_wce_sq
+
+    def recorded(p, partition, shells):
+        calls.append(partition.M)
+        return formula(p, partition, shells)
+
+    monkeypatch.setattr(wce, "stratified_expected_wce_sq", recorded)
+    cpus(1)
+    rows, _ = wce.strata_scaling(P232, [16, 64, 4, 36], seed=5)
+    assert calls == [64, 36, 16, 4]
+    assert [r["M"] for r in rows] == [16, 64, 4, 36]
+    assert [r["formula"] for r in rows] == [
+        formula(P232, equal_area_partition_s2(M),
+                radial_shells(1.5, 3.0, r["K"])).value
+        for M, r in zip([16, 64, 4, 36], rows)]

@@ -125,6 +125,140 @@ class TestInvRegGamma:
         assert math.isfinite(z) and z > 600.0
 
 
+# the shapes with 2a an integer up to the cap take the closed forms
+GRID_N = range(1, int(2 * specfun._GRID_CAP) + 1)
+NORMAL_MIN = np.finfo(float).tiny
+# x from far below 1 to the far tail, past x = 745 where e^-x underflows
+GRID_X = [0.0, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.05, 0.2, 0.5, 0.9, 1.3,
+          2.0, 3.5, 6.0, 10.0, 17.0, 25.0, 40.0, 70.0, 150.0, 400.0, 700.0,
+          760.0, 900.0]
+GRID_V = [1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 2.0**-32, 1e-3, 0.1, 0.3,
+          0.5, 0.7, 0.9, 1.0 - 1e-3, 1.0 - 2.0**-32]
+
+
+def gamma_mpmath(a, x, upper):
+    """P(a, x), or Q(a, x) if upper, at 50 digits; Q as 1 - P below x = a,
+    where mpmath's Q is slow and 1 - P loses none of the 50 digits."""
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        if upper and x >= a:
+            return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        p = mpmath.gammainc(a, 0, x, regularized=True)
+        return 1 - p if upper else p
+
+
+def gamma_root_mpmath(a, v, upper, x):
+    """The root of P(a, .) = v, or of Q(a, .) = v if upper, by Newton's
+    method at 50 digits from x > 0."""
+    with mpmath.workdps(50):
+        root, v = mpmath.mpf(x), mpmath.mpf(v)
+        for _ in range(20):
+            density = (root**(mpmath.mpf(a) - 1) * mpmath.exp(-root)
+                       / mpmath.gamma(mpmath.mpf(a)))
+            step = (gamma_mpmath(a, root, upper) - v) / density
+            root -= -step if upper else step
+            if abs(step) <= root * mpmath.mpf(10)**-30:
+                return root
+    raise AssertionError(f"no convergence at a={a}, v={v}")
+
+
+def assert_near(got, ref, what):
+    """got within 1e-14 of ref where ref is a normal double, else within
+    the smallest normal double (both underflow)."""
+    if ref >= NORMAL_MIN:
+        assert abs(got - ref) <= 1e-14 * ref, (what, got, float(ref))
+    else:
+        assert abs(got - ref) <= NORMAL_MIN, (what, got, float(ref))
+
+
+class TestGammaGrid:
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_forward_against_mpmath(self, n):
+        a = n / 2.0
+        switch = a - 1.0 / 3.0  # where P leaves its series for 1 - Q
+        x = np.array(GRID_X + [np.nextafter(switch, 0.0), switch, a])
+        p, q = specfun.reg_gamma_p(a, x), specfun.reg_gamma_q(a, x)
+        for xi, pi, qi in zip(x, p, q):
+            assert_near(pi, gamma_mpmath(a, xi, False), ("P", a, xi))
+            assert_near(qi, gamma_mpmath(a, xi, True), ("Q", a, xi))
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_inverses_against_mpmath(self, n):
+        a = n / 2.0
+        v = np.array(GRID_V)
+        for upper, x in ((False, specfun.inv_reg_gamma_p(a, v)),
+                         (True, specfun.inv_reg_gamma_q(a, v))):
+            for vi, xi in zip(v, x):
+                if xi < NORMAL_MIN:
+                    # the root must lie below the normal doubles too
+                    at_min = gamma_mpmath(a, NORMAL_MIN, upper)
+                    assert at_min <= vi if upper else at_min >= vi
+                    continue
+                assert_near(xi, gamma_root_mpmath(a, vi, upper, xi),
+                             ("Q^-1" if upper else "P^-1", a, vi))
+
+    def test_edges(self):
+        for n in (1, 2, 3, 60):
+            a = n / 2.0
+            assert specfun.inv_reg_gamma_p(a, 0.0) == 0.0
+            assert specfun.inv_reg_gamma_q(a, 1.0) == 0.0
+            assert specfun.reg_gamma_p(a, 0.0) == 0.0
+            assert specfun.reg_gamma_q(a, 0.0) == 1.0
+            assert specfun.reg_gamma_q(a, 1e300) == 0.0
+            assert specfun.reg_gamma_p(a, 1e300) == 1.0
+            with pytest.raises(InfiniteResultError):
+                specfun.inv_reg_gamma_p(a, 1.0)
+            # s below 1e-300 saturates to the s = 1e-300 quantile
+            assert specfun.inv_reg_gamma_q(a, 1e-310) == \
+                specfun.inv_reg_gamma_q(a, 1e-300)
+
+    @pytest.mark.parametrize("a", [0.7, 2.3, 30.5, 31.0, 45.0,
+                                   np.full(4, 1.5)])
+    def test_off_grid_is_scipy(self, a):
+        # shapes off the grid or above the cap, and arrays of shapes,
+        # keep scipy's values bitwise
+        x = np.array([0.01, 0.7, 3.0, 40.0])
+        v = np.array([1e-250, 0.3, 0.6, 1.0 - 1e-9])
+        assert np.array_equal(specfun.reg_gamma_p(a, x), sp.gammainc(a, x))
+        assert np.array_equal(specfun.reg_gamma_q(a, x), sp.gammaincc(a, x))
+        assert np.array_equal(specfun.inv_reg_gamma_p(a, v),
+                              sp.gammaincinv(a, v))
+        assert np.array_equal(specfun.inv_reg_gamma_q(a, v),
+                              sp.gammainccinv(a, v))
+        assert specfun.chi_quantile(61, 0.3) == math.sqrt(
+            2.0 * sp.gammaincinv(30.5, 0.3))
+
+
+# the chi lift's inputs: scrambled Sobol' coordinates j 2^-32, capped at
+# _U_CAP, with some j drawn once
+CHI_U = np.array(
+    [0.0, 2.0**-32, 2.0**-31, 3 * 2.0**-32, 2.0**-20, 2.0**-8, 0.25, 0.5,
+     0.75, 1.0 - 2.0**-8, 1.0 - 2.0**-20, specfun._U_CAP]
+    + list(np.random.default_rng(3).integers(1, 2**32, 4) * 2.0**-32))
+
+
+@pytest.mark.parametrize("k", range(2, 61))
+def test_chi_quantile_on_lift_grid(k):
+    a = k / 2.0
+    x = specfun.chi_quantile(k, CHI_U)
+    assert x[0] == 0.0
+    half_sq = x * x / 2.0
+    p, q = specfun.reg_gamma_p(a, half_sq), specfun.reg_gamma_q(a, half_sq)
+    for u, xi, hi, pi, qi in zip(CHI_U[1:], x[1:], half_sq[1:], p[1:],
+                                 q[1:]):
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(2 * gamma_root_mpmath(
+                a, u, False, mpmath.mpf(xi)**2 / 2))
+        assert abs(xi - root) <= 1e-14 * root, (k, u, xi, float(root))
+        # the round trip, 1e-14 per unit of the CDF's elasticity in x^2/2:
+        # at most a for P below the median, at most x^2/2 for Q above
+        if u <= 0.5:
+            assert abs(pi - u) <= 1e-14 * a * u, (k, u, pi)
+        else:
+            assert abs(qi - (1.0 - u)) <= 1e-14 * max(1.0, hi) * (1.0 - u), \
+                (k, u, qi)
+
+
 class TestRegBeta:
     def test_known_values(self):
         for mu in (0.5, 1.0, 3.7):

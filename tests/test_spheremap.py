@@ -455,6 +455,18 @@ class TestSpacePointTypes:
         with pytest.raises(DomainError):
             SpacePoints([[math.nan, 0.0, 0.0]], [1.0])
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        # NaN compares False against 0, so the sign check alone lets it in
+        with pytest.raises(DomainError, match="radii must be finite"):
+            SpacePoints([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, radius])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_cartesian_rejects_non_finite(self, value):
+        with pytest.raises(DomainError,
+                           match="point coordinates must be finite"):
+            SpacePoints.from_cartesian([[0.5, 1.0, 0.2], [value, 0.2, 0.3]])
+
     @pytest.mark.parametrize("empty", [[], [[]], np.empty((0, 3))])
     def test_from_cartesian_rejects_empty(self, empty):
         with pytest.raises(DomainError, match="must not be empty"):

@@ -810,7 +810,10 @@ def sector_mean_chord_ref(t0, t1, m):
 
 # (M, K): value, radial_term, angular_term and mean_cell_distance of
 # stratified_expected_wce_sq(P232, ...): shell terms in closed form, band
-# mean chords by quadrature
+# mean chords by quadrature.  The radial term cancels (2 g - 1/K is of
+# order 1/K^2), so at K = 64 a last-bit change of Lambda_K moves it by
+# 1e-12; that entry holds the closed-form gamma functions' value, 3.0e-13
+# from the 40-digit one (scipy's gave 6.7e-13).
 STRATIFIED_PINS = {
     (1, 1): (0.313632675713277, 0.14722570886655229, 0.1664069668467247,
              1.3333333333333335),
@@ -820,8 +823,8 @@ STRATIFIED_PINS = {
               0.0010923959165665155, 0.46086661997073075),
     (64, 8): (0.00010992370792851884, 3.9437167116040646e-05,
               7.048654081247819e-05, 0.23050751903254574),
-    (4096, 64): (2.759204437958178e-08, 9.856826415388075e-09,
-                 1.773521796419377e-08, 0.0288830582492421),
+    (4096, 64): (2.759204437959129e-08, 9.856826415397659e-09,
+                 1.7735217964193634e-08, 0.028883058249242102),
 }
 
 # (M, K, seed): mean_cell_distance and its standard error from the Monte
