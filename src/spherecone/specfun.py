@@ -20,6 +20,7 @@ and bisection oracles, and the grid forms against mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -52,12 +53,15 @@ _U_FLOOR = 2.0**-33
 
 # The incomplete gamma functions of a scalar shape a with 2a an integer
 # up to _GRID_CAP (DiDonato and Morris, ACM TOMS 12, 1986), see _grid_q
-# and _grid_p.  The closed forms cost O(a) and the series O(sqrt a)
-# vector operations, against scipy's fixed cost: measured per value over
-# 8192 values on 2 vCPUs, P took 141 ns against scipy's 253 ns at a = 30,
-# 168 against 245 at a = 50 and 210 against 234 at a = 70 (Q and the
-# inverse gain more).
-_GRID_CAP = 30.0
+# and _grid_p.  Their inverses cost about a third of scipy's time per
+# value but a fixed 0.15-0.24 ms per call (some 200 numpy calls), so
+# they gain from a few hundred values per call on.  chi_quantile of 512
+# values, price-table's call size for its a = 15, measured on 2 vCPUs
+# against scipy's time: 0.71-0.97 at the half-integer a up to 15/2,
+# 0.99-1.03 at the integer a from 2 to 7 (1.21 at a = 1), 1.03-1.08
+# from a = 8 on; 0.25-0.40 over 8192 values for every a up to 15, and
+# 3.5-5.7 over 64 values.
+_GRID_CAP = 7.5
 _SQRT_PI = math.sqrt(math.pi)
 # h = e^(-x/2) is 0 from x = 1491 on
 _X_FLAT = 1500.0
@@ -170,7 +174,7 @@ def reg_gamma_q(a, x):
     if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
     if _on_grid(a):
-        return _grid_call(_grid_q, a, x)
+        return _grid_call(_reg_gamma_q, a, x)
     return sp.gammaincc(a, x)
 
 
@@ -215,19 +219,18 @@ def _grid_call(fn, a, x):
     return fn(float(a), x.reshape(-1)).reshape(x.shape)[()]
 
 
-def _grid_q(a, x):
-    """Q(a, x) for a on the grid and x (n,).
+def _grid_q(a, x, h):
+    """Q(a, x) for a on the grid, x (n,) and h = e^(-x/2).
 
     Q = e^-x sum_{k<a} x^k / k! for integer a, and e^-x (erfcx(sqrt x) +
     sqrt x sum_{k<a-1/2} x^k / Gamma(k + 3/2)) otherwise, sums of positive
     terms; the erfc term enters through erfcx, as scipy's erfc(sqrt x)
     takes exp(-y^2) of the rounded y = sqrt x, 5e-14 off at x = 640.
-    e^-x enters as two factors h = e^(-x/2), so that Q stays normal where
-    e^-x underflows; the sum takes x up to _X_FLAT, where h is already 0,
-    so that it stays finite.
+    e^-x enters as the two factors h, so that Q stays normal where e^-x
+    underflows; the sum takes x up to _X_FLAT, where h is already 0, so
+    that it stays finite.
     """
-    h = np.exp(-0.5 * x)
-    s = _horner(_GRID[int(2.0 * a) - 1][0], np.minimum(x, _X_FLAT))
+    s = _horner(_grid_constants(int(2.0 * a))[0], np.minimum(x, _X_FLAT))
     if a % 1:
         y = np.sqrt(x)
         s = s * y + sp.erfcx(y)
@@ -240,23 +243,28 @@ def _grid_p(a, x):
     Q < 0.57, which cancels no more than one bit."""
     low = x < a - 1.0 / 3.0
     p = np.empty_like(x)
-    p[low] = _series_p(a, x[low])[0]
-    p[~low] = 1.0 - _grid_q(a, x[~low])
+    x_low, x_high = x[low], x[~low]
+    p[low] = _series_p(a, x_low, np.exp(-0.5 * x_low))[0]
+    p[~low] = 1.0 - _grid_q(a, x_high, np.exp(-0.5 * x_high))
     return p
 
 
-def _series_p(a, x):
+def _reg_gamma_q(a, x):
+    """Q(a, x) for a on the grid and x (n,)."""
+    return _grid_q(a, x, np.exp(-0.5 * x))
+
+
+def _series_p(a, x, h):
     """P(a, x) = e^-x x^a / Gamma(a + 1) sum_k x^k / ((a + 1) ... (a + k))
-    and the sum, for a on the grid and x (n,) up to a."""
-    series = _horner(_GRID[int(2.0 * a) - 1][1], x)
-    return _head(a, x) * series, series
+    and the sum, for a on the grid, x (n,) up to a and h = e^(-x/2)."""
+    series = _horner(_grid_constants(int(2.0 * a))[1], x)
+    return _head(a, x, h) * series, series
 
 
-def _head(a, x):
-    """e^-x x^a / Gamma(a + 1) for a on the grid and x (n,) below 1416,
-    where h = e^(-x/2) is normal."""
-    h = np.exp(-0.5 * x)
-    return np.power(x, a) * h * (h * _GRID[int(2.0 * a) - 1][2])
+def _head(a, x, h):
+    """e^-x x^a / Gamma(a + 1) for a on the grid, x (n,) below 1416 and
+    h = e^(-x/2), which is normal there."""
+    return np.power(x, a) * h * (h * _grid_constants(int(2.0 * a))[2])
 
 
 def _horner(coef, x):
@@ -278,13 +286,15 @@ def _inv_gamma(b):
     return 1 / math.factorial(int(b) - 1)
 
 
-def _grid_constants(a):
-    """For a on the grid, the Horner coefficients, highest power first, of
-    Q's finite sum (see _grid_q; a zero for a = 1/2) and of P's series
-    (see _series_p), and 1 / Gamma(a + 1).  The series runs to the first
-    term below 2^-54 of its leading 1 at x = a, above every x it serves:
-    below a - 1/3 in _grid_p, and below the median, which lies under a,
-    in the lower tail of the inverse."""
+@functools.cache
+def _grid_constants(n):
+    """For the grid shape a = n / 2, the Horner coefficients, highest
+    power first, of Q's finite sum (see _grid_q; a zero for a = 1/2) and
+    of P's series (see _series_p), and 1 / Gamma(a + 1).  The series runs
+    to the first term below 2^-54 of its leading 1 at x = a, above every
+    x it serves: below a - 1/3 in _grid_p, and below the median, which
+    lies under a, in the lower tail of the inverse."""
+    a = n / 2.0
     if a % 1:
         finite = [_inv_gamma(k + 1.5) for k in range(int(a))] or [0.0]
     else:
@@ -296,11 +306,6 @@ def _grid_constants(a):
         term *= a / (a + k)
     return (np.array(finite[::-1]), np.array(series[::-1]),
             _inv_gamma(a + 1.0))
-
-
-# _grid_constants of every grid shape a = n / 2, at index n - 1
-_GRID = tuple(_grid_constants(n / 2.0)
-              for n in range(1, int(2 * _GRID_CAP) + 1))
 
 
 def _gamma_root(a, p, q):
@@ -349,13 +354,14 @@ def _gamma_halley(a, v, upper):
             lead *= 1.0 + lead / (a + 1.0)
             x = np.where(lead < _LEAD_X * a, lead, x)
         for _ in range(_GAMMA_STEPS):
+            h = np.exp(-0.5 * x)
             if upper:
-                value = _grid_q(a, x)
-                w = -value / (_head(a, x) * (a / x))
+                value = _grid_q(a, x, h)
+                w = -value / (_head(a, x, h) * (a / x))
             else:
                 # P's roots lie below the median, under a, where its
                 # series serves alone; w = F / f = x sum / a
-                value, series = _series_p(a, x)
+                value, series = _series_p(a, x, h)
                 w = series * (x / a)
             g = np.log(value / v)
             x = x - g * w / (1.0 - 0.5 * g * (((a - 1.0) / x - 1.0) * w

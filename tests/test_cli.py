@@ -558,11 +558,11 @@ GOLDEN = {
         NO_OUTPUT, 0),
     "price-sphere": (
         ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
-        "391ac0fee231b132f6cf234bae7442d72d843d21eaad4379bcd8b507d2260c4d",
+        "bea367f42ade0917aa604a165e918438b05b1c345c7e1673bc6a30f55cb00b9b",
         NO_OUTPUT, 0),
     "table": (
         ["table", "--n-list", "256"],
-        "76c45d4f4ae07aedc8c83bb163b7098f8b8c255c51855fcfed33f535737fd316",
+        "1c0ba933730d2480ccc4fdfe56315c5ccf22367356a5d6a2cf56d1a45d50d1d4",
         NO_OUTPUT, 0),
 }
 

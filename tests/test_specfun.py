@@ -198,7 +198,7 @@ class TestGammaGrid:
                              ("Q^-1" if upper else "P^-1", a, vi))
 
     def test_edges(self):
-        for n in (1, 2, 3, 60):
+        for n in (1, 2, 3, int(2 * specfun._GRID_CAP)):
             a = n / 2.0
             assert specfun.inv_reg_gamma_p(a, 0.0) == 0.0
             assert specfun.inv_reg_gamma_q(a, 1.0) == 0.0
@@ -212,8 +212,8 @@ class TestGammaGrid:
             assert specfun.inv_reg_gamma_q(a, 1e-310) == \
                 specfun.inv_reg_gamma_q(a, 1e-300)
 
-    @pytest.mark.parametrize("a", [0.7, 2.3, 30.5, 31.0, 45.0,
-                                   np.full(4, 1.5)])
+    @pytest.mark.parametrize("a", [0.7, 2.3, specfun._GRID_CAP + 0.5, 15.0,
+                                   30.5, 45.0, np.full(4, 1.5)])
     def test_off_grid_is_scipy(self, a):
         # shapes off the grid or above the cap, and arrays of shapes,
         # keep scipy's values bitwise
@@ -225,8 +225,9 @@ class TestGammaGrid:
                               sp.gammaincinv(a, v))
         assert np.array_equal(specfun.inv_reg_gamma_q(a, v),
                               sp.gammainccinv(a, v))
-        assert specfun.chi_quantile(61, 0.3) == math.sqrt(
-            2.0 * sp.gammaincinv(30.5, 0.3))
+        for dof in (16, 30, 61):
+            assert specfun.chi_quantile(dof, 0.3) == math.sqrt(
+                2.0 * sp.gammaincinv(dof / 2.0, 0.3))
 
 
 # the chi lift's inputs: scrambled Sobol' coordinates j 2^-32, capped at
