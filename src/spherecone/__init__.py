@@ -14,8 +14,7 @@ from .wce import (KernelParams, SphereConstants, WceReport, sphere_constants,
                   mc_cone_discrepancy_oracle, rms_wce_iid,
                   rms_wce_fixed_directions, expected_wce_sq_permutation,
                   stratified_expected_wce_sq, lambda_k)
-from .finance import (OptionSpec, PathConstruction, PriceEstimate,
-                      brownian_transform, price_option, mc_reference_price,
-                      experiment_table)
+from .finance import (OptionSpec, PriceEstimate, brownian_transform,
+                      price_option, mc_reference_price, experiment_table)
 
 __version__ = "0.1.0"

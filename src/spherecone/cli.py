@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 import warnings
@@ -24,23 +23,20 @@ from .errors import DomainError, ConfigurationError, NumericError
 _FMT = "%.17g"
 
 
-@functools.cache
-def _row_format(kinds):
-    """The one format string of a CSV row whose cells have these types:
-    17 significant digits for floats, str() for every other cell."""
-    return ",".join(_FMT if issubclass(k, float) else "%s"
-                    for k in kinds) + "\r\n"
-
-
 def _emit_csv(header, rows, path):
     """Write header and rows as CSV lines ending in \\r\\n.  Cells are
     written as they are, unquoted: the CLI's text cells (generator, kind
-    and construction names) hold no comma, quote or line break."""
+    and construction names) hold no comma, quote or line break.  Floats
+    take 17 significant digits and every other cell str(); the rows of
+    each table share their cell types, so the first row's set the format
+    of all."""
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         out.write(",".join(header) + "\r\n")
-        out.writelines(_row_format(tuple(map(type, row))) % tuple(row)
-                       for row in rows)
+        if rows:
+            fmt = ",".join(_FMT if isinstance(cell, float) else "%s"
+                           for cell in rows[0]) + "\r\n"
+            out.writelines(fmt % tuple(row) for row in rows)
     finally:
         if path:
             out.close()

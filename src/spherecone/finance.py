@@ -23,10 +23,11 @@ Replicates are drawn and priced on the worker processes of `_pool`, one
 pool per call, in tasks of consecutive replicates.  A task draws its
 replicates' normals once for every generator: the pseudo-random
 normals, and one scrambled Sobol' stream per replicate that feeds both
-the inverse normal and the sphere lift.  It builds the path matrix once
-per (generator, construction) and takes the payoff of every option spec
-of the call from it, so specs priced together must share S0, T, sigma,
-r and d_steps.  Each replicate is a pure function of (seed, replicate),
+the inverse normal and the sphere lift.  It draws them in tiles of a
+bounded number of paths, builds the path matrix of a tile once per
+(generator, construction) and takes the payoff of every option spec of
+the call from it, so specs priced together must share S0, T, sigma, r
+and d_steps.  Each replicate is a pure function of (seed, replicate),
 and a task returns only its replicates' prices.
 """
 
@@ -46,7 +47,6 @@ from .spheremap import lift_to_space
 
 __all__ = [
     "OptionSpec",
-    "PathConstruction",
     "PriceEstimate",
     "brownian_transform",
     "price_option",
@@ -59,10 +59,11 @@ __all__ = [
 GENERATORS = ("mc", "sobol_inverse_normal", "sphere_normal")
 CONSTRUCTIONS = ("standard", "pca")
 
-# paths summed at once by mc_reference_price, and the tiles in which it
-# draws and prices them
+# paths summed at once by mc_reference_price
 _REFERENCE_CHUNK = 2**19
-_REFERENCE_TILE = 2**16
+# paths drawn and priced at once, at most, by mc_reference_price and by a
+# pricing task: a tile of 30 steps holds some 16 MB per array
+_PATH_TILE = 2**16
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,6 @@ class OptionSpec:
 
 
 @dataclass(frozen=True)
-class PathConstruction:
-    kind: str
-    transform: np.ndarray  # d x d, transform @ transform.T == Sigma
-
-
-@dataclass(frozen=True)
 class PriceEstimate:
     mean: float
     std_dev_across_replicates: float
@@ -113,27 +108,27 @@ class PriceEstimate:
 
 
 def brownian_transform(d_steps, T, kind):
-    """Matrix A with A A^T = Sigma for the requested construction."""
+    """The d_steps x d_steps matrix A with A A^T = Sigma for the
+    construction kind."""
     if d_steps < 1:
         raise DomainError("d_steps must be >= 1")
     if kind not in CONSTRUCTIONS:
         raise ConfigurationError(f"unknown construction {kind!r}")
     dt = T / d_steps
     if kind == "standard":
-        A = math.sqrt(dt) * np.tril(np.ones((d_steps, d_steps)))
-    else:
-        idx = np.arange(1, d_steps + 1)
-        sigma = dt * np.minimum.outer(idx, idx)
-        vals, vecs = np.linalg.eigh(sigma)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        A = vecs * np.sqrt(np.maximum(vals, 0.0))
-    return PathConstruction(kind=kind, transform=A)
+        return math.sqrt(dt) * np.tril(np.ones((d_steps, d_steps)))
+    idx = np.arange(1, d_steps + 1)
+    sigma = dt * np.minimum.outer(idx, idx)
+    vals, vecs = np.linalg.eigh(sigma)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-# rows of the draw of one replicate task: each worker holds one task's
-# draws and its paths at a time, so this bounds the workers' memory
-# (2^10 rows raised price-table's peak RSS by 8-10 %)
+# replicates of a pricing task: _TASK_ROWS // n_points of them (at least
+# one), so that short replicates share a task's per-call costs; what a
+# task holds at once is bounded by _PATH_TILE (2^10 rows per task raised
+# price-table's peak RSS by 8-10 %)
 _TASK_ROWS = 2**9
 
 
@@ -169,26 +164,33 @@ def _check_draw(generators, n_points, n_replicates):
     return DirectionNumberTable.default()
 
 
-def _replicate_normals(generators, d, n_points, seed, reps, table):
-    """{generator: (len(reps) * n_points, d) standard normal vectors of
-    the replicates reps (a range), stacked in replicate order} for each
-    of generators.  The QMC generators take the same scrambled Sobol'
-    points, so each replicate's stream is built and taken once for
-    both."""
-    normals = {}
+def _replicate_draws(generators, d, seed, reps, table):
+    """draw(rows) -> {generator: (len(reps) * rows, d) standard normal
+    vectors} for each of generators: the next rows of every replicate of
+    reps (a range), stacked in replicate order.  The streams are opened
+    once: a Philox generator per replicate for "mc", and one scrambled
+    Sobol' stream per replicate, whose points both QMC generators take."""
+    rngs, sobols = [], []
     if "mc" in generators:
-        normals["mc"] = np.concatenate(
-            [_rng(seed, rep).standard_normal((n_points, d)) for rep in reps])
+        rngs = [_rng(seed, rep) for rep in reps]
     if set(generators) - {"mc"}:
-        u = np.concatenate([SobolStream(d, seed=seed, scramble=True,
-                                        table=table, replicate=rep)
-                            .take(n_points) for rep in reps])
-        if "sobol_inverse_normal" in generators:
-            normals["sobol_inverse_normal"] = inv_normal_cdf(
-                np.maximum(u, _U_FLOOR))
-        if "sphere_normal" in generators:
-            normals["sphere_normal"] = lift_to_space(u).cartesian
-    return normals
+        sobols = [SobolStream(d, seed=seed, scramble=True, table=table,
+                              replicate=rep) for rep in reps]
+
+    def draw(rows):
+        normals = {}
+        if rngs:
+            normals["mc"] = np.concatenate(
+                [rng.standard_normal((rows, d)) for rng in rngs])
+        if sobols:
+            u = np.concatenate([stream.take(rows) for stream in sobols])
+            if "sobol_inverse_normal" in generators:
+                normals["sobol_inverse_normal"] = inv_normal_cdf(
+                    np.maximum(u, _U_FLOOR))
+            if "sphere_normal" in generators:
+                normals["sphere_normal"] = lift_to_space(u).cartesian
+        return normals
+    return draw
 
 
 def _paths(spec, Z, A):
@@ -230,35 +232,43 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
 
     The specs must share their paths (equal S0, T, sigma, r and d_steps).
     The replicates run on one worker pool, in tasks of _TASK_ROWS //
-    n_points consecutive replicates (at least one).  A task draws its
-    replicates' normals once for every generator of the columns, builds
-    each replicate's paths once per column and takes every spec's payoff
-    from them, and returns the replicate prices; so no more than one
-    task's draws per worker are held at a time.
+    n_points consecutive replicates (at least one).  A task opens its
+    replicates' streams once and draws them in tiles of at most
+    _PATH_TILE rows, the next rows of every replicate; it builds each
+    replicate's paths of a tile once per column and takes every spec's
+    payoff from them.  A replicate's price is the mean of its payoffs,
+    held as one row per (column, spec), so a task holds one tile and 8
+    bytes per path per (column, spec); a task whose replicates fit in
+    one tile draws them at once.
     """
     specs = _path_specs(specs)
     spec = specs[0]
     generators = list(dict.fromkeys(g for g, _ in columns))
     table = _check_draw(generators, n_points, n_replicates)
-    transforms = {c: brownian_transform(spec.d_steps, spec.T, c).transform
+    transforms = {c: brownian_transform(spec.d_steps, spec.T, c)
                   for c in dict.fromkeys(c for _, c in columns)}
-    unique = list(dict.fromkeys(columns))
     per_task = max(1, _TASK_ROWS // n_points)
     starts = range(0, n_replicates, per_task)
 
     def task_prices(i):
         reps = range(starts[i], min(starts[i] + per_task, n_replicates))
-        Z = _replicate_normals(generators, spec.d_steps, n_points, seed,
-                               reps, table)
-        prices = []  # [replicate][column][spec]
-        for k in range(len(reps)):
-            at = slice(k * n_points, (k + 1) * n_points)
-            prices.append([])
-            for g, c in unique:
-                S = _paths(spec, Z[g][at], transforms[c])
-                prices[-1].append([float(_discounted_payoffs(s, S).mean())
-                                   for s in specs])
-        return prices
+        draw = _replicate_draws(generators, spec.d_steps, seed, reps, table)
+        # payoffs[k, j, l]: replicate k's payoffs of spec l under column j
+        payoffs = np.empty((len(reps), len(columns), len(specs), n_points))
+        step = max(1, _PATH_TILE // len(reps))
+        for a in range(0, n_points, step):
+            rows = min(step, n_points - a)
+            Z = draw(rows)
+            for k, rep_payoffs in enumerate(payoffs):
+                at = slice(k * rows, (k + 1) * rows)
+                for (g, c), column in zip(columns, rep_payoffs):
+                    S = _paths(spec, Z[g][at], transforms[c])
+                    for s, row in zip(specs, column):
+                        row[a:a + rows] = _discounted_payoffs(s, S)
+            # so that the next tile's draw does not meet this one's
+            Z = S = None
+        return [[[float(row.mean()) for row in column] for column in rep]
+                for rep in payoffs]
 
     results = _pool_map(task_prices, len(starts))
     # prices[s, j]: spec s's replicate prices under column j, in
@@ -266,14 +276,13 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
     prices = np.array([rep for task in results for rep in task]).T
     estimates = []
     for spec_prices in prices:
-        own = {}
-        for (generator, construction), rep_means in zip(unique, spec_prices):
+        estimates.append([])
+        for (generator, construction), rep_means in zip(columns, spec_prices):
             sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
-            own[generator, construction] = PriceEstimate(
+            estimates[-1].append(PriceEstimate(
                 mean=float(rep_means.mean()), std_dev_across_replicates=sd,
                 n_points=n_points, n_replicates=n_replicates,
-                construction=construction, generator=generator)
-        estimates.append([own[column] for column in columns])
+                construction=construction, generator=generator))
     return estimates
 
 
@@ -283,22 +292,22 @@ def mc_reference_price(specs, n_paths=2**24, seed=0):
 
     The specs must share their paths (equal S0, T, sigma, r and d_steps).
     The paths are drawn in chunks of _REFERENCE_CHUNK; each chunk is
-    drawn and priced in tiles of _REFERENCE_TILE paths, so that its
+    drawn and priced in tiles of _PATH_TILE paths, so that its
     normals and paths are never held whole, and each spec's payoffs are
     summed over the chunk.
     """
     specs = _path_specs(specs)
     _check_positive_int("n_paths", n_paths)
     spec = specs[0]
-    A = brownian_transform(spec.d_steps, spec.T, "standard").transform
+    A = brownian_transform(spec.d_steps, spec.T, "standard")
     rng = _rng(seed)
     total = [0.0] * len(specs)
     total_sq = [0.0] * len(specs)
     pay = np.empty((len(specs), min(_REFERENCE_CHUNK, n_paths)))
     for done in range(0, n_paths, _REFERENCE_CHUNK):
         m = min(_REFERENCE_CHUNK, n_paths - done)
-        for a in range(0, m, _REFERENCE_TILE):
-            b = min(a + _REFERENCE_TILE, m)
+        for a in range(0, m, _PATH_TILE):
+            b = min(a + _PATH_TILE, m)
             S = _paths(spec, rng.standard_normal((b - a, spec.d_steps)), A)
             for row, s in zip(pay, specs):
                 row[a:b] = _discounted_payoffs(s, S)

@@ -158,24 +158,30 @@ def _on_grid(a):
 
 def reg_gamma_p(a, x):
     """Lower regularized incomplete gamma function P(a, x)."""
-    _check_shape(a)
-    _check_finite("x", x)
-    if _any(np.asarray(x) < 0.0):
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if _on_grid(a):
-        return _grid_call(_grid_p, a, x)
-    return sp.gammainc(a, x)
+    return _reg_gamma(a, x, upper=False)
 
 
 def reg_gamma_q(a, x):
     """Upper regularized incomplete gamma function Q(a, x) = 1 - P(a, x)."""
+    return _reg_gamma(a, x, upper=True)
+
+
+def _reg_gamma(a, x, upper):
+    """Q(a, x) if upper, else P(a, x); on the grid in x's shape, and a
+    numpy float for 0-dimensional x, as scipy's ufuncs return."""
     _check_shape(a)
     _check_finite("x", x)
     if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
-    if _on_grid(a):
-        return _grid_call(_reg_gamma_q, a, x)
-    return sp.gammaincc(a, x)
+    if not _on_grid(a):
+        return (sp.gammaincc if upper else sp.gammainc)(a, x)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    if upper:
+        out = _grid_q(float(a), flat, np.exp(-0.5 * flat))
+    else:
+        out = _grid_p(float(a), flat)
+    return out.reshape(x.shape)[()]
 
 
 def inv_reg_gamma_q(a, s):
@@ -186,37 +192,41 @@ def inv_reg_gamma_q(a, s):
     below 1e-300 saturate to the s = 1e-300 quantile.
     """
     _check_shape(a)
-    _check_finite("s", s)
-    s_arr = np.asarray(s, dtype=float)
-    if _any(s_arr == 0.0):
-        raise InfiniteResultError("inverse of Q(a, .) at s = 0 is infinite")
-    if _any(s_arr < 0.0) or _any(s_arr > 1.0):
-        raise DomainError(f"s must be in (0, 1], got {s!r}")
-    s_arr = np.maximum(s_arr, _TINY)
-    if _on_grid(a):
-        return _like_input(s, _gamma_root(float(a), 1.0 - s_arr, s_arr))
-    return _like_input(s, sp.gammainccinv(a, s_arr))
+    s_arr = _check_probability("s", s, 0.0,
+                               "inverse of Q(a, .) at s = 0 is infinite")
+    return _like_input(s, _gamma_inverse(a, np.maximum(s_arr, _TINY),
+                                         upper=True))
 
 
 def inv_reg_gamma_p(a, p):
     """Solve P(a, z) = p for z; p in [0, 1), p -> 1 is infinite."""
     _check_shape(a)
-    _check_finite("p", p)
-    p_arr = np.asarray(p, dtype=float)
-    if _any(p_arr == 1.0):
-        raise InfiniteResultError("inverse of P(a, .) at p = 1 is infinite")
-    if _any(p_arr < 0.0) or _any(p_arr > 1.0):
-        raise DomainError(f"p must be in [0, 1), got {p!r}")
-    if _on_grid(a):
-        return _like_input(p, _gamma_root(float(a), p_arr, 1.0 - p_arr))
-    return _like_input(p, sp.gammaincinv(a, p_arr))
+    p_arr = _check_probability("p", p, 1.0,
+                               "inverse of P(a, .) at p = 1 is infinite")
+    return _like_input(p, _gamma_inverse(a, p_arr, upper=False))
 
 
-def _grid_call(fn, a, x):
-    """fn(a, x) over the flattened x, in x's shape; a numpy float for
-    0-dimensional x, as scipy's ufuncs return."""
-    x = np.asarray(x, dtype=float)
-    return fn(float(a), x.reshape(-1)).reshape(x.shape)[()]
+def _check_probability(name, value, infinite_at, message):
+    """value as a float array, checked to be finite and in [0, 1] but
+    for infinite_at, the end (0 or 1) where the inverse is infinite."""
+    _check_finite(name, value)
+    arr = np.asarray(value, dtype=float)
+    if _any(arr == infinite_at):
+        raise InfiniteResultError(message)
+    if _any(arr < 0.0) or _any(arr > 1.0):
+        interval = "(0, 1]" if infinite_at == 0.0 else "[0, 1)"
+        raise DomainError(f"{name} must be in {interval}, got {value!r}")
+    return arr
+
+
+def _gamma_inverse(a, v, upper):
+    """x with Q(a, x) = v if upper, else P(a, x) = v, for the checked
+    shape a and probabilities v: _gamma_root on the grid, else scipy's
+    gammainccinv or gammaincinv."""
+    if not _on_grid(a):
+        return (sp.gammainccinv if upper else sp.gammaincinv)(a, v)
+    p, q = (1.0 - v, v) if upper else (v, 1.0 - v)
+    return _gamma_root(float(a), p, q)
 
 
 def _grid_q(a, x, h):
@@ -247,11 +257,6 @@ def _grid_p(a, x):
     p[low] = _series_p(a, x_low, np.exp(-0.5 * x_low))[0]
     p[~low] = 1.0 - _grid_q(a, x_high, np.exp(-0.5 * x_high))
     return p
-
-
-def _reg_gamma_q(a, x):
-    """Q(a, x) for a on the grid and x (n,)."""
-    return _grid_q(a, x, np.exp(-0.5 * x))
 
 
 def _series_p(a, x, h):
@@ -649,17 +654,9 @@ def chi_quantile(dof, u):
     u must lie in [0, 1); u = 1 raises :class:`InfiniteResultError`.
     """
     _check_positive_int("dof", dof)
-    _check_finite("u", u)
-    u_arr = np.asarray(u, dtype=float)
-    if _any(u_arr == 1.0):
-        raise InfiniteResultError("chi quantile at u = 1 is infinite")
-    if _any(u_arr < 0.0) or _any(u_arr > 1.0):
-        raise DomainError(f"u must be in [0, 1), got {u!r}")
-    a = dof / 2.0
-    if _on_grid(a):
-        half_sq = _gamma_root(a, u_arr, 1.0 - u_arr)
-    else:
-        half_sq = sp.gammaincinv(a, u_arr)
+    u_arr = _check_probability("u", u, 1.0,
+                               "chi quantile at u = 1 is infinite")
+    half_sq = _gamma_inverse(dof / 2.0, u_arr, upper=False)
     return _like_input(u, np.sqrt(2.0 * half_sq))
 
 

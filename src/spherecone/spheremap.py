@@ -20,6 +20,7 @@ measures how evenly a generator's points cover the sphere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,14 @@ class SpacePoints:
             raise DomainError("point set must not be empty")
         if not np.isfinite(xs).all():
             raise DomainError("point coordinates must be finite")
-        r = np.linalg.norm(xs, axis=1)
+        with np.errstate(over="ignore"):
+            r = np.linalg.norm(xs, axis=1)
+        # rows whose sum of squares overflows, with finite coordinates:
+        # their norm is taken of the row scaled by its largest coordinate
+        big = np.isinf(r)
+        if big.any():
+            scale = np.abs(xs[big]).max(axis=1)
+            r[big] = scale * np.linalg.norm(xs[big] / scale[:, None], axis=1)
         dirs = np.empty_like(xs)
         zero = r == 0.0
         # the origin has no direction; use the first basis vector, the
@@ -199,10 +207,17 @@ class RadialShells:
     """Equal-mass radial shells of the Nakagami density with shape mu
     and spread B: the shell (rho_{k-1}, rho_k] has mass 1/K."""
 
-    boundaries: np.ndarray  # interior boundaries rho_1 < ... < rho_{K-1}
     mu: float
     B: float
     K: int
+
+    @functools.cached_property
+    def boundaries(self):
+        """The interior boundaries rho_1 < ... < rho_{K-1}, with
+        integral_0^{rho_k} psi = k/K."""
+        ks = np.arange(1, self.K)
+        return np.sqrt((self.B / self.mu)
+                       * inv_reg_gamma_q(self.mu, 1.0 - ks / self.K))
 
     def sample_radius(self, k, u):
         """Radius at conditional quantile u within shell k (1-based)."""
@@ -211,31 +226,36 @@ class RadialShells:
 
 
 def radial_shells(mu, B, K):
-    """Shell boundaries rho_k with integral_0^{rho_k} psi = k/K."""
-    if mu <= 0 or B <= 0:
-        raise DomainError("mu and B must be positive")
+    """The K equal-mass shells of the Nakagami density (mu, B)."""
+    if not (0 < mu < np.inf and 0 < B < np.inf):
+        raise DomainError("mu and B must be positive and finite")
     _check_positive_int("K", K)
-    ks = np.arange(1, K)
-    if K == 1:
-        bounds = np.empty(0)
-    else:
-        bounds = np.sqrt((B / mu) * inv_reg_gamma_q(mu, 1.0 - ks / K))
-    return RadialShells(boundaries=bounds, mu=float(mu), B=float(B), K=int(K))
+    return RadialShells(float(mu), float(B), int(K))
 
 
 @dataclass(frozen=True)
 class SpherePartition:
-    """Equal-area partition of S^2 into zonal cells.
+    """Equal-area partition of S^2 into zonal bands of congruent cells.
 
-    cells is an (M, 4) array of (theta0, theta1, phi0, phi1) in
-    colatitude/azimuth; the polar caps have the full azimuth range.
-    bands groups cells that are congruent (same colatitude range and
-    azimuth width): each entry is (theta0, theta1, n_sectors).
+    Each entry of bands is (theta0, theta1, n_sectors), in colatitude
+    order: the band between colatitudes theta0 and theta1 splits into
+    n_sectors cells of equal azimuth width, and the polar caps are bands
+    of one cell.
     """
 
-    cells: np.ndarray
     bands: list
     M: int
+
+    @functools.cached_property
+    def cells(self):
+        """The (M, 4) array of (theta0, theta1, phi0, phi1) per cell in
+        colatitude/azimuth, band by band; a band's sector j spans the
+        azimuths j w to (j + 1) w, w = 2 pi / n_sectors."""
+        t0, t1, m = (np.array(c) for c in zip(*self.bands))
+        width = np.repeat(2.0 * np.pi / m, m)
+        j = np.arange(self.M) - np.repeat(np.cumsum(m) - m, m)
+        return np.column_stack([np.repeat(t0, m), np.repeat(t1, m),
+                                j * width, (j + 1) * width])
 
 
 def equal_area_partition_s2(M):
@@ -244,14 +264,10 @@ def equal_area_partition_s2(M):
     _check_positive_int("M", M)
     M = int(M)
     if M == 1:
-        cells = np.array([[0.0, np.pi, 0.0, 2.0 * np.pi]])
-        bands = [(0.0, np.pi, 1)]
-        return SpherePartition(cells, bands, 1)
+        return SpherePartition([(0.0, np.pi, 1)], 1)
     if M == 2:
-        cells = np.array([[0.0, np.pi / 2, 0.0, 2.0 * np.pi],
-                          [np.pi / 2, np.pi, 0.0, 2.0 * np.pi]])
-        bands = [(0.0, np.pi / 2, 1), (np.pi / 2, np.pi, 1)]
-        return SpherePartition(cells, bands, 2)
+        return SpherePartition([(0.0, np.pi / 2, 1), (np.pi / 2, np.pi, 1)],
+                               2)
     # polar caps of area 1/M each
     theta_c = np.arccos(1.0 - 2.0 / M)
     n_collar_cells = M - 2
@@ -275,18 +291,10 @@ def equal_area_partition_s2(M):
     # collar boundaries chosen so each collar holds exactly its share
     cum = np.concatenate([[1], 1 + np.cumsum(counts)])
     thetas = np.arccos(np.clip(1.0 - 2.0 * cum / M, -1.0, 1.0))
-    cells = [[0.0, theta_c, 0.0, 2.0 * np.pi]]
     bands = [(0.0, theta_c, 1)]
-    for i, m_i in enumerate(counts):
-        t0, t1 = thetas[i], thetas[i + 1]
-        width = 2.0 * np.pi / m_i
-        for j in range(m_i):
-            cells.append([t0, t1, j * width, (j + 1) * width])
-        bands.append((t0, t1, m_i))
-    theta_s = np.arccos(-(1.0 - 2.0 / M))
-    cells.append([theta_s, np.pi, 0.0, 2.0 * np.pi])
-    bands.append((theta_s, np.pi, 1))
-    return SpherePartition(np.asarray(cells), bands, M)
+    bands += [(thetas[i], thetas[i + 1], m_i) for i, m_i in enumerate(counts)]
+    bands.append((np.arccos(-(1.0 - 2.0 / M)), np.pi, 1))
+    return SpherePartition(bands, M)
 
 
 def stratified_sample(partition, shells, rng_seed):
@@ -307,8 +315,6 @@ def _stratified_draws(partition, shells, seeds):
     (cos-theta, phi) pairs, then one radius quantile per shell.  Every
     step after the draws is one vectorized pass over the whole stack,
     the radii one inv_reg_gamma_p call."""
-    if partition.cells.shape[1] != 4:
-        raise ConfigurationError("partition must be an S^2 partition")
     M, K = partition.M, shells.K
     u = np.empty((len(seeds), M, 3 * K))
     for block, seed in zip(u, seeds):

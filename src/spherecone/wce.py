@@ -84,6 +84,8 @@ _STRATA_BATCH_POINTS = 2**13
 # cones drawn at once by mc_cone_discrepancy_oracle
 _ORACLE_CHUNK = 100_000
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -131,16 +133,23 @@ def sphere_constants(d):
     return SphereConstants(C_d=c_d, W_Sd=w_sd, W_KS=1.0 - c_d * w_sd)
 
 
+def _scaled_square(c, rho):
+    """c rho^2 for c > 0, held at the largest float where it overflows:
+    Phi, P and Q reach their limits 1, 1 and 0 at that argument already,
+    so that a finite radius of any size takes its exact value."""
+    with np.errstate(over="ignore"):
+        return np.minimum(c * np.asarray(rho, dtype=float)**2, _FLOAT_MAX)
+
+
 def phi_cdf(p, rho):
     """The radial cdf Phi(rho) = 1 - exp(-mu (1/A - 1/B) rho^2)."""
-    rho = np.asarray(rho, dtype=float)
-    out = -np.expm1(-p.mu * (1.0 / p.A - 1.0 / p.B) * rho**2)
+    out = -np.expm1(-_scaled_square(p.mu * (1.0 / p.A - 1.0 / p.B), rho))
     return _like_input(rho, out)
 
 
 def psi_tail(p, rho):
     """Tail mass of the radial density: Q(mu, (mu/B) rho^2)."""
-    return reg_gamma_q(p.mu, (p.mu / p.B) * np.asarray(rho, dtype=float)**2)
+    return reg_gamma_q(p.mu, _scaled_square(p.mu / p.B, rho))
 
 
 def w_kr_psi(p):
@@ -180,7 +189,8 @@ def _kr_psi_integral(p, rho, phi):
     1 - (1 - Phi(rho)) Q(mu, (mu/B) rho^2) - (A/B)^mu P(mu, (mu/A) rho^2)."""
     return (1.0
             - (1.0 - phi) * psi_tail(p, rho)
-            - (p.A / p.B)**p.mu * reg_gamma_p(p.mu, (p.mu / p.A) * rho**2))
+            - (p.A / p.B)**p.mu * reg_gamma_p(p.mu,
+                                              _scaled_square(p.mu / p.A, rho)))
 
 
 def _upper_distance_row_sums(X):

@@ -16,6 +16,8 @@ project's acceptance list:
    variance ordering and magnitudes
 10. lifted scrambled Sobol' points: mean wce^2 slope -(1 + 1/d) and
     below the i.i.d. law
+11. lifted scrambled Sobol' points: mean wce^2 below that of the
+    inverse normal cdf of the same points
 """
 
 import math
@@ -27,7 +29,7 @@ from scipy import integrate
 from spherecone import finance, spheremap, wce
 from spherecone.finance import OptionSpec, mc_reference_price
 from spherecone.lds import SobolStream
-from spherecone.specfun import (inv_normal_cdf, inv_reg_gamma_p,
+from spherecone.specfun import (_U_FLOOR, inv_normal_cdf, inv_reg_gamma_p,
                                 inv_reg_gamma_q, normal_cdf, reg_beta_i,
                                 reg_gamma_p, reg_gamma_q, sphere_height)
 from spherecone.spheremap import (SpacePoints, cap_measure,
@@ -376,6 +378,37 @@ def test_criterion_10_lifted_sobol_wce(capsys):
             f"slope {slopes[0]:.3f} at d=2 (want -1.5 +- 0.1), "
             f"{slopes[1]:.3f} at d=3 (want -1.333 +- 0.1), "
             f"worst mean wce^2 / iid law {worst:.2f} (want < 1)")
+
+
+def test_criterion_11_lift_beats_inverse_normal(capsys):
+    # the paper's comparison with the traditional construction, in its
+    # own norm: on criterion 10's streams and psi = chi(d + 1), the
+    # lifted points have a smaller mean wce^2 than the inverse normal
+    # cdf of the same cube points, at every N
+    n_list = [2**m for m in range(6, 13)]
+    ok = True
+    details, worst = [], 0.0
+    for d in (2, 3):
+        p = KernelParams(mu=(d + 1) / 2.0, A=(d + 1) / 2.0, B=d + 1.0, d=d)
+        lifted, normal = np.zeros(len(n_list)), np.zeros(len(n_list))
+        for r in range(8):
+            x = SobolStream(d + 1, seed=10, scramble=True,
+                            replicate=r).take(n_list[-1])
+            z = inv_normal_cdf(np.maximum(x, _U_FLOOR))
+            for i, n in enumerate(n_list):
+                lifted[i] += wce_nakagami(p, lift_to_space(x[:n])).wce**2 / 8
+                normal[i] += wce_nakagami(p, z[:n]).wce**2 / 8
+        lifted_slope, normal_slope = (
+            float(np.polyfit(np.log(n_list), np.log(m), 1)[0])
+            for m in (lifted, normal))
+        ratio = float((lifted / normal).max())
+        worst = max(worst, ratio)
+        ok = ok and ratio < 1.0
+        details.append(f"slopes at d={d}: {lifted_slope:.3f} lifted, "
+                       f"{normal_slope:.3f} inverse normal")
+    _report(capsys, 11, "lift beats inverse normal", ok,
+            "; ".join(details) + f"; worst lifted / inverse-normal mean "
+            f"wce^2 {worst:.2f} (want < 1)")
 
 
 @pytest.fixture(scope="module")

@@ -212,6 +212,26 @@ class TestReadPoints:
                                 "--A", "1.5", "--B", "3"], capsys)
         assert code == 2 and f"error: {message}" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text, huge", [
+        ("radius,y1,y2,y3\n{r},0.6,0,0.8\n0.7,0,1,0\n1.5,1,0,0\n", "1e200"),
+        ("x1,x2,x3\n{r},0,0\n0,0.7,0\n0,0,1.5\n", "1e300")],
+        ids=["polar", "cartesian"])
+    def test_overflowing_squares_are_scored(self, capsys, tmp_path, text,
+                                            huge):
+        # a finite radius or coordinate whose square overflows scores as
+        # a radius of 1e150 does, where Phi = 1, P = 1 and the psi tail
+        # is 0 already, without a warning
+        reports = []
+        for r in (huge, "1e150"):
+            path = tmp_path / "pts.csv"
+            path.write_text(text.format(r=r))
+            code, out, _ = run_cli(["wce", "--input", str(path), "--mu",
+                                    "1.5", "--A", "1.5", "--B", "3"], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+
 
 def emit_csv_loop(header, rows, path):
     """Per-element csv writer: the reference for cli._emit_csv."""

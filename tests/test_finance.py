@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,19 +38,18 @@ class TestTransforms:
     @pytest.mark.parametrize("d", [1, 3, 30])
     @pytest.mark.parametrize("kind", CONSTRUCTIONS)
     def test_factorization(self, d, kind):
-        pc = brownian_transform(d, 1.0, kind)
-        A = pc.transform
+        A = brownian_transform(d, 1.0, kind)
         np.testing.assert_allclose(A @ A.T, covariance(d, 1.0 / d),
                                    atol=1e-12)
 
     def test_standard_is_cumulative_walk(self):
-        A = brownian_transform(4, 1.0, "standard").transform
+        A = brownian_transform(4, 1.0, "standard")
         z = np.array([1.0, -2.0, 0.5, 3.0])
         np.testing.assert_allclose(A @ z, 0.5 * np.cumsum(z))
 
     def test_pca_matches_analytic_spectrum(self):
         d, dt = 30, 1.0 / 30
-        A = brownian_transform(d, 1.0, "pca").transform
+        A = brownian_transform(d, 1.0, "pca")
         col_norms_sq = (A**2).sum(axis=0)
         np.testing.assert_allclose(col_norms_sq,
                                    min_matrix_eigenvalues(d, dt), rtol=1e-10)
@@ -68,8 +68,8 @@ class TestNormalVectors:
 
     @staticmethod
     def draw(gen, d, n, seed, rep):
-        return finance._replicate_normals([gen], d, n, seed,
-                                          range(rep, rep + 1), None)[gen]
+        return finance._replicate_draws([gen], d, seed, range(rep, rep + 1),
+                                        None)(n)[gen]
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_shape_and_determinism(self, gen):
@@ -82,8 +82,8 @@ class TestNormalVectors:
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_stack_matches_single_replicates(self, gen):
         # a pool task's stacked draw is its replicates' draws, bitwise
-        stack = finance._replicate_normals([gen], 5, 64, 1, range(2, 5),
-                                           None)[gen]
+        stack = finance._replicate_draws([gen], 5, 1, range(2, 5),
+                                         None)(64)[gen]
         np.testing.assert_array_equal(
             stack, np.concatenate([self.draw(gen, 5, 64, 1, r)
                                    for r in range(2, 5)]))
@@ -91,13 +91,13 @@ class TestNormalVectors:
     def test_generators_share_one_draw(self):
         # the QMC generators transform one Sobol' stream per replicate;
         # drawn together, every generator's normals are its own, bitwise
-        together = finance._replicate_normals(GENERATORS, 5, 64, 1,
-                                              range(2, 5), None)
+        together = finance._replicate_draws(GENERATORS, 5, 1, range(2, 5),
+                                            None)(64)
         assert list(together) == list(GENERATORS)
         for gen in GENERATORS:
             np.testing.assert_array_equal(
-                together[gen], finance._replicate_normals(
-                    [gen], 5, 64, 1, range(2, 5), None)[gen])
+                together[gen], finance._replicate_draws(
+                    [gen], 5, 1, range(2, 5), None)(64)[gen])
 
     @pytest.mark.parametrize("gen", GENERATORS)
     def test_moments(self, gen):
@@ -194,9 +194,9 @@ class TestPricing:
 
     def test_martingale_property(self):
         # the discounted terminal price has expectation S0
-        Z = finance._replicate_normals(["mc"], 30, 2**17, 10, range(1),
-                                       None)["mc"]
-        A = brownian_transform(30, 1.0, "standard").transform
+        Z = finance._replicate_draws(["mc"], 30, 10, range(1),
+                                     None)(2**17)["mc"]
+        A = brownian_transform(30, 1.0, "standard")
         t = np.arange(1, 31) / 30.0
         S = SPEC.S0 * np.exp((SPEC.r - SPEC.sigma**2 / 2) * t
                              + SPEC.sigma * (Z @ A.T))
@@ -366,7 +366,48 @@ class TestReferencePrice:
         monkeypatch.setattr(finance, "_REFERENCE_CHUNK", 2**15)
         runs = []
         for tile in (2**12, 2**15):
-            monkeypatch.setattr(finance, "_REFERENCE_TILE", tile)
+            monkeypatch.setattr(finance, "_PATH_TILE", tile)
             runs.append(mc_reference_price([SPEC, BARRIER, DIGITAL],
                                            3 * 2**15 + 1000, seed=4))
         assert runs[0] == runs[1]
+
+
+class TestPathTiles:
+    """A pricing task draws and prices its replicates in tiles of at most
+    _PATH_TILE rows, from streams opened once per task."""
+
+    @pytest.mark.parametrize("generators, n_points, n_replicates, tile", [
+        (["mc"], 2**12 + 100, 2, 2**10),
+        (["sobol_inverse_normal", "sphere_normal"], 2**12, 2, 2**10 + 100),
+        (list(GENERATORS), 64, 8, 100)],
+        ids=["mc-long", "qmc-long", "task-of-8"])
+    def test_tiles_do_not_change_prices(self, monkeypatch, generators,
+                                        n_points, n_replicates, tile):
+        # replicates longer than a tile, or a task of several replicates
+        # wider than one, with a last tile cut short, price to the bits
+        # of the replicates drawn whole, for every kind
+        columns = [(g, c) for g in generators for c in CONSTRUCTIONS]
+        runs = []
+        for t in (tile, 2**16):
+            monkeypatch.setattr(finance, "_PATH_TILE", t)
+            runs.append(finance._price_columns([SPEC, BARRIER, DIGITAL],
+                                               columns, n_points,
+                                               n_replicates, seed=6))
+        assert runs[0] == runs[1]
+
+    def test_long_replicate_memory_is_bounded(self):
+        # a replicate of four tiles holds one tile's draws and paths and
+        # its 8-byte payoff per path, not the whole replicate's draws:
+        # its peak stays within a tenth of one tile's peak plus the
+        # payoffs, where a replicate drawn whole peaks near four times
+        # one tile's
+        peaks = []
+        for n_points in (finance._PATH_TILE, 4 * finance._PATH_TILE):
+            tracemalloc.start()
+            try:
+                price_option(SPEC, "standard", "sobol_inverse_normal",
+                             n_points, 1, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0] + 8 * 4 * finance._PATH_TILE

@@ -467,6 +467,26 @@ class TestSpacePointTypes:
                            match="point coordinates must be finite"):
             SpacePoints.from_cartesian([[0.5, 1.0, 0.2], [value, 0.2, 0.3]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_cartesian_rescales_overflowing_rows(self):
+        # a row whose sum of squares overflows gets its norm and unit
+        # direction; every other row keeps the bits of a plain norm
+        small = np.array([[0.5, 1.0, 0.2], [0.0, 3.0, -4.0]])
+        huge = np.array([[3e300, 0.0, -4e300], [1e200, 1e200, 0.0]])
+        pts = SpacePoints.from_cartesian(np.vstack([small[:1], huge,
+                                                    small[1:]]))
+        plain = SpacePoints.from_cartesian(small)
+        np.testing.assert_array_equal(pts.radii[[0, 3]], plain.radii)
+        np.testing.assert_array_equal(pts.directions[[0, 3]],
+                                      plain.directions)
+        np.testing.assert_allclose(pts.radii[1:3],
+                                   [5e300, math.sqrt(2.0) * 1e200],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(pts.directions[1:3],
+                                   [[0.6, 0.0, -0.8],
+                                    [math.sqrt(0.5), math.sqrt(0.5), 0.0]],
+                                   rtol=1e-15)
+
     @pytest.mark.parametrize("empty", [[], [[]], np.empty((0, 3))])
     def test_from_cartesian_rejects_empty(self, empty):
         with pytest.raises(DomainError, match="must not be empty"):

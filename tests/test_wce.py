@@ -197,6 +197,21 @@ class TestWce:
         est, se = mc_cone_discrepancy_oracle(p, pts, 200_000, seed=6)
         assert abs(est - closed) < 4 * se
 
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("chi", [False, True], ids=["psi-1.5", "chi"])
+    def test_mc_cone_oracle_agrees_above_d2(self, d, chi):
+        # the closed form in the dimensions the lift and pricing use, for
+        # the fixed psi (1.5, 1.5, 3) and for psi = chi(d + 1)
+        if chi:
+            p = KernelParams(mu=(d + 1) / 2.0, A=(d + 1) / 2.0, B=d + 1.0,
+                             d=d)
+        else:
+            p = KernelParams(mu=1.5, A=1.5, B=3.0, d=d)
+        pts = random_points(p, 20, seed=30 + d)
+        closed = wce_nakagami(p, pts).wce**2
+        est, se = mc_cone_discrepancy_oracle(p, pts, 200_000, seed=40 + d)
+        assert abs(est - closed) < 3 * se
+
     def test_mc_oracle_variance_shrinks(self):
         p = P232
         pts = random_points(p, 5, seed=7)
