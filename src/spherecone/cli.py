@@ -268,7 +268,10 @@ def build_parser():
     sp.add_argument("--B", type=float, required=True)
     sp.add_argument("--M-list", default="64,256,1024,4096")
     sp.add_argument("--draws", type=int, default=0,
-                    help="empirical stratified draws per M (0 = formula only)")
+                    help="empirical stratified draws per M (0 = formula "
+                    "only); each draw scores M*K points with O((M*K)^2) "
+                    "kernel pairs: the default --M-list reaches M = 4096, "
+                    "K = 64, 262,144 points and about 3.4e10 pairs per draw")
     _add_common(sp, seed_help="seeds the --draws columns only; the formula "
                 "is deterministic")
     sp.set_defaults(func=cmd_strata)

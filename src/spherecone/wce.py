@@ -58,8 +58,9 @@ __all__ = [
 # squared-wce values below this trigger a loud diagnostic before clamping
 _CANCEL_TOL = -1e-9
 
-# values held at once by the cone oracle's membership tests and the chord
-# rule: 1 MB of doubles stays in cache
+# values held at once by the cone oracle's membership tests, the chord
+# rule and a kernel-sum tile (its sets' distances together): 1 MB of
+# doubles stays in cache
 _TILE_ELEMS = 2**17
 
 # values of one elementwise pass of the chord rule, at most: temporaries
@@ -68,10 +69,12 @@ _TILE_ELEMS = 2**17
 # page-faulted in anew on every call
 _HEAP_ELEMS = 2**14 - 64
 
-# multiply-adds of one kernel-sum tile's matmul, at most: OpenBLAS runs a
+# multiply-adds of one gemm of the kernel sums, at most: OpenBLAS runs a
 # gemm of more than 4 * 65536 on threads of its own, in every worker
-# process of the pool, which would then compete for the same CPUs (a tile
-# of 2^17 distances at 512 points was one)
+# process of the pool, which would then compete for the same CPUs (a
+# block of 2^17 distances at 512 points was one); a stacked matmul makes
+# one gemm per set, so this bounds one set of a tile, and _TILE_ELEMS the
+# tile
 _GEMM_SIZE = 2**18
 
 # points of the stratified draws one strata_scaling pool task samples and
@@ -193,55 +196,78 @@ def _kr_psi_integral(p, rho, phi):
                                               _scaled_square(p.mu / p.A, rho)))
 
 
+def _row_block_sums(left, right, a, b, cols, lower, clamp):
+    """Row sums of the upper distance triangle over the rows a:b of each
+    set of the stacks left (S, n, k) and right (S, k, n): the column
+    blocks of cols from the diagonal on, each block's sums added in
+    column order.  The squares go to sqrt as the matmul gives them, a
+    rounded negative one taking NaN into its row's sum; with clamp, they
+    are held at 0 first."""
+    n = right.shape[-1]
+    for c in range(a, n, cols):
+        d = np.matmul(left[:, a:b], right[:, :, c:c + cols])
+        if clamp:
+            np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        if c == a:
+            np.copyto(d[..., :b - a], 0.0, where=lower[:b - a, :b - a])
+            sums = d.sum(axis=-1)
+        else:
+            sums += d.sum(axis=-1)
+    return sums
+
+
 def _upper_distance_row_sums(X):
     """s_bi = sum_{j > i} ||x_bi - x_bj|| over the rows of each set of the
     stack X (B, n, D), in O(B n) memory.
 
-    A tile holds rows <= cols rows of one set against cols of its
-    columns, with rows cols (D + 2) <= _GEMM_SIZE so that the tile's
-    matmul stays below OpenBLAS's threading size: whole rows (cols = n)
-    while one row fits, else column blocks of _GEMM_SIZE // (D + 2);
-    small sets share a tile, up to _GEMM_SIZE // (D + 2) distances in
-    all.  A row block meets the column blocks from its diagonal on, the
-    first holding its diagonal block, whose strict upper triangle is kept
-    through one 0/1 mask made per call; each column block's sums are
-    added to the rows' totals in column order, so each set's sums are
-    bitwise those of a stack of one.
-    A tile's squared distances ||x||^2 + ||y||^2 - 2 x.y are one matmul
-    per set of the rows [-2x, 1, ||x||^2] with the columns [y, ||y||^2,
-    1], clamped at 0; the rows' own norms are used because directions
-    may be off unit length by up to spheremap._UNIT_TOL.
+    Each set's squared distances ||x||^2 + ||y||^2 - 2 x.y are matmuls of
+    the rows [-2x, 1, ||x||^2] with the columns [y, ||y||^2, 1], both
+    built once per call; the rows' own norms are used because directions
+    may be off unit length by up to spheremap._UNIT_TOL.  One set's gemm
+    takes rows <= cols of its rows against cols of its columns, with
+    rows cols (D + 2) <= _GEMM_SIZE so that it stays below OpenBLAS's
+    threading size: whole rows (cols = n) while one row fits, else
+    column blocks of _GEMM_SIZE // (D + 2).  A tile stacks the same
+    block of as many sets as _TILE_ELEMS distances hold, one gemm per
+    set.  A row block meets the column blocks from its diagonal on, the
+    first holding its diagonal block, whose lower triangle and diagonal
+    are set to 0; rows and cols fix each row's segments and so numpy's
+    summation order, and with it every bit of the sums, whatever the
+    stack.  The squares are not clamped at 0: the rare row whose sum
+    comes out NaN (a rounded negative square of a coincident or
+    near-coincident pair) has its row block computed again with the
+    squares clamped, which gives the clamped loop's bits for every row.
     """
     B, n, D = X.shape
     k = D + 2
     cols = min(n, _GEMM_SIZE // k)
     rows = min(cols, _GEMM_SIZE // (cols * k))
-    sets = _GEMM_SIZE // (rows * cols * k)
-    upper = np.triu(np.ones((rows, rows)), 1)
+    sets = max(1, _TILE_ELEMS // (rows * cols))
+    lower = np.tri(rows, dtype=bool)
+    sq = np.einsum("bij,bij->bi", X, X)
+    left = np.empty((B, n, k))
+    np.multiply(X, -2.0, out=left[..., :D])
+    left[..., D] = 1.0
+    left[..., D + 1] = sq
+    right = np.empty((B, k, n))
+    right[:, :D] = X.transpose(0, 2, 1)
+    right[:, D] = sq
+    right[:, D + 1] = 1.0
     out = np.empty((B, n))
-    for s in range(0, B, sets):
-        Y = X[s:s + sets]
-        sq = np.einsum("bij,bij->bi", Y, Y)
-        left = np.empty((len(Y), n, k))
-        np.multiply(Y, -2.0, out=left[..., :D])
-        left[..., D] = 1.0
-        left[..., D + 1] = sq
-        right = np.empty((len(Y), k, n))
-        right[:, :D] = Y.transpose(0, 2, 1)
-        right[:, D] = sq
-        right[:, D + 1] = 1.0
-        t = slice(s, s + sets)
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            for c in range(a, n, cols):
-                d = np.matmul(left[:, a:b], right[:, :, c:c + cols])
-                np.maximum(d, 0.0, out=d)
-                np.sqrt(d, out=d)
-                if c == a:
-                    d[..., :b - a] *= upper[:b - a, :b - a]
-                    out[t, a:b] = d.sum(axis=-1)
-                else:
-                    out[t, a:b] += d.sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        for s in range(0, B, sets):
+            t = slice(s, s + sets)
+            for a in range(0, n, rows):
+                b = min(a + rows, n)
+                out[t, a:b] = _row_block_sums(left[t], right[t], a, b, cols,
+                                              lower, clamp=False)
+    nan_sets, nan_rows = np.nonzero(np.isnan(out))
+    for s, a in set(zip(nan_sets, nan_rows - nan_rows % rows)):
+        b = min(a + rows, n)
+        t = slice(s, s + 1)
+        out[t, a:b] = _row_block_sums(left[t], right[t], a, b, cols, lower,
+                                      clamp=True)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -368,23 +369,57 @@ class TestTiledCore:
             np.testing.assert_array_equal(
                 got[b], wce._upper_distance_row_sums(X[b:b + 1])[0])
 
+    @pytest.mark.parametrize("sets, n", [(16, 512), (128, 64), (1, 1000)])
+    def test_negative_squares_match_clamped_loop(self, monkeypatch, sets, n):
+        # coincident pairs round some squared distances below 0, whose
+        # sqrt is NaN; the rows whose sums come out NaN are computed again
+        # with the squares clamped, bitwise the clamped loop's, and no
+        # warning of the unclamped sqrt escapes.  Rows per gemm: 102 at
+        # 512 points, 64 at 64 and 52 at 1000, which leaves a ragged
+        # last row block.
+        rng = np.random.default_rng(sets * n)
+        X = rng.standard_normal((sets, n, 3))
+        X /= np.linalg.norm(X, axis=-1, keepdims=True)
+        k = n // 4
+        X[:, -k:] = X[:, k:0:-1]  # exact duplicates, off the diagonal
+        X[:, 35] = X[:, 25] + 1e-17  # a near-duplicate in a diagonal block
+        assert not np.array_equal(X[:, 35], X[:, 25])
+        clamped = []
+        row_block_sums = wce._row_block_sums
+
+        def recorded(*args, clamp):
+            clamped.append(clamp)
+            return row_block_sums(*args, clamp=clamp)
+
+        monkeypatch.setattr(wce, "_row_block_sums", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wce._upper_distance_row_sums(X)
+        assert any(clamped)
+        for b in range(sets):
+            np.testing.assert_array_equal(got[b], triu_row_sums_loop(X[b]))
+
     @pytest.mark.parametrize("sets, n", [(1, 1), (128, 64), (16, 512),
                                          (2, 1000), (1, 8192)])
     def test_tile_matmul_below_blas_threading(self, monkeypatch, sets, n):
         # OpenBLAS runs a gemm of more than 4 * 65536 multiply-adds on its
-        # own threads, which would compete with the worker pool's
+        # own threads, which would compete with the worker pool's; a
+        # stacked matmul makes one gemm per set, so the bound is on one
+        # set's M K N, and small sets share a call
         shapes = []
         matmul = np.matmul
 
         def recorded(a, b):
-            shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            shapes.append((len(a), a.shape[-2], a.shape[-1], b.shape[-1]))
             return matmul(a, b)
 
         monkeypatch.setattr(np, "matmul", recorded)
         X = np.random.default_rng(n).standard_normal((sets, n, 3))
         wce._upper_distance_row_sums(X)
         assert shapes
-        assert max(m * k * c for m, k, c in shapes) <= 2**18
+        assert max(m * k * c for _, m, k, c in shapes) <= 2**18
+        if n == 64:
+            assert min(s for s, _, _, _ in shapes) > 1
 
     def test_stacked_kernel_sums_match_per_set(self):
         pts = [random_points(P232, 40, seed) for seed in (27, 28, 29)]
