@@ -2,9 +2,9 @@
 the sphere trial integral, stratified-scaling studies and option-pricing
 tables.  It parses arguments and prints; the library does the work.
 
-Exit codes: 0 on success, 2 on configuration/usage errors, 3 on numeric
-failures.  CSV output uses 17 significant digits so that written point
-sets round-trip losslessly.
+Exit codes: 0 on success, 2 on configuration/usage errors and stream
+exhaustion, 3 on numeric failures.  CSV output uses 17 significant
+digits so that written point sets round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import warnings
 import numpy as np
 
 from . import finance, lds, spheremap, wce
-from .errors import DomainError, ConfigurationError, NumericError
+from .errors import (DomainError, ConfigurationError, ExhaustionError,
+                     NumericError)
 
 _FMT = "%.17g"
 
@@ -313,8 +314,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ConfigurationError, FileNotFoundError,
-            ValueError) as exc:
+    except (DomainError, ConfigurationError, ExhaustionError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:

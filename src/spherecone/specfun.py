@@ -87,9 +87,10 @@ _GAMMA_STEPS = 2
 # - scipy's betainc serves the rest, and every root off the grid, from
 #   the first Halley step off the grid and where v < _FORWARD_V (there
 #   the forward form's rounding exceeds 1e-6 of F), else from the last;
-# - the positive series serves the v, or roots x, below _SERIES_V, where
-#   betainc loses digits to underflow (1e-7 of F at a = 30, v = 1e-290);
-#   _SERIES_TERMS terms reach 2^-56 of its first at sin^2 phi = 1/2.
+# - where the v, or the root x, lies below _SERIES_V, betainc loses
+#   digits to underflow (1e-7 of F at a = 30, v = 1e-290), and the
+#   positive series gives the far tail's residual in the same Halley
+#   steps; _SERIES_TERMS terms reach 2^-56 of its first at sin^2 phi = 1/2.
 # Halley steps start from the leading small-phi term where that term
 # puts sin^2 phi below _LEAD_S2, and from a Cornish-Fisher t-quantile
 # elsewhere; below q = 1 (off the grid), where that series in 1/q fails,
@@ -413,10 +414,8 @@ def sphere_height(u, a):
     shape = np.broadcast_shapes(v.shape, q.shape)
     if 0 in shape:
         return np.empty(shape), np.empty(shape)
-    if q.size == 1:
-        v2, q2 = np.broadcast_to(v, shape).reshape(-1, 1), q.reshape(1)
-    elif q.ndim == 1:
-        v2, q2 = np.broadcast_to(v, shape).reshape(-1, q.size), q
+    if q.ndim <= 1:
+        v2, q2 = np.broadcast_to(v, shape).reshape(-1, q.size), q.reshape(-1)
     else:
         v2 = np.broadcast_to(v, shape).reshape(1, -1)
         q2 = np.broadcast_to(q, shape).reshape(-1)
@@ -439,18 +438,24 @@ def _wallis_height(v, q):
     takes F from betainc, as does every column off the grid (v_sub = 1).
     F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n,
     so each Halley step on log F costs one evaluation of F.
+
+    Where v or the root's x underflows, below _SERIES_V, betainc loses
+    digits, and the same Halley steps take the residual from the series
+    F = s^q Sigma(s) / S_n(pi), Sigma = sum_k C(2k, k) 4^-k s^(2k) /
+    (q + 2k) of int_0^s w^n dw / sqrt(1 - w^2), as log(F / v) =
+    q log(s / lead) + log(q Sigma), since lead^q = q S_n(pi) v
+    (_tail_scale forms lead without v^(1/q), which loses the subnormal
+    v's digits).  lead = 0, at v = 0 or where lead underflows (below
+    q = 1), gives the pole (1, 0).
     """
-    # the constants once per distinct q (a call with one column per
-    # element repeats them), and the columns in the order of the number
-    # m of coefficients of P (none off the grid), then of q
-    q_set, col = np.unique(q, return_inverse=True)
+    # the columns in the order of the number m of coefficients of P (none
+    # off the grid), then of q
     off = q % 1 != 0
     m = np.where(off, 0.0, np.floor((q - 1.0) / 2.0))
-    order = np.lexsort((col, m))
-    q, col, m, off = q[order], col[order], m[order], off[order]
+    order = np.lexsort((q, m))
+    q, m, off = q[order], m[order], off[order]
     n = q - 1.0
-    s_set = sp.beta(0.5, 0.5 * q_set)  # S_n(pi)
-    big_s = s_set[col]
+    big_s = sp.beta(0.5, 0.5 * q)  # S_n(pi)
     beta = _central_binomials(int(m.max()) + 1)[1:]
     i = np.arange(beta.size)
     coef = np.where(i[:, None] < m,
@@ -464,16 +469,14 @@ def _wallis_height(v, q):
     # q up to 191 against mpmath, moves the height by that over the
     # slope s^(n-1) / S_n(pi) of F in t; v_sub is F where the move
     # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher
-    n_set = q_set - 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        s_fwd = np.where(n_set > 1.0, (
-            s_set * (1.0 + np.floor(n_set / 2.0) / 9.0) * _EPS_HALF
-            / _FORWARD_DT) ** (1.0 / (n_set - 1.0)), 0.0)
+        s_fwd = np.where(n > 1.0, (
+            big_s * (1.0 + np.floor(n / 2.0) / 9.0) * _EPS_HALF
+            / _FORWARD_DT) ** (1.0 / (n - 1.0)), 0.0)
     # x = (1 - cos phi) / 2 at that sin^2 phi
     x_sub = 0.5 * (1.0 - np.sqrt(1.0 - np.clip(s_fwd * s_fwd, _FORWARD_S2,
                                                 1.0)))
-    v_sub = np.where(off, 1.0, sp.betainc(0.5 * q_set, 0.5 * q_set,
-                                          x_sub)[col])[:, None]
+    v_sub = np.where(off, 1.0, sp.betainc(0.5 * q, 0.5 * q, x_sub))[:, None]
     even, n_col, s_col, q_col = ((n % 2 == 0)[:, None], n[:, None],
                                  big_s[:, None], q[:, None])
     base = np.where(even, 1.0 / np.pi, 0.5)  # phi/pi or (1 - c)/2
@@ -506,6 +509,10 @@ def _wallis_height(v, q):
                                                  c_at[mid] * c_at[mid]))
             g[at] = np.log(f / v_at)
             slope[at] = s_at**(2.0 * a_at) / (big_s[at[0]] * f)
+        if q_far.size:
+            sigma = _wallis_series(s[far], q_far)
+            g[far] = q_far * np.log(s[far] / lead_far) + np.log(q_far * sigma)
+            slope[far] = 1.0 / sigma
         return g, slope
 
     height, scale = np.empty(v.shape), np.empty(v.shape)
@@ -534,42 +541,22 @@ def _wallis_height(v, q):
                     s_d * (1.0 + a_d * s_d * s_d / (2.0 * a_d + 2.0))
                     ** (-0.5 / a_d)),
                     0.5 * np.pi - d - (2.0 * a_d - 1.0) * d**3 / 6.0)
-                at = tail[0][own], tail[1][own]
-                phi[at], s[at], c[at] = phi_d, np.sin(phi_d), np.cos(phi_d)
+                phi[tail[0][own], tail[1][own]] = phi_d
             # where the root's v or x ~ lead^2 / 4 underflows
             series = np.minimum(v_tail, lead * lead) < _SERIES_V
-            at_series = tail[0][series], tail[1][series]
-            phi_series = phi[at_series]
+            far = tail[0][series], tail[1][series]
+            q_far, lead_far = q[far[0]], lead[series]
+            # these start from sin and cos of phi, which may differ by an
+            # ulp from the Cornish-Fisher pair
+            reset = tail[0][own | series], tail[1][own | series]
+            s[reset], c[reset] = np.sin(phi[reset]), np.cos(phi[reset])
             c, s = _halley(phi, s, c, n_col, residual)
-            if phi_series.size:
-                c[at_series], s[at_series] = _wallis_series_root(
-                    v_tail[series], 2.0 * a_tail[series], lead[series],
-                    phi_series)
+        pole = tail[0][lead == 0.0], tail[1][lead == 0.0]
+        c[pole], s[pole] = 1.0, 0.0
         median = vb == 0.5
         c[median], s[median] = 0.0, 1.0
         height[r:r + rows, order], scale[r:r + rows, order] = c.T, s.T
     return height, scale
-
-
-def _wallis_series_root(v, q, lead, phi):
-    """cos phi and sin phi of the roots of F(phi) = v below _SERIES_V,
-    from the start phi, with their q and leading-term roots lead.
-
-    There F = s^q Sigma(s) / S_n(pi), with the positive series
-    Sigma = sum_k C(2k, k) 4^-k s^(2k) / (q + 2k) of int_0^s w^n dw /
-    sqrt(1 - w^2), and log(F / v) = q log(s / lead) + log(q Sigma), as
-    lead^q = q S_n(pi) v (_tail_scale forms lead without v^(1/q), which
-    loses the subnormal v's digits).  lead = 0, at v = 0 or where lead
-    underflows (below q = 1), gives the pole (1, 0).
-    """
-    def residual(phi, s, c, last):
-        sigma = _wallis_series(s, q)
-        return q * np.log(s / lead) + np.log(q * sigma), 1.0 / sigma
-
-    c, s = _halley(phi, np.sin(phi), np.cos(phi), q - 1.0, residual)
-    pole = lead == 0.0
-    c[pole], s[pole] = 1.0, 0.0
-    return c, s
 
 
 def _halley(phi, s, c, n, residual):

@@ -96,6 +96,19 @@ class TestPoints:
                        "got -1\n")
 
 
+class TestExhaustion:
+    # a Sobol' stream holds 2^31 - 1 points from index 1; take raises
+    # before it allocates (--gen random would allocate the whole request)
+    @pytest.mark.parametrize("command", [["points", "--gen", "sobol"],
+                                         ["sphere-map"]])
+    def test_past_stream_end_exit_2(self, capsys, command):
+        code, out, err = run_cli([*command, "--dim", "2", "--n",
+                                  str(2**31)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: stream exhausted: index 1 + 2147483648 "
+                       "exceeds 2^31\n")
+
+
 class TestSphereMap:
     def test_unit_norms(self, capsys):
         code, out, _ = run_cli(["sphere-map", "--dim", "3", "--n", "32",
@@ -328,6 +341,13 @@ class TestTrialIntegral:
             ["trial-integral", "--dim", "4", "--n-list", "0,16"], capsys)
         assert code == 2 and out == ""
         assert err == "error: N must be at least 1, got 0\n"
+
+    def test_unknown_generator_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["trial-integral", "--dim", "4", "--n-list", "16", "--gen",
+             "foo"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: unknown generator 'foo'\n"
 
     @pytest.mark.parametrize("gen", ["inverse_beta", "inverse_normal",
                                      "random"])

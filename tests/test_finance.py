@@ -117,6 +117,10 @@ class TestNormalVectors:
         with pytest.raises(ConfigurationError):
             price_option(SPEC, "standard", "halton", 64, 1, seed=0)
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_points >= 1"):
+            price_option(SPEC, "standard", "mc", 0, 4, seed=0)
+
 
 class TestOptionSpec:
     def test_validation(self):

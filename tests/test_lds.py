@@ -244,6 +244,17 @@ class TestDirectionNumberTable:
         with pytest.raises(ConfigurationError):
             SobolStream(3).take(1)
 
+    @pytest.mark.parametrize("degrees, m_init, message", [
+        ([2], [[1]], "expected 2 initial direction integers, got 1"),
+        ([2], [[1, 2]], "must be odd")], ids=["count", "even"])
+    def test_bad_initial_integers(self, degrees, m_init, message):
+        with pytest.raises(ConfigurationError, match=message):
+            DirectionNumberTable(degrees, [1], m_init)
+
+    def test_direction_vectors_need_a_dimension(self):
+        with pytest.raises(ConfigurationError, match="got 0$"):
+            DirectionNumberTable.default().direction_vectors(0)
+
     def test_direction_vectors_cached_read_only(self):
         t = DirectionNumberTable.default()
         V5 = t.direction_vectors(5)

@@ -512,6 +512,24 @@ class TestSphereHeight:
                                              np.ones(shape[1]))
             assert t.shape == scale.shape == shape
 
+    def test_elementwise_shapes(self):
+        # an a of two or more dimensions takes one shape per element: on
+        # and off the grid, repeated, and in the far tail, each element
+        # bitwise its own call's
+        u = np.array([[0.3, 1e-300, 0.5], [0.9, 0.01, 1e-260],
+                      [0.0, 0.7, 1.0 - 2.0**-32], [0.25, 2.0**-32, 0.6]])
+        a = np.array([[1.5, 1.482, 7.0], [0.3, 1.5, 30.0],
+                      [2.5, 0.75, 14.5], [1.482, 40.0, 1.5]])
+        t, scale = specfun.sphere_height(u, a)
+        assert t.shape == scale.shape == (4, 3)
+        for i, j in np.ndindex(4, 3):
+            assert (t[i, j], scale[i, j]) == specfun.sphere_height(u[i, j],
+                                                                   a[i, j])
+        # a one-element a of two dimensions is the scalar call
+        t, scale = specfun.sphere_height(0.3, [[1.5]])
+        assert t.shape == (1, 1)
+        assert (t[0, 0], scale[0, 0]) == specfun.sphere_height(0.3, 1.5)
+
     def test_domain(self):
         for bad in (-0.1, 1.1, math.nan, math.inf):
             with pytest.raises(DomainError):

@@ -77,6 +77,8 @@ class TestMapToSphere:
             map_to_sphere([1.0, 0.2])
         with pytest.raises(DomainError):
             map_to_sphere([-0.1])
+        with pytest.raises(DomainError, match="at least one coordinate"):
+            map_to_sphere(np.empty((3, 0)))
 
     def test_domain_rejects_nan(self):
         with pytest.raises(DomainError):

@@ -148,6 +148,11 @@ class TestWce:
                                            rel=1e-13)
         assert report.n_points == 1
 
+    def test_empty_set_rejected(self):
+        empty = SpacePoints(np.empty((0, 3)), np.empty(0))
+        with pytest.raises(DomainError, match="must not be empty"):
+            wce_nakagami(P232, empty)
+
     def test_report_decomposition(self):
         pts = random_points(P232, 10, seed=2)
         r = wce_nakagami(P232, pts)
@@ -347,23 +352,41 @@ class TestTiledCore:
         np.testing.assert_allclose(np.delete(got, 3), np.delete(ref, 3),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("sets, n, tile", [
-        (60, 50, None),   # 20 sets of 50 per tile
-        (7, 20, 3 * 400),  # 3 sets per tile: a ragged last tile
-        (3, 1000, None),  # 52 rows of one set per tile
-        (4, 9, 4 * 9),    # 4 rows per tile, ragged at the end of each set
-        (2, 300, 128),    # one row by 128 columns: ragged column blocks
-        (5, 1, None)])
-    def test_stack_matches_per_set_loop(self, monkeypatch, sets, n, tile):
+    @pytest.mark.parametrize("sets, n, tile, tiles, row_blocks", [
+        # 52 sets of 50 per tile: a ragged last tile of 8
+        pytest.param(60, 50, None, (52, 8), 1, id="60-50-None"),
+        # 3 sets of 20 per tile: a ragged last tile of 1
+        pytest.param(7, 20, 3 * 400, (3, 3, 1), 1, id="7-20-1200"),
+        # 2 sets per tile, 52 rows per block: ragged last tile and block
+        pytest.param(3, 1000, None, (2, 1), 20, id="3-1000-None"),
+        # one set per tile, 4 rows per block: ragged at the end of each set
+        pytest.param(4, 9, 4 * 9, (1, 1, 1, 1), 3, id="4-9-36"),
+        # one set per tile, one row by 128 columns: ragged column blocks
+        pytest.param(2, 300, 128, (1, 1), 300, id="2-300-128"),
+        pytest.param(5, 1, None, (5,), 1, id="5-1-None")])
+    def test_stack_matches_per_set_loop(self, monkeypatch, sets, n, tile,
+                                        tiles, row_blocks):
         # each set's row sums are bitwise the one-set tile loop's, which
         # keeps the diagonal block's strict upper triangle by np.triu;
-        # tile is the distances a tile holds, (D + 2) per multiply-add
+        # tile is the distances a tile holds, and tile (D + 2) bounds the
+        # multiply-adds of each gemm.  Each _row_block_sums call is one
+        # row block of one tile, and takes that tile's sets.
         if tile is not None:
             monkeypatch.setattr(wce, "_GEMM_SIZE", tile * 5)
+            monkeypatch.setattr(wce, "_TILE_ELEMS", tile)
+        calls = []
+        row_block_sums = wce._row_block_sums
+
+        def recorded(left, *args, clamp):
+            calls.append(len(left))
+            return row_block_sums(left, *args, clamp=clamp)
+
+        monkeypatch.setattr(wce, "_row_block_sums", recorded)
         rng = np.random.default_rng(sets * n)
         X = rng.standard_normal((sets, n, 3))
         X /= np.linalg.norm(X, axis=-1, keepdims=True)
         got = wce._upper_distance_row_sums(X)
+        assert calls == [size for size in tiles for _ in range(row_blocks)]
         for b in range(sets):
             np.testing.assert_array_equal(got[b], triu_row_sums_loop(X[b]))
             np.testing.assert_array_equal(
@@ -608,6 +631,10 @@ class TestExpectedValueLaws:
                 P232, np.array([[1, 0, 0], [1, 0, 0.]]), [1.0, 2.0])
         with pytest.raises(DomainError):
             expected_wce_sq_permutation(P232, Y[:1], [0.0])
+
+    def test_permutation_rejects_unequal_counts(self):
+        with pytest.raises(ConfigurationError, match="equally many"):
+            expected_wce_sq_permutation(P232, np.eye(3), [1.0, 2.0])
 
 
 class TestRadialDiscrepancy:
