@@ -14,10 +14,10 @@ included; nothing of it is pickled.  The caller writes the task indices
 to one pipe that all workers read, each taking the next free index, so
 an idle worker keeps picking up work.  A worker pickles all of its
 (index, result) pairs in one message on a pipe of its own and leaves
-with `os._exit`, so results should be small (lists of floats).  A task's
-BLAS calls must stay below OpenBLAS's own threading size, or its threads
-compete with the workers: wce._GEMM_SIZE bounds each gemm of the kernel
-sums, one set of a stacked matmul.
+with `os._exit`, so tasks should return small results (floats, lists
+or arrays).  A task's BLAS calls must stay below OpenBLAS's own
+threading size, or its threads compete with the workers: wce._GEMM_SIZE
+bounds each gemm of the kernel sums, one set of a stacked matmul.
 
 A task that raises stops every task above its index from starting: the
 workers share, in an anonymous shared map, the lowest failed index of

@@ -207,6 +207,11 @@ def _add_common(sp, dirfile=False, seed_help=None):
                         "SPHERECONE_DIRFILE)")
 
 
+def _add_kernel(sp):
+    for name in ("--mu", "--A", "--B"):
+        sp.add_argument(name, type=float, required=True)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="spherecone",
@@ -237,15 +242,11 @@ def build_parser():
 
     sp = sub.add_parser("wce", help="worst-case error of a point CSV")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--B", type=float, required=True)
+    _add_kernel(sp)
     sp.set_defaults(func=cmd_wce)
 
     sp = sub.add_parser("rms-wce", help="expected squared wce laws")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--B", type=float, required=True)
+    _add_kernel(sp)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--N", type=int, default=0)
     sp.add_argument("--input", default=None,
@@ -264,9 +265,7 @@ def build_parser():
 
     sp = sub.add_parser("strata", allow_abbrev=False,  # --d is not --draws
                         help="stratified-sampling scaling study")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--B", type=float, required=True)
+    _add_kernel(sp)
     sp.add_argument("--M-list", default="64,256,1024,4096")
     sp.add_argument("--draws", type=int, default=0,
                     help="empirical stratified draws per M (0 = formula "

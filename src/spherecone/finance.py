@@ -203,16 +203,23 @@ def _paths(spec, Z, A):
                             + spec.sigma * (Z @ A.T))
 
 
-def _discounted_payoffs(spec, S):
-    """Discounted payoff of spec's kind on each path of S (n, d)."""
+def _discounted_payoffs(specs, S):
+    """Discounted payoffs (len(specs), n) of specs, which share their
+    paths, on each path of S (n, d)."""
     s_mean = S.mean(axis=1)
-    disc = math.exp(-spec.r * spec.T)
-    if spec.kind == "asian":
-        return disc * np.maximum(s_mean - spec.K_strike, 0.0)
-    if spec.kind == "barrier":
-        alive = S.max(axis=1) < spec.barrier_b
-        return disc * alive * np.maximum(s_mean - spec.K_strike, 0.0)
-    return disc * (s_mean > spec.K_strike).astype(float)
+    if any(spec.kind == "barrier" for spec in specs):
+        s_max = S.max(axis=1)
+    out = np.empty((len(specs), len(S)))
+    for spec, row in zip(specs, out):
+        disc = math.exp(-spec.r * spec.T)
+        if spec.kind == "asian":
+            row[:] = disc * np.maximum(s_mean - spec.K_strike, 0.0)
+        elif spec.kind == "barrier":
+            row[:] = (disc * (s_max < spec.barrier_b)
+                      * np.maximum(s_mean - spec.K_strike, 0.0))
+        else:
+            row[:] = disc * (s_mean > spec.K_strike)
+    return out
 
 
 def price_option(spec, construction, generator, n_points, n_replicates,
@@ -234,12 +241,11 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
     The replicates run on one worker pool, in tasks of _TASK_ROWS //
     n_points consecutive replicates (at least one).  A task opens its
     replicates' streams once and draws them in tiles of at most
-    _PATH_TILE rows, the next rows of every replicate; it builds each
-    replicate's paths of a tile once per column and takes every spec's
-    payoff from them.  A replicate's price is the mean of its payoffs,
-    held as one row per (column, spec), so a task holds one tile and 8
-    bytes per path per (column, spec); a task whose replicates fit in
-    one tile draws them at once.
+    _PATH_TILE rows, the next rows of every replicate stacked, and
+    builds one path matrix of the stack per column for every spec's
+    payoffs.  It holds one tile and its payoffs (columns, specs,
+    replicates, n_points), 8 bytes per path per (column, spec), and
+    returns their means over the points, its replicate prices.
     """
     specs = _path_specs(specs)
     spec = specs[0]
@@ -253,37 +259,30 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
     def task_prices(i):
         reps = range(starts[i], min(starts[i] + per_task, n_replicates))
         draw = _replicate_draws(generators, spec.d_steps, seed, reps, table)
-        # payoffs[k, j, l]: replicate k's payoffs of spec l under column j
-        payoffs = np.empty((len(reps), len(columns), len(specs), n_points))
+        payoffs = np.empty((len(columns), len(specs), len(reps), n_points))
         step = max(1, _PATH_TILE // len(reps))
         for a in range(0, n_points, step):
             rows = min(step, n_points - a)
             Z = draw(rows)
-            for k, rep_payoffs in enumerate(payoffs):
-                at = slice(k * rows, (k + 1) * rows)
-                for (g, c), column in zip(columns, rep_payoffs):
-                    S = _paths(spec, Z[g][at], transforms[c])
-                    for s, row in zip(specs, column):
-                        row[a:a + rows] = _discounted_payoffs(s, S)
+            for (g, c), column in zip(columns, payoffs):
+                S = _paths(spec, Z[g], transforms[c])
+                column[..., a:a + rows] = _discounted_payoffs(
+                    specs, S).reshape(len(specs), len(reps), rows)
             # so that the next tile's draw does not meet this one's
             Z = S = None
-        return [[[float(row.mean()) for row in column] for column in rep]
-                for rep in payoffs]
+        return payoffs.mean(axis=-1)
 
-    results = _pool_map(task_prices, len(starts))
-    # prices[s, j]: spec s's replicate prices under column j, in
-    # replicate order
-    prices = np.array([rep for task in results for rep in task]).T
-    estimates = []
-    for spec_prices in prices:
-        estimates.append([])
-        for (generator, construction), rep_means in zip(columns, spec_prices):
-            sd = float(rep_means.std(ddof=1)) if n_replicates > 1 else 0.0
-            estimates[-1].append(PriceEstimate(
-                mean=float(rep_means.mean()), std_dev_across_replicates=sd,
-                n_points=n_points, n_replicates=n_replicates,
-                construction=construction, generator=generator))
-    return estimates
+    prices = np.concatenate(_pool_map(task_prices, len(starts)), axis=-1)
+    means = prices.mean(axis=-1)
+    sds = (prices.std(axis=-1, ddof=1) if n_replicates > 1
+           else np.zeros_like(means))
+    return [[PriceEstimate(
+        mean=float(mean), std_dev_across_replicates=float(sd),
+        n_points=n_points, n_replicates=n_replicates,
+        construction=construction, generator=generator)
+        for (generator, construction), mean, sd in zip(columns, spec_means,
+                                                       spec_sds)]
+        for spec_means, spec_sds in zip(means.T, sds.T)]
 
 
 def mc_reference_price(specs, n_paths=2**24, seed=0):
@@ -301,25 +300,19 @@ def mc_reference_price(specs, n_paths=2**24, seed=0):
     spec = specs[0]
     A = brownian_transform(spec.d_steps, spec.T, "standard")
     rng = _rng(seed)
-    total = [0.0] * len(specs)
-    total_sq = [0.0] * len(specs)
+    total, total_sq = np.zeros((2, len(specs)))
     pay = np.empty((len(specs), min(_REFERENCE_CHUNK, n_paths)))
     for done in range(0, n_paths, _REFERENCE_CHUNK):
         m = min(_REFERENCE_CHUNK, n_paths - done)
         for a in range(0, m, _PATH_TILE):
             b = min(a + _PATH_TILE, m)
             S = _paths(spec, rng.standard_normal((b - a, spec.d_steps)), A)
-            for row, s in zip(pay, specs):
-                row[a:b] = _discounted_payoffs(s, S)
-        for k, row in enumerate(pay[:, :m]):
-            total[k] += float(row.sum())
-            total_sq[k] += float((row**2).sum())
-    results = []
-    for k in range(len(specs)):
-        mean = total[k] / n_paths
-        var = max(total_sq[k] / n_paths - mean**2, 0.0)
-        results.append((mean, math.sqrt(var / n_paths)))
-    return results
+            pay[:, a:b] = _discounted_payoffs(specs, S)
+        total += pay[:, :m].sum(axis=1)
+        total_sq += (pay[:, :m]**2).sum(axis=1)
+    mean = total / n_paths
+    se = np.sqrt(np.maximum(total_sq / n_paths - mean**2, 0.0) / n_paths)
+    return list(zip(mean.tolist(), se.tolist()))
 
 
 # the five method columns of the experiment tables

@@ -225,11 +225,7 @@ class SobolStream:
 
     def take(self, count):
         """Next `count` points as a (count, dimension) float64 array."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        if self.index + count > _MAX_INDEX:
-            raise ExhaustionError(
-                f"stream exhausted: index {self.index} + {count} exceeds 2^31")
+        _check_count(self.index, count)
         # point i is the shift xor the direction vectors of the set bits of
         # gray(i); gray(i) differs from gray(i - 1) in bit ctz(i) only, so
         # row 0 holds the first point, row r > 0 the vector that bit
@@ -247,12 +243,21 @@ class SobolStream:
         return X.astype(np.float64) * 2.0**-_NBITS
 
 
+def _check_count(index, count):
+    """Raise unless count >= 0 points from index fit in a stream."""
+    if count < 0:
+        raise ConfigurationError(f"count must be >= 0, got {count}")
+    if index + count > _MAX_INDEX:
+        raise ExhaustionError(
+            f"stream exhausted: index {index} + {count} exceeds 2^31")
+
+
 def _cube_points(n, dimension, seed, random=False, scramble=False,
                  table=None):
     """The first n points of [0,1)^dimension: Philox uniforms of seed
-    when random, else a Sobol' stream's, scrambled by seed if asked."""
-    if n < 0:
-        raise ConfigurationError(f"count must be >= 0, got {n}")
+    when random, else a Sobol' stream's, scrambled by seed if asked;
+    either as many as a stream holds from its first index, 1, at most."""
+    _check_count(1, n)
     if random:
         return _rng(seed).random((n, dimension))
     return SobolStream(dimension, seed=seed, scramble=scramble,

@@ -499,7 +499,7 @@ def _wallis_height(v, q):
         slope = s**q_col
         slope /= s_col
         slope /= f
-        at, v_at, a_at = (tail, v_tail, a_tail) if last else first
+        at, v_at, a_at = final if last else first
         if v_at.size:
             s_at, c_at = s[at], c[at]
             f = sp.betainc(a_at, a_at, s_at * s_at / (2.0 * (1.0 + c_at)))
@@ -521,10 +521,8 @@ def _wallis_height(v, q):
         vb = v[r:r + rows].T[order]
         tail = np.nonzero(vb < v_sub)
         v_tail, a_tail = vb[tail], 0.5 * q[tail[0]]
-        low = (v_tail < _FORWARD_V) | off[tail[0]]
-        first = (tail[0][low], tail[1][low]), v_tail[low], a_tail[low]
-        # the forward form fails in the tails, where betainc replaces it,
-        # and the series below _SERIES_V overwrites both
+        # the forward form fails in the tails, where betainc replaces it
+        # but below _SERIES_V, where the series does
         with np.errstate(all="ignore"):
             s, c = _cornish_fisher(vb, q_col)
             phi = np.arctan2(s, c)
@@ -546,6 +544,10 @@ def _wallis_height(v, q):
             series = np.minimum(v_tail, lead * lead) < _SERIES_V
             far = tail[0][series], tail[1][series]
             q_far, lead_far = q[far[0]], lead[series]
+            # betainc's roots on the first step and on the last
+            low = ~series & ((v_tail < _FORWARD_V) | off[tail[0]])
+            first, final = [((tail[0][k], tail[1][k]), v_tail[k], a_tail[k])
+                            for k in (low, ~series)]
             # these start from sin and cos of phi, which may differ by an
             # ulp from the Cornish-Fisher pair
             reset = tail[0][own | series], tail[1][own | series]

@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 
 import spherecone
-from spherecone import cli, wce
+from spherecone import cli, lds, wce
 from spherecone.errors import NumericError
 from spherecone.spheremap import SpacePoints
 from spherecone.wce import KernelParams
+
+
+def no_draw(*keys):
+    raise AssertionError("a random stream was opened")
 
 
 def run_cli(argv, capsys):
@@ -97,11 +101,13 @@ class TestPoints:
 
 
 class TestExhaustion:
-    # a Sobol' stream holds 2^31 - 1 points from index 1; take raises
-    # before it allocates (--gen random would allocate the whole request)
-    @pytest.mark.parametrize("command", [["points", "--gen", "sobol"],
-                                         ["sphere-map"]])
-    def test_past_stream_end_exit_2(self, capsys, command):
+    # a Sobol' stream holds 2^31 - 1 points from index 1, and --gen
+    # random as many; both raise before they allocate or draw
+    @pytest.mark.parametrize("command", [
+        ["points", "--gen", "sobol"], ["sphere-map"],
+        ["points", "--gen", "random"], ["sphere-map", "--gen", "random"]])
+    def test_past_stream_end_exit_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(lds, "_rng", no_draw)
         code, out, err = run_cli([*command, "--dim", "2", "--n",
                                   str(2**31)], capsys)
         assert code == 2 and out == ""

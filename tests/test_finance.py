@@ -383,13 +383,15 @@ class TestPathTiles:
     @pytest.mark.parametrize("generators, n_points, n_replicates, tile", [
         (["mc"], 2**12 + 100, 2, 2**10),
         (["sobol_inverse_normal", "sphere_normal"], 2**12, 2, 2**10 + 100),
-        (list(GENERATORS), 64, 8, 100)],
-        ids=["mc-long", "qmc-long", "task-of-8"])
+        (list(GENERATORS), 64, 8, 100),
+        (list(GENERATORS), 8, 200, 100)],
+        ids=["mc-long", "qmc-long", "task-of-8", "rows-of-1"])
     def test_tiles_do_not_change_prices(self, monkeypatch, generators,
                                         n_points, n_replicates, tile):
         # replicates longer than a tile, or a task of several replicates
-        # wider than one, with a last tile cut short, price to the bits
-        # of the replicates drawn whole, for every kind
+        # wider than one, with a last tile cut short or tiles of one row
+        # per replicate, price to the bits of the replicates drawn
+        # whole, for every kind
         columns = [(g, c) for g in generators for c in CONSTRUCTIONS]
         runs = []
         for t in (tile, 2**16):
@@ -398,6 +400,25 @@ class TestPathTiles:
                                                columns, n_points,
                                                n_replicates, seed=6))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n_points, n_replicates, tile", [
+        (64, 24, 2**16), (64, 24, 100), (2**10, 3, 2**16)],
+        ids=["short", "short-tile-100", "long"])
+    def test_grouping_does_not_change_prices(self, monkeypatch, n_points,
+                                             n_replicates, tile):
+        # a replicate prices to the same bits alone in its task, in a
+        # task of some of the others or in one task of all; at a tile of
+        # 100 rows a task of 8 replicates draws tiles of 12 rows and a
+        # last one of 4
+        columns = [(g, c) for g in GENERATORS for c in CONSTRUCTIONS]
+        monkeypatch.setattr(finance, "_PATH_TILE", tile)
+        runs = []
+        for task_rows in (1, 2**9, 2**14):
+            monkeypatch.setattr(finance, "_TASK_ROWS", task_rows)
+            runs.append(finance._price_columns([SPEC, BARRIER, DIGITAL],
+                                               columns, n_points,
+                                               n_replicates, seed=6))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_long_replicate_memory_is_bounded(self):
         # a replicate of four tiles holds one tile's draws and paths and

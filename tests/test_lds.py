@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from spherecone import lds
 from spherecone.errors import ConfigurationError, ExhaustionError
 from spherecone.finance import OptionSpec, mc_reference_price
 from spherecone.lds import DirectionNumberTable, SobolStream, _rng
@@ -191,6 +192,19 @@ class TestExhaustion:
         s.take(2)
         with pytest.raises(ExhaustionError):
             s.take(1)
+
+    @pytest.mark.parametrize("random", [False, True])
+    def test_cube_points_bound(self, monkeypatch, random):
+        # the random cube points keep a stream's bound, raised before any
+        # draw (a request of 2^31 points by 2 would ask for 32 GB)
+        def no_draw(*keys):
+            raise AssertionError("a random stream was opened")
+
+        monkeypatch.setattr(lds, "_rng", no_draw)
+        with pytest.raises(ExhaustionError, match="index 1 \\+ 2147483648"):
+            lds._cube_points(2**31, 2, 0, random=random)
+        with pytest.raises(ConfigurationError, match="count must be >= 0"):
+            lds._cube_points(-1, 2, 0, random=random)
 
     def test_bad_args(self):
         with pytest.raises(ConfigurationError):

@@ -487,6 +487,27 @@ class TestSphereHeight:
             assert abs(t - t_ref) <= 2e-15, u
             assert abs(scale / scale_ref - 1) <= 1e-14, u
 
+    @pytest.mark.parametrize("a", [1.5, 14.5, 30.0])
+    def test_far_tail_roots_skip_betainc(self, monkeypatch, a):
+        # the series gives the residual of a root whose v lies below
+        # _SERIES_V, so betainc is not evaluated there: the one call left
+        # is the column's forward-form cut, whose x lies in
+        # [(1 - sqrt(1/2)) / 2, 1/2]; a root at u = 1e-200 still takes
+        # betainc, at its small x
+        betainc = sp.betainc
+        seen = []
+
+        def spy(p, q, x):
+            seen.append(float(np.min(x)))
+            return betainc(p, q, x)
+
+        monkeypatch.setattr(specfun.sp, "betainc", spy)
+        specfun.sphere_height(1e-300, a)
+        assert min(seen) >= (1.0 - math.sqrt(0.5)) / 2.0
+        seen.clear()
+        specfun.sphere_height(1e-200, a)
+        assert min(seen) < 1e-3
+
     def test_antisymmetric(self):
         # on the Sobol' grid k/2^32, 1 - u is exact
         u = np.random.default_rng(12).integers(0, 2**32, 500) * 2.0**-32
