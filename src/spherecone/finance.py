@@ -80,16 +80,25 @@ class OptionSpec:
     barrier_b: Optional[float] = None
 
     def __post_init__(self):
-        if self.S0 <= 0 or self.K_strike <= 0 or self.T <= 0:
-            raise DomainError("S0, strike and maturity must be positive")
-        if self.sigma < 0 or self.r < 0:
-            raise DomainError("sigma and r must be nonnegative")
+        # written so that NaN fails every check
+        for name in ("S0", "K_strike", "T"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value}")
+        for name in ("sigma", "r"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise DomainError(
+                    f"{name} must be nonnegative and finite, got {value}")
         _check_positive_int("d_steps", self.d_steps)
         if self.kind not in ("asian", "barrier", "digital"):
             raise ConfigurationError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "barrier":
-            if self.barrier_b is None or self.barrier_b <= self.S0:
-                raise DomainError("barrier option needs barrier_b > S0")
+        b = self.barrier_b
+        if self.kind == "barrier" and not (
+                b is not None and b > self.S0 and math.isfinite(b)):
+            raise DomainError(
+                f"barrier option needs a finite barrier_b > S0, got {b}")
 
 
 @dataclass(frozen=True)

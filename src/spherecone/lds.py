@@ -3,7 +3,8 @@
 Gray-code construction with 32 output bits per coordinate.  Direction
 numbers come from an embedded table in the standard text format
 ("d s a m_1 ... m_s", one line per dimension >= 2); dimension 1 is the
-van der Corput sequence in base 2.
+van der Corput sequence in base 2.  A table is validated and expanded
+once, when it is made, and does not change afterwards.
 
 The canonical point at index 0 (all zeros) is skipped: streams start at
 index 1, so the first unscrambled coordinate in dimension 1 is 0.5.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from importlib import resources
 
 import numpy as np
@@ -55,20 +55,33 @@ class DirectionNumberTable:
     """
 
     def __init__(self, degrees, poly_coeffs, m_init):
-        self.degrees = np.asarray(degrees, dtype=np.int64)
+        self.degrees = s = np.asarray(degrees, dtype=np.int64)
         self.poly_coeffs = np.asarray(poly_coeffs, dtype=np.int64)
         self.m_init = [np.asarray(m, dtype=np.int64) for m in m_init]
         self.max_dimensions = 1 + len(self.m_init)
-        self._vectors = np.empty((0, _NBITS), dtype=np.uint32)
-        self._lock = threading.Lock()
-        for s, m in zip(self.degrees, self.m_init):
-            if len(m) != s:
-                raise ConfigurationError(
-                    f"expected {s} initial direction integers, got {len(m)}")
-            k = np.arange(1, s + 1)
-            if np.any(m % 2 == 0) or np.any(m >= 2**k):
-                raise ConfigurationError(
-                    "initial direction integers must be odd and m_k < 2^k")
+        count = np.fromiter(map(len, self.m_init), np.int64)
+        if s.shape != count.shape or self.poly_coeffs.shape != count.shape:
+            raise ConfigurationError(
+                f"need one degree, polynomial and m_init entry per dimension, "
+                f"got {s.size}, {self.poly_coeffs.size} and {count.size}")
+        if np.any(s < 1):
+            raise ConfigurationError(
+                f"polynomial degrees must be >= 1, got {s.min()}")
+        wrong = np.flatnonzero(count != s)
+        if wrong.size:
+            j = wrong[0]
+            raise ConfigurationError(
+                f"dimension {j + 2}: expected {s[j]} initial direction "
+                f"integers, got {count[j]}")
+        # m_1..m_s of each dimension in a row, padded with 1s, which pass
+        # the checks and which the expansion overwrites
+        k = np.arange(s.max(initial=1))
+        m = np.ones((s.size, k.size), dtype=np.int64)
+        m[k < s[:, None]] = np.concatenate(self.m_init or [[]])
+        if np.any((m % 2 == 0) | (m >> (k + 1) != 0)):
+            raise ConfigurationError(
+                "initial direction integers must be odd and 0 < m_k < 2^k")
+        self._vectors = _expand(s, self.poly_coeffs, m[:, :_NBITS])
 
     @classmethod
     def from_lines(cls, lines):
@@ -87,10 +100,6 @@ class DirectionNumberTable:
                 raise ConfigurationError(
                     f"direction-number lines must cover dimensions 2,3,... "
                     f"in order; expected {expected_d}, got {d}")
-            if len(vals) != 3 + s:
-                raise ConfigurationError(
-                    f"dimension {d}: expected {s} initial values, "
-                    f"got {len(vals) - 3}")
             degrees.append(s)
             polys.append(a)
             m_init.append(vals[3:])
@@ -119,46 +128,38 @@ class DirectionNumberTable:
 
     def direction_vectors(self, dimension):
         """Read-only (dimension, 32) uint32 array of direction vectors
-        v_k = m_k 2^{32-k}.
-
-        Each dimension is built once per table; later calls return a view
-        of the cached array.  Concurrent calls build under one lock, so
-        the cache only grows and every caller gets its own dimension.
-        """
+        v_k = m_k 2^{32-k}: a view of the first rows of the table's,
+        expanded for every dimension when the table was made."""
         if dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
         if dimension > self.max_dimensions:
             raise ConfigurationError(
                 f"table supports at most {self.max_dimensions} dimensions, "
                 f"requested {dimension}")
-        with self._lock:
-            V = self._vectors
-            built = V.shape[0]
-            if dimension > built:
-                V = np.empty((dimension, _NBITS), dtype=np.uint32)
-                V[:built] = self._vectors
-                for j in range(built, dimension):
-                    V[j] = self._vectors_of(j)
-                V.flags.writeable = False
-                self._vectors = V
-        return V[:dimension]
+        return self._vectors[:dimension]
 
-    def _vectors_of(self, j):
-        """Direction vectors of 0-based dimension j as 32 Python ints."""
-        if j == 0:
-            # dimension 1: van der Corput, m_k = 1 for all k
-            return [1 << (_NBITS - 1 - k) for k in range(_NBITS)]
-        s = int(self.degrees[j - 1])
-        a = int(self.poly_coeffs[j - 1])
-        m = self.m_init[j - 1]
-        v = [int(m[k]) << (_NBITS - 1 - k) for k in range(min(s, _NBITS))]
-        for k in range(s, _NBITS):
-            x = v[k - s] ^ (v[k - s] >> s)
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    x ^= v[k - i]
-            v.append(x)
-        return v
+
+def _expand(s, a, m):
+    """Read-only (1 + dimensions, 32) uint32 direction vectors: dimension
+    1's (van der Corput), then those of degrees s, polynomials a and
+    initial integers m (dimensions, <= 32).  v_k = m_k 2^{32-k} up to the
+    degree, then v_k = v_{k-s} ^ (v_{k-s} >> s) ^ the v_{k-i}, 0 < i < s,
+    whose bit s-1-i of a is set: one step per bit k and tap i, each over
+    every dimension."""
+    d, w = m.shape
+    V = np.zeros((_NBITS, d), dtype=np.uint32)  # row k: bit k's vectors
+    V[:w] = (m << _DIGIT_SHIFT[:w]).T
+    i = np.arange(1, w)[:, None]
+    tap = ((a >> np.maximum(s - 1 - i, 0)) & (i < s)).astype(np.uint32)
+    for k in range(1, _NBITS):
+        prev = V[np.maximum(k - s, 0), np.arange(d)]
+        x = prev ^ (prev >> s.astype(np.uint32))
+        for i in range(1, min(k, w)):
+            x ^= V[k - i] * tap[i - 1]
+        np.copyto(V[k], x, where=s <= k)
+    vectors = np.vstack([_ROW_DIAG, V.T])  # m_k = 1 in dimension 1
+    vectors.flags.writeable = False
+    return vectors
 
 
 @functools.cache
@@ -186,8 +187,6 @@ class SobolStream:
 
     def __init__(self, dimension, seed=0, scramble=False, table=None,
                  replicate=0):
-        if dimension < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.seed = int(seed)
         self.scramble = bool(scramble)

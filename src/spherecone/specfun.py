@@ -108,7 +108,8 @@ _LEAD_S2_SMALL = 0.5
 # (1 - I_{c^2}(1/2, a)) / 2, whose absolute error near the median is a
 # few ulps of the small I, where betainc(a, a, x) is a few ulps of 1/2
 _MEDIAN_C2 = 0.5
-# elements per block of the on-grid solve, which bounds its temporaries
+# columns per solve, and elements per block of one, which bounds the
+# temporaries of a call with many shapes or many rows
 _BLOCK = 2**15
 # T / z = sum_j w^j sum_l _CORNISH_FISHER[j, l] / q^l with w = z^2 for
 # the t-quantile T of q degrees of freedom at the normal quantile z
@@ -448,6 +449,16 @@ def _wallis_height(v, q):
     v's digits).  lead = 0, at v = 0 or where lead underflows (below
     q = 1), gives the pole (1, 0).
     """
+    height, scale = np.empty(v.shape), np.empty(v.shape)
+    for k in range(0, q.size, _BLOCK):
+        cols = slice(k, k + _BLOCK)
+        _wallis_block(v[:, cols], q[cols], height[:, cols], scale[:, cols])
+    return height, scale
+
+
+def _wallis_block(v, q, height, scale):
+    """_wallis_height of v (rows, k) and q (k,), k <= _BLOCK, written to
+    height and scale."""
     # the columns in the order of the number m of coefficients of P (none
     # off the grid), then of q
     off = q % 1 != 0
@@ -515,7 +526,6 @@ def _wallis_height(v, q):
             slope[far] = 1.0 / sigma
         return g, slope
 
-    height, scale = np.empty(v.shape), np.empty(v.shape)
     rows = max(1, _BLOCK // v.shape[1])
     for r in range(0, v.shape[0], rows):
         vb = v[r:r + rows].T[order]
@@ -558,7 +568,6 @@ def _wallis_height(v, q):
         median = vb == 0.5
         c[median], s[median] = 0.0, 1.0
         height[r:r + rows, order], scale[r:r + rows, order] = c.T, s.T
-    return height, scale
 
 
 def _halley(phi, s, c, n, residual):

@@ -446,6 +446,22 @@ class TestPriceAndTable:
                                capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--S0", "nan"], "S0 must be positive and finite, got nan"),
+        (["--sigma", "nan"], "sigma must be nonnegative and finite, got nan"),
+        (["--r", "nan"], "r must be nonnegative and finite, got nan"),
+        (["--T", "inf"], "T must be positive and finite, got inf"),
+        (["--K", "inf"], "K_strike must be positive and finite, got inf"),
+        (["--kind", "barrier", "--barrier", "nan"],
+         "barrier option needs a finite barrier_b > S0, got nan"),
+    ], ids=["S0", "sigma", "r", "T", "K", "barrier"])
+    def test_non_finite_contract_exit_2(self, capsys, argv, message):
+        # these priced a row of nan, or a price of 0, with exit code 0
+        code, out, err = run_cli(["price", "--N", "64", "--reps", "4"]
+                                 + argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_zero_reps_exit_2(self, capsys):
         code, out, err = run_cli(["price", "--N", "100", "--reps", "0"],
                                  capsys)

@@ -134,6 +134,14 @@ class TestOptionSpec:
             OptionSpec(100.0, 100.0, 1.0, 0.2, 0.05, 30, kind="barrier",
                        barrier_b=90.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["S0", "K_strike", "T", "sigma", "r",
+                                       "barrier_b"])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passed every comparison and inf priced to nan or 0
+        with pytest.raises(DomainError, match=f"{field}.*got {value}"):
+            dataclasses.replace(BARRIER, **{field: value})
+
 
 def degenerate_price(spec):
     """sigma = 0: the path is deterministic, the price is closed form."""

@@ -1,7 +1,4 @@
 import hashlib
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -45,6 +42,26 @@ def take_loop(stream, count):
             X[active] ^= stream._V[:, k]
     X ^= stream._shift
     return X.astype(np.float64) * 2.0**-32
+
+
+def vectors_of(table, j):
+    """Direction vectors of 0-based dimension j of table as 32 Python
+    ints, one dimension at a time: the reference for the table's
+    expansion."""
+    if j == 0:
+        # dimension 1: van der Corput, m_k = 1 for all k
+        return [1 << (31 - k) for k in range(32)]
+    s = int(table.degrees[j - 1])
+    a = int(table.poly_coeffs[j - 1])
+    m = table.m_init[j - 1]
+    v = [int(m[k]) << (31 - k) for k in range(min(s, 32))]
+    for k in range(s, 32):
+        x = v[k - s] ^ (v[k - s] >> s)
+        for i in range(1, s):
+            if (a >> (s - 1 - i)) & 1:
+                x ^= v[k - i]
+        v.append(x)
+    return v
 
 
 def philox(*key):
@@ -258,12 +275,19 @@ class TestDirectionNumberTable:
         with pytest.raises(ConfigurationError):
             SobolStream(3).take(1)
 
-    @pytest.mark.parametrize("degrees, m_init, message", [
-        ([2], [[1]], "expected 2 initial direction integers, got 1"),
-        ([2], [[1, 2]], "must be odd")], ids=["count", "even"])
-    def test_bad_initial_integers(self, degrees, m_init, message):
+    @pytest.mark.parametrize("degrees, polys, m_init, message", [
+        ([2], [1], [[1]], "expected 2 initial direction integers, got 1"),
+        ([2], [1], [[1, 2]], "must be odd"),
+        # these built, and then failed on use with an IndexError or, for
+        # the short m_init, dropped a dimension
+        ([1, 2], [0], [[1], [1, 1]], "got 2, 1 and 2"),
+        ([1], [0, 1], [[1], [1, 1]], "got 1, 2 and 2"),
+        ([1, 2], [0, 1], [[1]], "got 2, 2 and 1"),
+        ([1, 0], [0, 0], [[1], []], "degrees must be >= 1, got 0"),
+    ], ids=["count", "even", "polys", "degrees", "m-init", "zero-degree"])
+    def test_bad_initial_integers(self, degrees, polys, m_init, message):
         with pytest.raises(ConfigurationError, match=message):
-            DirectionNumberTable(degrees, [1], m_init)
+            DirectionNumberTable(degrees, polys, m_init)
 
     def test_direction_vectors_need_a_dimension(self):
         with pytest.raises(ConfigurationError, match="got 0$"):
@@ -281,73 +305,23 @@ class TestDirectionNumberTable:
             with pytest.raises(ValueError):
                 V[0, 0] = 1
 
-    def test_concurrent_builds_serve_each_dimension(self):
-        # two threads extend a fresh table's cache at once, each row slowed
-        # so that both start before either ends and the shorter build
-        # would end last: each gets its own dimension and the cache keeps
-        # the longer build
-        base = DirectionNumberTable.default()
-        ref = base.direction_vectors(30)
-        for _ in range(5):
-            t = DirectionNumberTable(base.degrees, base.poly_coeffs,
-                                     base.m_init)
-            delay = threading.local()
-            vectors_of = t._vectors_of
-
-            def slowed(j):
-                time.sleep(delay.seconds)
-                return vectors_of(j)
-
-            t._vectors_of = slowed
-            barrier = threading.Barrier(2)
-            got = {}
-
-            def build(dim):
-                delay.seconds = 0.01 if dim == 5 else 0.001
-                barrier.wait()
-                got[dim] = t.direction_vectors(dim)
-
-            threads = [threading.Thread(target=build, args=(dim,))
-                       for dim in (5, 30)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30)
-                assert not th.is_alive()
-            np.testing.assert_array_equal(got[5], ref[:5])
-            np.testing.assert_array_equal(got[30], ref)
-            np.testing.assert_array_equal(t._vectors, ref)
-
-    def test_many_threads_grow_one_cache(self):
-        # eight threads, each asking a fresh table for its own sequence of
-        # dimensions with thread switches forced often: every answer is
-        # right and the cache ends at the largest dimension asked for
-        base = DirectionNumberTable.default()
-        ref = base.direction_vectors(192)
-        t = DirectionNumberTable(base.degrees, base.poly_coeffs, base.m_init)
-        asks = [[1 + (37 * k + 53 * i) % 192 for i in range(6)]
-                for k in range(8)]
-        wrong = []
-
-        def ask(dims):
-            for dim in dims:
-                if t.direction_vectors(dim).tobytes() != ref[:dim].tobytes():
-                    wrong.append(dim)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask, args=(dims,))
-                       for dims in asks]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-                assert not th.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert wrong == []
-        assert t._vectors.shape[0] == max(map(max, asks))
+    @pytest.mark.parametrize("table", ["embedded", "synthetic"])
+    def test_matches_recurrence(self, table):
+        # every dimension's vectors, expanded together, bitwise equal the
+        # per-dimension recurrence: on the embedded table, and on 3000
+        # random valid dimensions of every degree from 1 to 18
+        if table == "embedded":
+            t = DirectionNumberTable.default()
+        else:
+            rng = philox(28)
+            s = rng.integers(1, 19, 3000)
+            a = rng.integers(0, 2**(s - 1))
+            m = [rng.integers(0, 2**np.arange(k)) * 2 + 1 for k in s]
+            t = DirectionNumberTable(s, a, m)
+            assert set(s) == set(range(1, 19))
+        V = t.direction_vectors(t.max_dimensions)
+        ref = [vectors_of(t, j) for j in range(t.max_dimensions)]
+        assert V.tobytes() == np.array(ref, dtype=np.uint32).tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):  # even m
@@ -358,6 +332,8 @@ class TestDirectionNumberTable:
             DirectionNumberTable.from_lines(["3 2 1 1 3"])
         with pytest.raises(ConfigurationError):  # wrong count
             DirectionNumberTable.from_lines(["2 2 1 1"])
+        with pytest.raises(ConfigurationError):  # zero degree
+            DirectionNumberTable.from_lines(["2 1 0 1", "3 0 0"])
         with pytest.raises(ConfigurationError):  # empty
             DirectionNumberTable.from_lines(["d s a m_i"])
 

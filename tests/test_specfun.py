@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -550,6 +551,35 @@ class TestSphereHeight:
         t, scale = specfun.sphere_height(0.3, [[1.5]])
         assert t.shape == (1, 1)
         assert (t[0, 0], scale[0, 0]) == specfun.sphere_height(0.3, 1.5)
+
+    def test_many_shapes_bounded(self):
+        # one solve takes _BLOCK shapes at most, so 4x the shapes add
+        # little to the peak beyond the larger inputs and outputs (the
+        # per-column constants of 4 _BLOCK shapes peaked at 4x before);
+        # elements across the blocks stay bitwise their own calls
+        rng = np.random.default_rng(28)
+        peaks = []
+        for blocks in (1, 4):
+            n = blocks * specfun._BLOCK
+            a = (rng.integers(1, 81, n) / 2.0).reshape(-1, 128)
+            u = rng.random(n).reshape(-1, 128)
+            u[::5, ::3] = 10.0**rng.uniform(-300, -5, u[::5, ::3].shape)
+            a[::7, ::2] += 0.123
+            tracemalloc.start()
+            try:
+                t, scale = specfun.sphere_height(u, a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
+        # each block's first and last elements (256 rows of 128), and 40
+        # more at random
+        rows = np.r_[0, 255, 256, 511, 512, 767, 768, 1023,
+                     rng.integers(0, 1024, 40)]
+        cols = np.r_[[0, 127] * 4, rng.integers(0, 128, 40)]
+        for i, j in zip(rows, cols):
+            assert (t[i, j], scale[i, j]) == specfun.sphere_height(u[i, j],
+                                                                   a[i, j])
 
     def test_domain(self):
         for bad in (-0.1, 1.1, math.nan, math.inf):
