@@ -23,6 +23,9 @@ import os
 from importlib import resources
 
 import numpy as np
+# numpy loads np.random on first use; loaded with this module, once per
+# process, so that the forked pool workers of every pass find it loaded
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import ConfigurationError, ExhaustionError
 
@@ -41,7 +44,7 @@ def _rng(*keys):
         if k < 0:
             raise ConfigurationError(
                 f"seed keys must be non-negative integers, got {k}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
+    return Generator(Philox(SeedSequence(keys)))
 
 
 class DirectionNumberTable:
@@ -87,14 +90,20 @@ class DirectionNumberTable:
     def from_lines(cls, lines):
         degrees, polys, m_init = [], [], []
         expected_d = 2
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for number, line in enumerate(lines, start=1):
             parts = line.split()
-            if not parts[0].isdigit():
-                continue  # header line
-            vals = [int(p) for p in parts]
+            if not parts or not parts[0].isdigit():
+                continue  # blank or header line
+            try:
+                vals = [int(p) for p in parts]
+            except ValueError:
+                raise ConfigurationError(
+                    f"direction-number line {number}: fields must be "
+                    f"integers, got {line.strip()!r}") from None
+            if len(vals) < 3:
+                raise ConfigurationError(
+                    f"direction-number line {number}: need the fields d s a "
+                    f"m_1 ... m_s, got {line.strip()!r}")
             d, s, a = vals[0], vals[1], vals[2]
             if d != expected_d:
                 raise ConfigurationError(
@@ -111,7 +120,10 @@ class DirectionNumberTable:
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            return cls.from_lines(fh)
+            try:
+                return cls.from_lines(fh)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls):

@@ -3,28 +3,37 @@
 Regularized incomplete gamma/beta functions, the gamma inverses, the
 sphere map's height inverse, the chi quantile and the inverse normal CDF.
 All functions are pure, accept floats or numpy arrays, and raise
-:class:`DomainError` on invalid input.  Two families are solved here on
-the half-integer grid, the shapes a with 2a an integer, and delegated to
-scipy.special off it:
-- the incomplete gamma functions of one scalar shape up to _GRID_CAP
-  (the chi lift's dof/2, the Nakagami mu of the wce kernel) take P and Q
-  in closed form, and their inverses and the chi quantile two Halley
-  steps on those forms; other shapes take scipy's gammainc, gammaincc
-  and their generic inverses;
-- the sphere height takes Halley steps on the closed-form Wallis CDF,
-  and off the grid (and in every lower tail) on scipy's betainc.
-The beta function and the normal CDF and its inverse are scipy's.  The
-test suite checks every function against independent adaptive-quadrature
-and bisection oracles, and the grid forms against mpmath.
+:class:`DomainError` on invalid input.  Every function that a command
+reaches with its default shapes is computed here, so that no default
+command imports scipy.special (0.25-0.34 s and 26 MB of RSS at start-up
+on 2 vCPUs with scipy 1.17); _special imports it on first use, for the
+rest.  The half-integer grid is the shapes a with 2a an integer up to
+_GRID_CAP (every chi lift of the embedded direction-number table, and
+every height of its sphere map):
+- the inverse normal CDF is Wichura's AS241 everywhere (_ndtri);
+- the incomplete gamma functions of one scalar shape on the grid (the
+  chi lift's dof/2, the Nakagami mu of the wce kernel) take P and Q in
+  closed form, with erfcx from two Chebyshev series (_erfcx), and their
+  inverses and the chi quantile two Halley steps on those forms; other
+  shapes take scipy's gammainc, gammaincc and their generic inverses;
+- I_x(a, a) of one scalar shape on the grid takes a positive series
+  (_series_coef); other shapes and every asymmetric I_x(a, b) take
+  scipy's betainc;
+- the sphere height takes Halley steps on the Wallis form of its
+  column's shape, and on that series in each column's lower tail; off
+  the grid it takes them on scipy's betainc.
+The normal CDF is scipy's.  The test suite checks every function against
+independent adaptive-quadrature and bisection oracles, and the grid
+forms, _ndtri and _erfcx against mpmath.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, InfiniteResultError
 
@@ -51,17 +60,15 @@ _TINY = 1e-300
 _U_CAP = 1.0 - 2.0**-32
 _U_FLOOR = 2.0**-33
 
-# The incomplete gamma functions of a scalar shape a with 2a an integer
-# up to _GRID_CAP (DiDonato and Morris, ACM TOMS 12, 1986), see _grid_q
-# and _grid_p.  Their inverses cost about a third of scipy's time per
-# value but a fixed 0.15-0.24 ms per call (some 200 numpy calls), so
-# they gain from a few hundred values per call on.  chi_quantile of 512
-# values, price-table's call size for its a = 15, measured on 2 vCPUs
-# against scipy's time: 0.71-0.97 at the half-integer a up to 15/2,
-# 0.99-1.03 at the integer a from 2 to 7 (1.21 at a = 1), 1.03-1.08
-# from a = 8 on; 0.25-0.40 over 8192 values for every a up to 15, and
-# 3.5-5.7 over 64 values.
-_GRID_CAP = 7.5
+# The half-integer grid: a scalar shape a with 2a an integer up to
+# _GRID_CAP, the chi(192) lift of a point of the embedded table's 192
+# dimensions.  On it the incomplete gamma functions take closed forms
+# (DiDonato and Morris, ACM TOMS 12, 1986), see _grid_q and _grid_p.
+# Their inverses cost about a third of scipy's time per value but a
+# fixed 0.15-0.24 ms per call (some 200 numpy calls), so they gain from
+# a few hundred values per call on; chi_quantile of 512 values at
+# a = 15, price-table's call, takes about scipy's time (2 vCPUs).
+_GRID_CAP = 96.0
 _SQRT_PI = math.sqrt(math.pi)
 # h = e^(-x/2) is 0 from x = 1491 on
 _X_FLAT = 1500.0
@@ -80,17 +87,15 @@ _GAMMA_STEPS = 2
 
 # sphere_height solves F(phi) = v for the colatitude phi (see
 # _wallis_height):
-# - on the half-integer grid (2a = q an integer), the forward Wallis
-#   form of F serves roots above sin^2 phi = _FORWARD_S2 where its
-#   rounding, about (1 + m/9) _EPS_HALF in F, moves the height by less
-#   than _FORWARD_DT;
-# - scipy's betainc serves the rest, and every root off the grid, from
-#   the first Halley step off the grid and where v < _FORWARD_V (there
-#   the forward form's rounding exceeds 1e-6 of F), else from the last;
-# - where the v, or the root x, lies below _SERIES_V, betainc loses
-#   digits to underflow (1e-7 of F at a = 30, v = 1e-290), and the
-#   positive series gives the far tail's residual in the same Halley
-#   steps; _SERIES_TERMS terms reach 2^-56 of its first at sin^2 phi = 1/2.
+# - on the grid (2a = q an integer up to 2 _GRID_CAP), the forward
+#   Wallis form of F serves roots above sin^2 phi = _FORWARD_S2 where
+#   its rounding, about (1 + m/9) _EPS_HALF in F, moves the height by
+#   less than _FORWARD_DT, and the positive series of _series_coef the
+#   rest, from the first Halley step where v < _FORWARD_V (there the
+#   forward form's rounding exceeds 1e-6 of F), else from the last;
+# - off the grid scipy's betainc serves every root;
+# - where the v, or the root x, lies below _SERIES_V, the series gives
+#   the residual in log space, for every shape, as F underflows there.
 # Halley steps start from the leading small-phi term where that term
 # puts sin^2 phi below _LEAD_S2, and from a Cornish-Fisher t-quantile
 # elsewhere; below q = 1 (off the grid), where that series in 1/q fails,
@@ -101,16 +106,25 @@ _FORWARD_DT = 1e-15
 _EPS_HALF = 2.0**-53
 _FORWARD_V = 1e-9
 _SERIES_V = 1e-250
-_SERIES_TERMS = 56
 _LEAD_S2 = 0.2
 _LEAD_S2_SMALL = 0.5
 # off the grid, roots with cos^2 phi below _MEDIAN_C2 take F as
 # (1 - I_{c^2}(1/2, a)) / 2, whose absolute error near the median is a
 # few ulps of the small I, where betainc(a, a, x) is a few ulps of 1/2
 _MEDIAN_C2 = 0.5
+# the series of _series_coef runs to the first term below _SERIES_TOL
+# of its leading 1 at x = _SERIES_X[0] in reg_beta_i, x = _SERIES_X[1]
+# in the far tail of sphere_height (where x is tiny unless a > 2000), and
+# the column's forward-form cut in its near tail
+_SERIES_TOL = 2.0**-54
+_SERIES_X = (0.5, 0.25)
 # columns per solve, and elements per block of one, which bounds the
 # temporaries of a call with many shapes or many rows
 _BLOCK = 2**15
+# a solve over at most this many shapes keeps their constants for the
+# next solve over the same shapes, as each pricing task solves the same
+# 27 or so
+_CACHED_COLUMNS = 64
 # T / z = sum_j w^j sum_l _CORNISH_FISHER[j, l] / q^l with w = z^2 for
 # the t-quantile T of q degrees of freedom at the normal quantile z
 # (Abramowitz and Stegun 26.7.5)
@@ -120,6 +134,75 @@ _CORNISH_FISHER = np.array([
     [0.0, 0.0, 5 / 96, 19 / 384, 1482 / 92160],
     [0.0, 0.0, 0.0, 3 / 384, 776 / 92160],
     [0.0, 0.0, 0.0, 0.0, 79 / 92160]])
+
+# Wichura's AS241 (PPND16, Applied Statistics 37, 1988): the normal
+# quantile as a ratio of two degree-7 polynomials, numerator above
+# denominator, highest power first; in r = 0.180625 - q^2 times q for
+# |q| <= 0.425, q = p - 1/2, else in r - 1.6 for r = sqrt(-log min(p,
+# 1 - p)) up to 5 and in r - 5 above, with the sign of q.  Each pair's
+# leading digits sum to Wichura's published hash sum (tests check it).
+_AS241_CENTRAL = np.array([
+    [2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0],
+    [5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0]])
+_AS241_NEAR = np.array([
+    [7.7454501427834140764e-4, 2.2723844989269184583e-2,
+     2.4178072517745061177e-1, 1.2704582524523683826e+0,
+     3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0],
+    [1.05075007164441684324e-9, 5.4759380849953449460e-4,
+     1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0]])
+_AS241_FAR = np.array([
+    [2.01033439929228813265e-7, 2.71155556874348757815e-5,
+     1.24266094738807843860e-3, 2.65321895265761230930e-2,
+     2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0],
+    [2.04426310338993978564e-15, 1.42151175831644588870e-7,
+     1.84631831751005468180e-5, 7.86869131145613259100e-4,
+     1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0]])
+
+# erfcx(x) = e^(x^2) erfc(x) as two Chebyshev series sum_k c_k T_k(t),
+# c_0 halved: erfcx(x) in t = x - 1 on [0, 2], and x sqrt(pi) erfcx(x)
+# in t = 4/x - 1 above 2 (1 at x = inf).  The coefficients interpolate
+# at 24 and 27 Chebyshev points of 40-digit mpmath values (the tests
+# regenerate them); the relative error is within 4.5e-16 on [0, 1e8].
+_ERFCX_NEAR = (
+    0.5213608704996062, -0.3447707454725235, 0.09975977926820097,
+    -0.026063665256478758, 0.00626846349431901, -0.001406122385887065,
+    0.00029698557246549, -5.948555390106724e-05, 1.136296076113552e-05,
+    -2.079407863414776e-06, 3.6590821201669714e-07, -6.210726136362159e-08,
+    1.0195316699270051e-08, -1.622322780246961e-09, 2.5073406746662083e-10,
+    -3.770381359374271e-11, 5.5248768982320355e-12, -7.899912979020314e-13,
+    1.1036213151270347e-13, -1.5079931620321985e-14, 2.017431079438067e-15,
+    -2.644942938108979e-16, 3.4003459737232464e-17, -4.228016722359837e-18)
+_ERFCX_FAR = (
+    0.9619844936887868, -0.048665452939342074, -0.00931619370804821,
+    0.0013717722819950482, 4.624701975231406e-06, -2.9424847419853448e-05,
+    4.285757022153883e-06, 1.29579876332491e-07, -1.611860469661287e-07,
+    2.7132498524740045e-08, 4.733594665359546e-10, -1.2212546762399917e-09,
+    2.652146001231607e-10, -8.375793954443914e-12, -1.0805342292378375e-11,
+    3.2946423445136163e-12, -3.278727069998186e-13, -9.00026380024857e-14,
+    4.5155515777272936e-14, -8.183767154480028e-15, -2.589811528809201e-16,
+    6.002737413390689e-16, -1.7663011203222698e-16, 1.7984305061885842e-17,
+    6.0831263346712315e-18, -3.364456485054291e-18, 7.789813929435005e-19)
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on its first use: by a shape off the
+    grid, an asymmetric incomplete beta function or normal_cdf.  A
+    forked pool worker whose parent has not imported it pays the import
+    once, in its own process."""
+    from scipy import special
+    return special
 
 
 def _like_input(x, out):
@@ -154,8 +237,80 @@ def _check_shape(a):
 
 def _on_grid(a):
     """Whether the checked shape a is one scalar with 2a an integer, up
-    to _GRID_CAP, so that the gamma functions take the closed forms."""
+    to _GRID_CAP, so that it takes the closed forms."""
     return np.ndim(a) == 0 and a <= _GRID_CAP and (2.0 * a) % 1 == 0
+
+
+def _ratio(coef, x):
+    """coef[0](x) / coef[1](x) for the polynomials of the rows of coef,
+    highest power first, at x (n,), both in one Horner scheme."""
+    terms = coef.T[:, :, None]
+    acc = terms[0] * x
+    for c in terms[1:-1]:
+        acc += c
+        acc *= x
+    acc += terms[-1]
+    num, den = acc
+    num /= den
+    return num
+
+
+def _ndtri(p):
+    """The standard normal quantile of the probabilities p (an array) by
+    AS241: within 1e-15 relative of 40-digit mpmath from p = 1e-300 to
+    1 - 2^-53 (scipy's ndtri: 6.7e-16); p = 0 and 1 give -inf and +inf."""
+    shape = np.shape(p)
+    p = p.reshape(-1)
+    q = p - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    z = _ratio(_AS241_CENTRAL, r)
+    z *= q
+    tail = np.nonzero(np.abs(q) > 0.425)[0]
+    if tail.size:
+        q_t, p_t = q[tail], p[tail]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(-np.log(np.where(q_t < 0.0, p_t, 1.0 - p_t)))
+            z_t = _ratio(_AS241_NEAR, r - 1.6)
+            far = np.nonzero(r > 5.0)[0]
+            if far.size:
+                r_far = r[far]
+                z_t[far] = np.where(r_far == np.inf, np.inf,
+                                    _ratio(_AS241_FAR, r_far - 5.0))
+        z[tail] = np.copysign(z_t, q_t)
+    return z.reshape(shape)
+
+
+def _chebyshev(coef, t):
+    """sum_k coef[k] T_k(t) at t (n,) in [-1, 1], by Clenshaw's
+    recurrence."""
+    t2 = t + t
+    b1, b2, b0 = np.full(t.shape, coef[-1]), np.zeros(t.shape), np.empty(
+        t.shape)
+    for c in coef[-2:0:-1]:
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b1, b2, b0 = b0, b1, b2
+    b1 *= t
+    b1 -= b2
+    b1 += coef[0]
+    return b1
+
+
+def _erfcx(x):
+    """e^(x^2) erfc(x) for x (n,) >= 0, from _ERFCX_NEAR and _ERFCX_FAR."""
+    out = np.empty(x.shape)
+    near = np.flatnonzero(x <= 2.0)
+    far = np.flatnonzero(x > 2.0)
+    if near.size:
+        out[near] = _chebyshev(_ERFCX_NEAR, x[near] - 1.0)
+    if far.size:
+        x_far = x[far]
+        g = _chebyshev(_ERFCX_FAR, 4.0 / x_far - 1.0)
+        g /= x_far * _SQRT_PI
+        out[far] = g
+    return out
 
 
 def reg_gamma_p(a, x):
@@ -176,7 +331,7 @@ def _reg_gamma(a, x, upper):
     if _any(np.asarray(x) < 0.0):
         raise DomainError(f"x must be >= 0, got {x!r}")
     if not _on_grid(a):
-        return (sp.gammaincc if upper else sp.gammainc)(a, x)
+        return (_special().gammaincc if upper else _special().gammainc)(a, x)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     if upper:
@@ -226,7 +381,8 @@ def _gamma_inverse(a, v, upper):
     shape a and probabilities v: _gamma_root on the grid, else scipy's
     gammainccinv or gammaincinv."""
     if not _on_grid(a):
-        return (sp.gammainccinv if upper else sp.gammaincinv)(a, v)
+        return (_special().gammainccinv if upper
+                else _special().gammaincinv)(a, v)
     p, q = (1.0 - v, v) if upper else (v, 1.0 - v)
     return _gamma_root(float(a), p, q)
 
@@ -236,16 +392,16 @@ def _grid_q(a, x, h):
 
     Q = e^-x sum_{k<a} x^k / k! for integer a, and e^-x (erfcx(sqrt x) +
     sqrt x sum_{k<a-1/2} x^k / Gamma(k + 3/2)) otherwise, sums of positive
-    terms; the erfc term enters through erfcx, as scipy's erfc(sqrt x)
-    takes exp(-y^2) of the rounded y = sqrt x, 5e-14 off at x = 640.
-    e^-x enters as the two factors h, so that Q stays normal where e^-x
+    terms; the erfc term enters through erfcx, as erfc(sqrt x) would take
+    exp(-y^2) of the rounded y = sqrt x, 5e-14 off at x = 640.  e^-x
+    enters as the two factors h, so that Q stays normal where e^-x
     underflows; the sum takes x up to _X_FLAT, where h is already 0, so
     that it stays finite.
     """
     s = _horner(_grid_constants(int(2.0 * a))[0], np.minimum(x, _X_FLAT))
     if a % 1:
         y = np.sqrt(x)
-        s = s * y + sp.erfcx(y)
+        s = s * y + _erfcx(y)
     return h * (h * s)
 
 
@@ -263,19 +419,48 @@ def _grid_p(a, x):
 
 def _series_p(a, x, h):
     """P(a, x) = e^-x x^a / Gamma(a + 1) sum_k x^k / ((a + 1) ... (a + k))
-    and the sum, for a on the grid, x (n,) up to a and h = e^(-x/2)."""
-    series = _horner(_grid_constants(int(2.0 * a))[1], x)
+    and the sum, for a on the grid, x (n,) up to a and h = e^(-x/2).
+
+    The sum's 16 to 97 terms take one Horner scheme in y = x^4 for the
+    four polynomials c_i(y) of the terms k = 4j + i, stacked, and then
+    ((c_3 x + c_2) x + c_1) x + c_0, a third of the numpy calls of one
+    scheme in x; every term is positive, and the rounding of y moves the
+    sum by its elasticity in y, E[k] / 4, about 2 at x = a = 96.
+    """
+    lanes = _grid_constants(int(2.0 * a))[1]
+    x2 = x * x
+    y = x2 * x2
+    acc = lanes[0] * y
+    for c in lanes[1:-1]:
+        acc += c
+        acc *= y
+    acc += lanes[-1]
+    series = acc[0] * x
+    for c in acc[1:-1]:
+        series += c
+        series *= x
+    series += acc[-1]
     return _head(a, x, h) * series, series
 
 
 def _head(a, x, h):
     """e^-x x^a / Gamma(a + 1) for a on the grid, x (n,) below 1416 and
-    h = e^(-x/2), which is normal there."""
-    return np.power(x, a) * h * (h * _grid_constants(int(2.0 * a))[2])
+    h = e^(-x/2), which is normal there; x^a h h stays normal before it
+    meets 1 / Gamma(a + 1), whose product with h underflows at a = 96."""
+    return np.power(x, a) * h * h * _grid_constants(int(2.0 * a))[2]
 
 
 def _horner(coef, x):
-    """The polynomial with coefficients coef, highest power first, at x."""
+    """The polynomial with coefficients coef, highest power first, at x.
+    One value takes Python floats, which round as numpy's float64 does,
+    without numpy's cost per call: the 59 terms of a scalar
+    I_x(3/2, 3/2) take 5 us instead of 0.1 ms."""
+    if x.size == 1:
+        terms = coef.tolist()
+        acc, y = terms[0], x.item()
+        for c in terms[1:]:
+            acc = acc * y + c
+        return np.full(x.shape, acc)
     acc = np.full(x.shape, coef[0])
     for c in coef[1:]:
         acc *= x
@@ -297,7 +482,8 @@ def _inv_gamma(b):
 def _grid_constants(n):
     """For the grid shape a = n / 2, the Horner coefficients, highest
     power first, of Q's finite sum (see _grid_q; a zero for a = 1/2) and
-    of P's series (see _series_p), and 1 / Gamma(a + 1).  The series runs
+    of P's series, padded with leading zeros to whole rows of four (see
+    _series_p), and 1 / Gamma(a + 1).  The series runs
     to the first term below 2^-54 of its leading 1 at x = a, above every
     x it serves: below a - 1/3 in _grid_p, and below the median, which
     lies under a, in the lower tail of the inverse."""
@@ -311,7 +497,8 @@ def _grid_constants(n):
         k = len(series)
         series.append(series[-1] / (a + k))
         term *= a / (a + k)
-    return (np.array(finite[::-1]), np.array(series[::-1]),
+    lanes = np.concatenate([np.zeros(-len(series) % 4), series[::-1]])
+    return (np.array(finite[::-1]), lanes.reshape(-1, 4)[:, :, None],
             _inv_gamma(a + 1.0))
 
 
@@ -322,18 +509,21 @@ def _gamma_root(a, p, q):
     shape = np.shape(p)
     p, q = p.reshape(-1), q.reshape(-1)
     upper = q < p
+    v = np.where(upper, q, p)
+    z = _ndtri(v)
     x = np.empty(p.shape)
-    for side, v in ((False, p), (True, q)):
+    for side in (False, True):
         at = upper == side
         if at.any():
-            x[at] = _gamma_halley(a, v[at], side)
+            x[at] = _gamma_halley(a, v[at], z[at], side)
     return x.reshape(shape)
 
 
-def _gamma_halley(a, v, upper):
+def _gamma_halley(a, v, z, upper):
     """x with Q(a, x) = v if upper, else P(a, x) = v, for v (n,) in
-    [0, 1/2] and a on the grid: _GAMMA_STEPS Halley steps on
-    g = log(F / v), F = P or Q, from the start of _LEAD_X and _ASYM_X.
+    [0, 1/2], its normal quantile z and a on the grid: _GAMMA_STEPS
+    Halley steps on g = log(F / v), F = P or Q, from the start of _LEAD_X
+    and _ASYM_X.
 
     With the density f = x^(a-1) e^-x / Gamma(a), F' = f for P and -f for
     Q, and F'' = F' ((a - 1) / x - 1), so that with w = F / F' the step
@@ -341,7 +531,6 @@ def _gamma_halley(a, v, upper):
     Roots below the smallest normal number keep the leading term, which
     is exact there.
     """
-    z = sp.ndtri(v)
     if upper:
         z = -z
     with np.errstate(all="ignore"):
@@ -385,7 +574,79 @@ def reg_beta_i(x, a, b):
     _check_finite("x", x)
     if _any(np.asarray(x) < 0.0) or _any(np.asarray(x) > 1.0):
         raise DomainError(f"x must be in [0, 1], got {x!r}")
-    return sp.betainc(a, b, x)
+    if not (_on_grid(a) and np.ndim(b) == 0 and a == b):
+        return _special().betainc(a, b, x)
+    x = np.asarray(x, dtype=float)
+    return _grid_beta(x.reshape(-1), int(2.0 * a)).reshape(x.shape)[()]
+
+
+def _grid_beta(x, q):
+    """I_x(a, a) for a = q/2 on the grid and x (n,) in [0, 1]: the
+    positive series of _series_coef at y = min(x, 1 - x), within 6e-16 of
+    40-digit mpmath up to y = 1/2 (the forward Wallis form, which cancels
+    in the lower tail, is 2.6e-15 off at q = 101, I = 0.28), and
+    I_x = 1 - I_{1-x} above x = 1/2.
+
+    The series' factor s^q = (2y)^a 2^a (1 - y)^a takes 1 - y = hi + lo
+    split exactly, as s^q, and (1 - y)^a, would take a times the rounding
+    of s and of 1 - y.
+    """
+    y = np.minimum(x, 1.0 - x)
+    a = 0.5 * q
+    hi = 1.0 - y
+    lo = (1.0 - hi) - y
+    f = ((2.0 * y)**a * np.exp2(a) * hi**a * np.exp(a * np.log1p(lo / hi))
+         * _horner(_series_coef(float(q), _SERIES_X[0]), y)
+         / (q * _wallis_total(q)))
+    return np.where(x > 0.5, 1.0 - f, f)
+
+
+@functools.lru_cache(maxsize=1024)
+def _series_coef(q, x_cap):
+    """The Horner coefficients, highest power first, of the series
+    sum_k (q)_k / (a + 1)_k x^k, a = q/2, a sum of positive terms:
+    I_x(a, a) = x^a (1 - x)^a / (a B(a, a)) times it (Abramowitz and
+    Stegun 26.5.4), that is s^q / (q S_n(pi)) times it with s = sin phi
+    (see _wallis_height).
+
+    Term k + 1 is term k times x f_k, f_k = (q + k) / (a + 1 + k), which
+    falls to 1 from above for a > 1 and rises to it below; the series
+    runs to the first term t_k with t_k / (1 - x max(1, f_k)) below
+    _SERIES_TOL at x = x_cap < 1, which bounds the rest of the sum for
+    every x up to x_cap.
+    """
+    a1 = 0.5 * q + 1.0
+    coef, term, k = [1.0], 1.0, 0
+    while True:
+        f = (q + k) / (a1 + k)
+        if term < _SERIES_TOL * (1.0 - x_cap * max(1.0, f)):
+            return np.array(coef[::-1])
+        coef.append(coef[-1] * f)
+        term *= x_cap * f
+        k += 1
+
+
+def _series_table(q, x_cap):
+    """The coefficients of _series_coef for the shapes q (U,), each to
+    its cap x_cap (U,) or one cap for all, as the columns of one table,
+    each padded with leading zeros to the longest (see _series_sum)."""
+    coefs = [_series_coef(w, c) for w, c in
+             zip(q.tolist(), np.broadcast_to(x_cap, q.shape).tolist())]
+    table = np.zeros((max(map(len, coefs), default=1), q.size))
+    for j, c in enumerate(coefs):
+        table[table.shape[0] - c.size:, j] = c
+    return table
+
+
+def _series_sum(table, cols, x):
+    """The series of the columns cols (n,) of a _series_table at x (n,):
+    one Horner scheme over the table's rows, whose leading zeros add
+    nothing, so that an element's sum does not depend on the others."""
+    acc = table[0][cols]
+    for row in table[1:]:
+        acc *= x
+        acc += row[cols]
+    return acc
 
 
 def sphere_height(u, a):
@@ -396,8 +657,8 @@ def sphere_height(u, a):
     and I_x(a, a) = F(phi) = S_n(phi) / S_n(pi) with n = 2a - 1 and
     S_n(phi) = int_0^phi sin^n.  Two Halley steps on log F solve for phi
     directly (_wallis_height), so that the scale keeps its relative
-    accuracy near the poles; F comes in closed form when 2a is an integer
-    (every shape the sphere map uses), and from betainc otherwise.
+    accuracy near the poles; F comes in closed form on the grid (every
+    shape the sphere map uses), and from betainc otherwise.
     a broadcasts against u (one shape per column of a batch).  u lies in
     [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
     gives (+0.0, 1).  Returns the pair (t, scale).
@@ -431,20 +692,17 @@ def _wallis_height(v, q):
     the lower tail v (rows, k) <= 1/2 and shapes q = 2a > 0 (k,).
 
     For integers q the Wallis recursion S_n = ((n-1)/n) S_{n-2} -
-    sin^(n-1) cos / n gives F in closed form: phi/pi - c s P(s^2) for
-    even n and (1 - c)/2 - c s^2 P(s^2) for odd n, with s = sin phi,
-    c = cos phi and P a polynomial of degree floor(n/2) - 1 whose
-    coefficients depend only on the parity of n.  This forward form
-    cancels where F is small, so each column's lower tail, below v_sub,
-    takes F from betainc, as does every column off the grid (v_sub = 1).
-    F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n,
-    so each Halley step on log F costs one evaluation of F.
+    sin^(n-1) cos / n gives F in closed form (_wallis_forward).  That
+    forward form cancels where F is small, so each grid column's lower
+    tail, below v_sub, takes F from the positive series F = s^q
+    Sigma(x) / (q S_n(pi)) of _series_coef, x = s^2 / (2 (1 + c)), and
+    every column off the grid (v_sub = 1) from betainc.  F' = s^n /
+    S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n, so each
+    Halley step on log F costs one evaluation of F.
 
-    Where v or the root's x underflows, below _SERIES_V, betainc loses
-    digits, and the same Halley steps take the residual from the series
-    F = s^q Sigma(s) / S_n(pi), Sigma = sum_k C(2k, k) 4^-k s^(2k) /
-    (q + 2k) of int_0^s w^n dw / sqrt(1 - w^2), as log(F / v) =
-    q log(s / lead) + log(q Sigma), since lead^q = q S_n(pi) v
+    Where v or the root's x underflows, below _SERIES_V, the same Halley
+    steps take the residual from that series in log space, as log(F / v)
+    = q log(s / lead) + log(Sigma), since lead^q = q S_n(pi) v
     (_tail_scale forms lead without v^(1/q), which loses the subnormal
     v's digits).  lead = 0, at v = 0 or where lead underflows (below
     q = 1), gives the pole (1, 0).
@@ -456,87 +714,201 @@ def _wallis_height(v, q):
     return height, scale
 
 
-def _wallis_block(v, q, height, scale):
-    """_wallis_height of v (rows, k) and q (k,), k <= _BLOCK, written to
-    height and scale."""
-    # the columns in the order of the number m of coefficients of P (none
-    # off the grid), then of q
-    off = q % 1 != 0
-    m = np.where(off, 0.0, np.floor((q - 1.0) / 2.0))
-    order = np.lexsort((q, m))
-    q, m, off = q[order], m[order], off[order]
-    n = q - 1.0
-    big_s = sp.beta(0.5, 0.5 * q)  # S_n(pi)
-    beta = _central_binomials(int(m.max()) + 1)[1:]
-    i = np.arange(beta.size)
-    coef = np.where(i[:, None] < m,
-                    np.where(n % 2 == 0,
-                             1.0 / (np.pi * beta * (2 * i + 2))[:, None],
-                             0.5 * beta[:, None]), 0.0)[:, :, None]
-    # Horner step i needs only the columns whose P has degree >= i: the
-    # rows from start[i] on of a block laid out one column per row
-    start = np.searchsorted(m, i, side="right")
+def _wallis_forward(phi, s, c, runs):
+    """F(phi) for phi, s = sin phi and c = cos phi (k, rows) of the grid
+    columns of _wallis_runs, k at least their number, in the Wallis
+    forward form: phi/pi - c s P(s^2) for even n = q - 1 and (1 - c)/2 -
+    c s^2 P(s^2) for odd n, where P is a polynomial of degree
+    floor(n/2) - 1 whose coefficients depend only on the parity of n.
+    The rows of further columns are left unset."""
+    z = s * s
+    f = np.empty_like(s)
+    for lo, hi, even, starts, coef in runs:
+        acc = np.zeros((hi - lo,) + s.shape[1:])
+        for j in range(coef.size - 1, -1, -1):
+            part = acc[starts[j] - lo:]
+            part *= z[starts[j]:hi]
+            part += coef[j]
+        # in place where it can be, as these blocks are the solve's
+        # working memory
+        acc *= (s if even else z)[lo:hi]
+        acc *= c[lo:hi]
+        run = f[lo:hi]
+        if even:
+            np.multiply(phi[lo:hi], 1.0 / np.pi, out=run)
+        else:
+            np.subtract(1.0, c[lo:hi], out=run)
+            run *= 0.5
+        run -= acc
+    return f
+
+
+def _wallis_runs(q):
+    """The forward form's Horner runs over the grid columns q (k,), laid
+    out as the columns of even n = q - 1, then those of odd n, each in
+    the order of the degree m = floor(n/2) of its P: (lo, hi, even,
+    starts, coef) per run, where coef[j] multiplies z^j and Horner step j
+    reads the columns from starts[j] on, whose P has degree >= j."""
+    split = int(np.count_nonzero(q % 2 == 1))
+    runs = []
+    for lo, hi, even in ((0, split, True), (split, q.size, False)):
+        m = np.floor((q[lo:hi] - 1.0) / 2.0)
+        degree = int(m[-1]) if hi > lo else 0
+        beta = _central_binomials(degree + 1)[1:]
+        j = np.arange(degree)
+        coef = 1.0 / (np.pi * beta * (2 * j + 2)) if even else 0.5 * beta
+        runs.append((lo, hi, even, lo + np.searchsorted(m, j, side="right"),
+                     coef))
+    return runs
+
+
+@functools.cache
+def _wallis_total(q):
+    """S_n(pi) = B(1/2, q/2), n = q - 1, for an integer q >= 1:
+    2^m (m - 1)! / (2m - 1)!! for q = 2m and pi (2m - 1)!! / (2^m m!)
+    for q = 2m + 1, the ratio of exact integers rounded once."""
+    m = q // 2
+    odd = math.prod(range(1, 2 * m, 2))
+    if q % 2:
+        return odd / (2**m * math.factorial(m)) * math.pi
+    return 2**m * math.factorial(m - 1) / odd
+
+
+class _Columns(NamedTuple):
+    """The constants of a solve's columns (see _wallis_columns)."""
+    order: np.ndarray
+    q: np.ndarray
+    grid: int
+    runs: list
+    big_s: np.ndarray
+    v_sub: np.ndarray
+    shape_index: np.ndarray
+    cornish_fisher: np.ndarray
+    near_series: np.ndarray
+
+
+def _wallis_columns(q):
+    """The constants of a solve over the shapes q (k,): the order that
+    lays out the grid columns as _wallis_runs wants them, in the order
+    of q within a degree, then the columns off the grid; in that layout
+    q, the number of grid columns, the runs, S_n(pi), the cut v_sub
+    (k, 1) of the forward form and each column's index among the
+    distinct shapes, grid ones first; for those the Cornish-Fisher
+    coefficients, and for the grid ones the near tail's series table to
+    the cut."""
+    off = (q % 1 != 0) | (q > 2.0 * _GRID_CAP)
+    order = np.lexsort((q, np.floor((q - 1.0) / 2.0), q % 2 == 0, off))
+    q = q[order]
+    grid = q.size - int(np.count_nonzero(off))
+    on_values, on_shape = np.unique(q[:grid], return_inverse=True)
+    off_values, off_shape = np.unique(q[grid:], return_inverse=True)
+    values = np.concatenate([on_values, off_values])
+    shape_index = np.concatenate([on_shape, on_values.size + off_shape])
+    big_s = np.empty(values.size)  # S_n(pi)
+    big_s[:on_values.size] = [_wallis_total(int(w)) for w in on_values]
+    if off_values.size:
+        big_s[on_values.size:] = _special().beta(0.5, 0.5 * off_values)
     # the forward form's rounding error in F, below (1 + m/9) eps/2 for
     # q up to 191 against mpmath, moves the height by that over the
     # slope s^(n-1) / S_n(pi) of F in t; v_sub is F where the move
     # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher
+    n = values - 1.0
     with np.errstate(divide="ignore", over="ignore"):
         s_fwd = np.where(n > 1.0, (
             big_s * (1.0 + np.floor(n / 2.0) / 9.0) * _EPS_HALF
             / _FORWARD_DT) ** (1.0 / (n - 1.0)), 0.0)
-    # x = (1 - cos phi) / 2 at that sin^2 phi
-    x_sub = 0.5 * (1.0 - np.sqrt(1.0 - np.clip(s_fwd * s_fwd, _FORWARD_S2,
-                                                1.0)))
-    v_sub = np.where(off, 1.0, sp.betainc(0.5 * q, 0.5 * q, x_sub))[:, None]
-    even, n_col, s_col, q_col = ((n % 2 == 0)[:, None], n[:, None],
-                                 big_s[:, None], q[:, None])
-    base = np.where(even, 1.0 / np.pi, 0.5)  # phi/pi or (1 - c)/2
+    s2_sub = np.clip(s_fwd * s_fwd, _FORWARD_S2, 1.0)
+    s_sub, c_sub = np.sqrt(s2_sub), np.sqrt(1.0 - s2_sub)
+    runs = _wallis_runs(q[:grid])
+    v_sub = _wallis_forward(np.arctan2(s_sub, c_sub)[shape_index, None],
+                            s_sub[shape_index, None], c_sub[shape_index, None],
+                            runs)
+    v_sub[grid:] = 1.0
+    # one (1, 5) product per shape, so that a shape's coefficients do not
+    # depend on the others
+    cornish_fisher = (np.power.outer(1.0 / values, np.arange(5.0))[:, None]
+                      @ _CORNISH_FISHER.T)[:, 0]
+    # the near tail's series runs to x = (1 - cos phi) / 2 at the cut:
+    # its final Halley steps lie below, and a first step a little above
+    # leaves a relative error of about (x / x_sub)^k _SERIES_TOL
+    x_sub = 0.5 * s2_sub / (1.0 + c_sub)
+    near_series = _series_table(on_values, x_sub[:on_values.size])
+    return _Columns(order, q, grid, runs, big_s[shape_index], v_sub,
+                    shape_index, cornish_fisher, near_series)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_columns(key):
+    """_wallis_columns of the shapes whose bytes are key, read-only, as
+    every solve over those shapes shares them."""
+    columns = _wallis_columns(np.frombuffer(key))
+    for field in columns:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return columns
+
+
+def _wallis_block(v, q, height, scale):
+    """_wallis_height of v (rows, k) and q (k,), k <= _BLOCK, written to
+    height and scale."""
+    columns = (_cached_columns(q.tobytes()) if q.size <= _CACHED_COLUMNS
+               else _wallis_columns(q))
+    order, q, grid, runs = columns.order, columns.q, columns.grid, columns.runs
+    big_s, v_sub = columns.big_s, columns.v_sub
+    n = q - 1.0
+    n_col, s_col, q_col = n[:, None], big_s[:, None], q[:, None]
 
     def residual(phi, s, c, last):
-        z = s * s
-        acc = np.zeros_like(z)
-        for j in range(i.size - 1, -1, -1):
-            part = acc[start[j]:]
-            part *= z[start[j]:]
-            part += coef[j, start[j]:]
-        # in place where it can be, as these blocks are the solve's
-        # working memory
-        acc *= np.where(even, s, z)
-        acc *= c
-        f = np.where(even, phi, 1.0 - c)
-        f *= base
-        f -= acc
-        g = np.log(np.divide(f, vb, out=acc), out=acc)
+        f = _wallis_forward(phi, s, c, runs)
         slope = s**q_col
         slope /= s_col
         slope /= f
-        at, v_at, a_at = final if last else first
-        if v_at.size:
-            s_at, c_at = s[at], c[at]
-            f = sp.betainc(a_at, a_at, s_at * s_at / (2.0 * (1.0 + c_at)))
-            mid = off[at[0]] & (c_at * c_at < _MEDIAN_C2)
-            if mid.any():
-                f[mid] = 0.5 * (1.0 - sp.betainc(0.5, a_at[mid],
-                                                 c_at[mid] * c_at[mid]))
-            g[at] = np.log(f / v_at)
-            slope[at] = s_at**(2.0 * a_at) / (big_s[at[0]] * f)
-        if q_far.size:
-            sigma = _wallis_series(s[far], q_far)
-            g[far] = q_far * np.log(s[far] / lead_far) + np.log(q_far * sigma)
-            slope[far] = 1.0 / sigma
+        g = np.log(np.divide(f, vb, out=f), out=f)
+        # the near tail's roots of this step
+        at = steps[last]
+        cols, rows = near[0][at], near[1][at]
+        if cols.size:
+            s_n, c_n, q_n = s[cols, rows], c[cols, rows], q_near[at]
+            x = s_n * s_n / (2.0 * (1.0 + c_n))
+            f, slope_n = np.empty(x.shape), np.empty(x.shape)
+            # on the grid the series, and slope = s F' / F = q / Sigma
+            on = np.searchsorted(cols, grid)
+            sigma = _series_sum(columns.near_series,
+                                columns.shape_index[cols[:on]], x[:on])
+            f[:on] = s_n[:on]**q_n[:on] * sigma / (q_n[:on]
+                                                   * big_s[cols[:on]])
+            slope_n[:on] = q_n[:on] / sigma
+            if on < x.size:
+                a_off = 0.5 * q_n[on:]
+                f[on:] = _special().betainc(a_off, a_off, x[on:])
+                c_off = c_n[on:]
+                mid = c_off * c_off < _MEDIAN_C2
+                if mid.any():
+                    f[on:][mid] = 0.5 * (1.0 - _special().betainc(
+                        0.5, a_off[mid], c_off[mid] * c_off[mid]))
+                slope_n[on:] = s_n[on:]**q_n[on:] / (big_s[cols[on:]]
+                                                     * f[on:])
+            g[cols, rows] = np.log(f / v_near[at])
+            slope[cols, rows] = slope_n
+        if far[0].size:
+            s_f = s[far]
+            sigma = _series_sum(far_table, far_shape,
+                                s_f * s_f / (2.0 * (1.0 + c[far])))
+            g[far] = q_far * np.log(s_f / lead_far) + np.log(sigma)
+            slope[far] = q_far / sigma
         return g, slope
 
     rows = max(1, _BLOCK // v.shape[1])
     for r in range(0, v.shape[0], rows):
         vb = v[r:r + rows].T[order]
         tail = np.nonzero(vb < v_sub)
-        v_tail, a_tail = vb[tail], 0.5 * q[tail[0]]
-        # the forward form fails in the tails, where betainc replaces it
-        # but below _SERIES_V, where the series does
+        v_tail, q_tail = vb[tail], q[tail[0]]
+        a_tail = 0.5 * q_tail
         with np.errstate(all="ignore"):
-            s, c = _cornish_fisher(vb, q_col)
+            s, c = _cornish_fisher(vb, q_col, columns.cornish_fisher[
+                columns.shape_index])
             phi = np.arctan2(s, c)
-            lead = _tail_scale(v_tail, a_tail)
+            lead = _tail_scale(v_tail, q_tail, big_s[tail[0]])
             small = a_tail < 0.5
             deep = lead * lead < np.where(small, _LEAD_S2_SMALL, _LEAD_S2)
             own = deep | small
@@ -553,11 +925,18 @@ def _wallis_block(v, q, height, scale):
             # where the root's v or x ~ lead^2 / 4 underflows
             series = np.minimum(v_tail, lead * lead) < _SERIES_V
             far = tail[0][series], tail[1][series]
-            q_far, lead_far = q[far[0]], lead[series]
-            # betainc's roots on the first step and on the last
-            low = ~series & ((v_tail < _FORWARD_V) | off[tail[0]])
-            first, final = [((tail[0][k], tail[1][k]), v_tail[k], a_tail[k])
-                            for k in (low, ~series)]
+            q_far, lead_far = q_tail[series], lead[series]
+            near = tail[0][~series], tail[1][~series]
+            v_near, q_near = v_tail[~series], q_tail[~series]
+            # the near tail's roots of each Halley step: on the first those
+            # below _FORWARD_V and those off the grid, on the last all
+            on = np.searchsorted(near[0], grid)
+            final = np.arange(v_near.size)
+            steps = (np.flatnonzero((v_near < _FORWARD_V) | (final >= on)),
+                     final)
+            if q_far.size:
+                values, far_shape = np.unique(q_far, return_inverse=True)
+                far_table = _series_table(values, _SERIES_X[1])
             # these start from sin and cos of phi, which may differ by an
             # ulp from the Cornish-Fisher pair
             reset = tail[0][own | series], tail[1][own | series]
@@ -573,11 +952,11 @@ def _wallis_block(v, q, height, scale):
 def _halley(phi, s, c, n, residual):
     """cos phi and sin phi after two Halley steps on g = log F - log v
     from phi, where s = sin phi and c = cos phi, all three updated in
-    place; residual(phi, s, c, last) gives g and the slope
-    h = s g' = s F'/F, the last step flagged, and g'' = h (n c - h) / s^2
-    follows from F'' = F' n c / s.  The step g / (g' - g g'' / 2g') is
-    taken as g s / (h - g (n c - h) / 2), which stays finite for
-    subnormal s."""
+    place; residual(phi, s, c, last) gives g and the slope h = s g' =
+    s F'/F, the last step flagged, and g'' = h (n c - h) / s^2 follows
+    from F'' = F' n c / s.  The step
+    g / (g' - g g'' / 2g') is taken as g s / (h - g (n c - h) / 2), which
+    stays finite for subnormal s."""
     for last in (False, True):
         g, slope = residual(phi, s, c, last)
         step = n * c
@@ -592,33 +971,20 @@ def _halley(phi, s, c, n, residual):
     return c, s
 
 
-def _cornish_fisher(v, q):
+def _cornish_fisher(v, q, coef):
     """sin phi and cos phi of the Cornish-Fisher start for F(phi) = v
-    <= 1/2: the t-quantile T of q degrees of freedom to 1/q^4, with
-    cos phi = -T / r and sin phi = sqrt(q) / r, r = sqrt(q + T^2)."""
-    z = sp.ndtri(v)
+    <= 1/2 (k, rows) of the columns' shapes q (k, 1): the t-quantile T
+    of q degrees of freedom to 1/q^4, with cos phi = -T / r and
+    sin phi = sqrt(q) / r, r = sqrt(q + T^2); coef (k, 5) holds each
+    column's sum_l _CORNISH_FISHER[j, l] / q^l."""
+    z = _ndtri(v)
     w = z * z
-    coef = np.power.outer(1.0 / q, np.arange(5.0)) @ _CORNISH_FISHER.T
-    t = coef[..., 4]
+    t = coef[:, 4:]
     for j in range(3, -1, -1):
-        t = t * w + coef[..., j]
+        t = t * w + coef[:, j:j + 1]
     t *= z
     r = np.sqrt(q + t * t)
     return np.sqrt(q) / r, -t / r
-
-
-def _wallis_series(s, q):
-    """sum_k C(2k, k) 4^-k s^(2k) / (q + 2k) over k < _SERIES_TERMS, each
-    element's terms summed along one row, so that an element's sum does
-    not depend on the others."""
-    k = np.arange(_SERIES_TERMS)
-    powers = np.empty((s.size, _SERIES_TERMS))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = (s * s)[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    powers *= _central_binomials(_SERIES_TERMS)
-    powers /= q[:, None] + 2.0 * k
-    return powers.sum(axis=1)
 
 
 def _central_binomials(m):
@@ -627,23 +993,21 @@ def _central_binomials(m):
         [[1.0], (2.0 * np.arange(1, m) - 1.0) / (2.0 * np.arange(1, m))]))
 
 
-def _tail_scale(v, a):
-    """The scale 2 sqrt(x) of the root x ~ (v a B(a, a))^(1/a) of the
-    leading small-x term I_x(a, a) ~ x^a / (a B(a, a)) = v, formed
-    without x, which underflows (at a = 3/4, v = 1e-300).
+def _tail_scale(v, q, big_s):
+    """The scale lead = (q S_n(pi) v)^(1/q), S_n(pi) = big_s, of the
+    leading small-phi term F ~ s^q / (q S_n(pi)) = v, formed without
+    v^(1/q), which loses the digits of a subnormal v (at q = 3/2,
+    v = 1e-300), and without the root x, which underflows.
 
-    v = f 2^k splits exactly, and 2^(k / 2a) = 2^j 2^(r / 2a) with
-    r = fmod(k, 2a) exact and j an integer, so that no exponent of
-    magnitude ~ 1000 is rounded: the plain power (v a B)^fl(1/2a) is
-    2.5e-14 off at a = 3/4, v = 1e-300, and 1.3e-14 at a = 3/2.  B(a, a)
-    enters through its logarithm, as it underflows from a ~ 540.
+    v = f 2^k splits exactly, and 2^(k/q) = 2^j 2^(r/q) with
+    r = fmod(k, q) exact and j an integer, so that no exponent of
+    magnitude ~ 1000 is rounded: the plain power (q S v)^fl(1/q) is
+    2.5e-14 off at a = 3/4, v = 1e-300, and 1.3e-14 at a = 3/2.
     """
-    q = 2.0 * a
     f, k = np.frexp(v)
     r = np.fmod(k, q)
     j = np.rint((k - r) / q).astype(int)
-    return np.ldexp(2.0 * (f * a)**(1.0 / q) * np.exp(sp.betaln(a, a) / q)
-                    * np.exp2(r / q), j)
+    return np.ldexp((f * q * big_s)**(1.0 / q) * np.exp2(r / q), j)
 
 
 def chi_quantile(dof, u):
@@ -661,7 +1025,8 @@ def chi_quantile(dof, u):
 def normal_cdf(x):
     """Standard normal CDF via erf."""
     _check_finite("x", x)
-    return 0.5 * (1.0 + sp.erf(np.asarray(x, dtype=float) / np.sqrt(2.0)))
+    return 0.5 * (1.0 + _special().erf(np.asarray(x, dtype=float)
+                                       / np.sqrt(2.0)))
 
 
 def inv_normal_cdf(u):
@@ -670,4 +1035,4 @@ def inv_normal_cdf(u):
     u_arr = np.asarray(u, dtype=float)
     if _any(u_arr <= 0.0) or _any(u_arr >= 1.0):
         raise DomainError(f"u must be in (0, 1), got {u!r}")
-    return _like_input(u, sp.ndtri(u_arr))
+    return _like_input(u, _ndtri(u_arr))

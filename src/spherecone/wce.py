@@ -27,6 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with this module, as for np.random in lds
+from numpy.polynomial.legendre import leggauss
 
 from ._pool import _pool_map
 from .errors import ConfigurationError, DomainError, NumericError
@@ -469,7 +471,7 @@ def _chord_rule(n):
     is a tensor Gauss-Legendre rule of n nodes per axis, its arrays
     broadcasting to (n, n, n) from the axes they depend on.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x, w = 0.5 * x + 0.5, 0.5 * w
     s, y, z = x[:, None, None], x[None, :, None], x[None, None, :]
     wt = w[:, None, None] * w[None, :, None] * w[None, None, :]

@@ -15,6 +15,7 @@ from spherecone import cli, lds, wce
 from spherecone.errors import NumericError
 from spherecone.spheremap import SpacePoints
 from spherecone.wce import KernelParams
+from oracles import psi_density, wce_isotropic_general
 
 
 def no_draw(*keys):
@@ -523,6 +524,20 @@ class TestErrors:
                              capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("2 1", "line 2: need the fields d s a m_1"),
+        ("2 1 0 x", "line 2: fields must be integers"),
+    ], ids=["short", "not-integer"])
+    def test_bad_dirfile_line_named(self, capsys, tmp_path, line, message):
+        # exit 2, with the file and the line named
+        f = tmp_path / "dirs.txt"
+        f.write_text(f"d s a m_i\n{line}\n")
+        code, _, err = run_cli(["points", "--dim", "2", "--n", "4",
+                                "--gen", "sobol", "--dirfile", str(f)],
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: {f}: direction-number {message}")
+
 
 # a fixed point file for the wce and rms-wce digests: eight points of R^3
 GOLDEN_POINTS = """x1,x2,x3
@@ -550,7 +565,7 @@ GOLDEN = {
     "points-sphere": (
         ["points", "--dim", "3", "--n", "16", "--gen", "sphere",
          "--scramble", "--seed", "2"],
-        "7965b049127b5bc90788832a39afeea71c0ab4bd2b33a4f3e96bf53464311b93",
+        "18cd03d999199998cd8dbd7bfd9b5be84a2b4009abb160077db6765d1223791a",
         NO_OUTPUT, 0),
     "points-sobol": (
         ["points", "--dim", "2", "--n", "8", "--gen", "sobol", "--scramble",
@@ -560,17 +575,17 @@ GOLDEN = {
     "points-random": (
         ["points", "--dim", "3", "--n", "8", "--gen", "random", "--seed",
          "5"],
-        "ea75f10a7152e74e51b244493ec5ff1e76d0de63f3175641230c13dfe355b109",
+        "a7f4cff72aae367a7fda086001102a7364ec3e4ef0f1206089b1c3abd71eff7b",
         NO_OUTPUT, 0),
     "points-polar": (
         ["points", "--dim", "4", "--n", "8", "--gen", "sphere", "--polar",
          "--seed", "3"],
-        "6d719f3ed404f10b314868931f3b09d9f2a90a4542ef259845d8435112e6b714",
+        "f3c8942363a5989c96414ccd9c1f2dc48a43684b57bdbbc839e4620246964f7e",
         NO_OUTPUT, 0),
     "sphere-map-sobol": (
         ["sphere-map", "--dim", "3", "--n", "16", "--gen", "sobol",
          "--scramble", "--seed", "2"],
-        "7eea0dd5328adbc94a8c483d94d8d62fe4f21a58a636773df7f497e7ce50bdf2",
+        "f9690212aeaefad5e681449704a200b5fe391e27c0c32e3430e887441ad21195",
         NO_OUTPUT, 0),
     "sphere-map-random": (
         ["sphere-map", "--dim", "2", "--n", "8", "--gen", "random", "--seed",
@@ -593,7 +608,7 @@ GOLDEN = {
     "trial-integral-inverse_normal": (
         ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
          "inverse_normal", "--seed", "1"],
-        "906cbea7c77efaea5cda9231947408c60567920275e552d256031e7ed7199927",
+        "325b6202bc3281f86b3a889364d3e29d986c60aec3ef15868d8a9aa8e9aa1694",
         NO_OUTPUT, 0),
     "trial-integral-random": (
         ["trial-integral", "--dim", "4", "--n-list", "16,64", "--gen",
@@ -603,12 +618,12 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "cd8fdce95671864b3b52aae8a0451fcdeba2d089bec08a09f3b2649ede64914d",
+        "2b95b535b279575af36f3cd9571a5d4c459d82e7a37c2422e7985f4305386a6a",
         "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (
         ["lambda", "--mu", "1.5", "--c", "2", "--K", "8"],
-        "fc7db843b8f0d99b1c62b565e0552cf1231fa28af85c5dca13ebb29edf330958",
+        "f47983856501f9aa54c51ad6755828006a10e3443ebaa7c0cf27730c2504272b",
         NO_OUTPUT, 0),
     "price-mc": (
         ["price", "--N", "64", "--reps", "4", "--gen", "mc"],
@@ -616,17 +631,69 @@ GOLDEN = {
         NO_OUTPUT, 0),
     "price-sobol": (
         ["price", "--N", "64", "--reps", "4", "--gen", "sobol"],
-        "bdc27c04c0ee093593109925b54c4dc43e175a3f43be11c7d2a41b0ff853b97d",
+        "1b9c3be936bdfc9acbdf45bca309e422eb0d5cdf23dc1baa454d358c6a82f61a",
         NO_OUTPUT, 0),
     "price-sphere": (
         ["price", "--N", "64", "--reps", "4", "--gen", "sphere"],
-        "bea367f42ade0917aa604a165e918438b05b1c345c7e1673bc6a30f55cb00b9b",
+        "3b3e5fcc7a893851997841967778104b8885ececd3dec05d2656d9d96d5f57d6",
         NO_OUTPUT, 0),
     "table": (
         ["table", "--n-list", "256"],
-        "1c0ba933730d2480ccc4fdfe56315c5ccf22367356a5d6a2cf56d1a45d50d1d4",
+        "76c45d4f4ae07aedc8c83bb163b7098f8b8c255c51855fcfed33f535737fd316",
         NO_OUTPUT, 0),
 }
+
+
+# the commands of one pass of each benchmark workload at small sizes,
+# and the README's command-line quick start with smaller N and its
+# Python one; "{points}" stands for a file in a fresh directory
+DEFAULT_COMMANDS = {
+    "price-table": [["table", "--kind", "asian", "--n-list", "256",
+                     "--seed", "21"]],
+    "wce-large": [["points", "--dim", "3", "--n", "256", "--gen", "sphere",
+                   "--scramble", "--seed", "1", "--output", "{points}"],
+                  ["wce", "--input", "{points}", *KERNEL_ARGS],
+                  ["rms-wce", *KERNEL_ARGS, "--N", "256", "--input",
+                   "{points}"]],
+    "strata": [["strata", *KERNEL_ARGS, "--seed", "3", "--M-list", "64,256",
+                "--draws", "0"],
+               ["strata", *KERNEL_ARGS, "--seed", "3", "--M-list", "16,64",
+                "--draws", "8"]],
+    "readme": [["points", "--dim", "3", "--n", "1024", "--gen", "sphere",
+                "--scramble", "--output", "{points}"],
+               ["wce", "--input", "{points}", *KERNEL_ARGS],
+               ["strata", *KERNEL_ARGS, "--M-list", "16,64", "--draws",
+                "200"],
+               ["lambda", "--mu", "1", "--c", "2", "--K", "4096"],
+               ["price", "--kind", "asian", "--N", "1024", "--reps", "8",
+                "--gen", "sobol", "--construction", "pca"],
+               ["table", "--kind", "barrier", "--barrier", "130",
+                "--n-list", "256,512"]],
+}
+README_PYTHON = '''
+import numpy as np
+from spherecone import (SobolStream, lift_to_space, KernelParams,
+                        wce_nakagami)
+pts = lift_to_space(SobolStream(3, seed=1, scramble=True).take(1024))
+p = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
+print(wce_nakagami(p, pts).wce)
+'''
+
+
+def scipy_special_blocked(commands, tmp_path):
+    """A child program that runs the README's Python quick start and
+    then each command through cli.main, printing their exit codes last,
+    with the import of scipy.special made to fail: a None entry in
+    sys.modules, which forked pool workers inherit."""
+    points = str(tmp_path / "points.csv")
+    (tmp_path / "points.csv").write_text(GOLDEN_POINTS)
+    commands = [[points if a == "{points}" else a for a in argv]
+                for argv in commands]
+    return ("import sys\n"
+            "sys.modules['scipy.special'] = None\n"
+            f"{README_PYTHON}\n"
+            "from spherecone import cli\n"
+            f"print([cli.main(argv) for argv in {commands!r}])\n")
 
 
 class TestGolden:
@@ -677,6 +744,55 @@ class TestConsoleScript:
                              capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert out.stdout.strip() == "False"
+
+    def test_import_leaves_out_scipy_special(self):
+        # its import alone took 0.25-0.34 s and 26 MB of RSS of every
+        # start of the command
+        code = ("import sys, spherecone, spherecone.cli; "
+                "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", DEFAULT_COMMANDS)
+    def test_default_commands_leave_out_scipy_special(self, tmp_path, name):
+        # with the import of scipy.special made to fail, in the caller and
+        # in its forked pool workers alike, every command still exits 0
+        code = scipy_special_blocked(DEFAULT_COMMANDS[name], tmp_path)
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.splitlines()[-1] == str(
+            [0] * len(DEFAULT_COMMANDS[name]))
+
+    def test_off_grid_shape_loads_scipy_special(self, tmp_path):
+        # mu = 1.7 lies off the half-integer grid: the blocked import
+        # fails the command, and without the block scipy.special serves
+        # it, with the wce of the quadrature route
+        argv = ["wce", "--input", "{points}", "--mu", "1.7", "--A", "1.5",
+                "--B", "3"]
+        blocked = subprocess.run(
+            [sys.executable, "-c", scipy_special_blocked([argv], tmp_path)],
+            capture_output=True, text=True, env=child_env())
+        assert blocked.returncode != 0
+        assert "scipy.special" in blocked.stderr
+        argv[2] = str(tmp_path / "points.csv")
+        code = ("import sys; from spherecone import cli; "
+                f"rc = cli.main({argv!r}); "
+                "print(rc, 'scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0
+        report, last = out.stdout.rstrip().rsplit("\n", 1)
+        assert last == "0 True"
+        p = KernelParams(1.7, 1.5, 3.0, d=2)
+        pts = SpacePoints.from_cartesian(read_csv_text(GOLDEN_POINTS)[1])
+        general = wce_isotropic_general(
+            lambda r: wce.phi_cdf(p, r), lambda r: float(psi_density(p, r)),
+            p.d, pts)
+        assert json.loads(report)["wce"] == pytest.approx(general.wce,
+                                                         rel=1e-7)
 
     def test_dirfile_env_var(self, tmp_path):
         f = tmp_path / "dirs.txt"

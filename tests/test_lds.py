@@ -337,6 +337,15 @@ class TestDirectionNumberTable:
         with pytest.raises(ConfigurationError):  # empty
             DirectionNumberTable.from_lines(["d s a m_i"])
 
+    @pytest.mark.parametrize("line, message", [
+        ("2 1", "line 2: need the fields d s a m_1"),
+        ("2 1 0 x", "line 2: fields must be integers"),
+    ], ids=["short", "not-integer"])
+    def test_bad_line_named(self, line, message):
+        # a short line and a non-integer field are refused by line
+        with pytest.raises(ConfigurationError, match=message):
+            DirectionNumberTable.from_lines(["d s a m_i", line])
+
     def test_dimension_limit(self):
         t = DirectionNumberTable.from_lines(["2 1 0 1"])
         with pytest.raises(ConfigurationError):

@@ -213,8 +213,8 @@ class TestGammaGrid:
             assert specfun.inv_reg_gamma_q(a, 1e-310) == \
                 specfun.inv_reg_gamma_q(a, 1e-300)
 
-    @pytest.mark.parametrize("a", [0.7, 2.3, specfun._GRID_CAP + 0.5, 15.0,
-                                   30.5, 45.0, np.full(4, 1.5)])
+    @pytest.mark.parametrize("a", [0.7, 2.3, specfun._GRID_CAP + 0.5, 97.0,
+                                   120.5, 150.0, np.full(4, 1.5)])
     def test_off_grid_is_scipy(self, a):
         # shapes off the grid or above the cap, and arrays of shapes,
         # keep scipy's values bitwise
@@ -226,7 +226,7 @@ class TestGammaGrid:
                               sp.gammaincinv(a, v))
         assert np.array_equal(specfun.inv_reg_gamma_q(a, v),
                               sp.gammainccinv(a, v))
-        for dof in (16, 30, 61):
+        for dof in (193, 200, 255):
             assert specfun.chi_quantile(dof, 0.3) == math.sqrt(
                 2.0 * sp.gammaincinv(dof / 2.0, 0.3))
 
@@ -239,7 +239,7 @@ CHI_U = np.array(
     + list(np.random.default_rng(3).integers(1, 2**32, 4) * 2.0**-32))
 
 
-@pytest.mark.parametrize("k", range(2, 61))
+@pytest.mark.parametrize("k", range(2, int(2 * specfun._GRID_CAP) + 1))
 def test_chi_quantile_on_lift_grid(k):
     a = k / 2.0
     x = specfun.chi_quantile(k, CHI_U)
@@ -280,6 +280,48 @@ class TestRegBeta:
             x = rng.uniform(0.0, 1.0)
             assert specfun.reg_beta_i(x, a, b) == pytest.approx(
                 beta_i_quadrature(x, a, b), rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("n", list(range(1, 31)) + [31, 40, 61, 95, 96,
+                                                        101, 150, 191, 192])
+    def test_grid_against_mpmath(self, n):
+        # I_x(a, a) with 2a = n on the grid, a positive series, within
+        # 2e-15 of 40-digit mpmath (scipy's betainc: 1.1e-12 at n = 192,
+        # x = 0.1), from the far lower tail to 1 - x of 1e-9
+        a = n / 2.0
+        x = np.concatenate([
+            [0.0, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.05, 0.1, 0.2, 0.3,
+             0.4, 0.45, 0.49, 0.5, 0.51, 0.6, 0.75, 0.9, 0.99, 1.0 - 1e-9,
+             1.0], np.random.default_rng(n).random(20)])
+        got = specfun.reg_beta_i(x, a, a)
+        with mpmath.workdps(40):
+            for xi, gi in zip(x, got):
+                ref = mpmath.betainc(a, a, 0, xi, regularized=True)
+                if ref < NORMAL_MIN:
+                    assert gi <= NORMAL_MIN, (n, xi, gi)
+                else:
+                    assert abs(gi - ref) <= 2e-15 * ref, (n, xi, gi,
+                                                          float(ref))
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 15.0, 96.0])
+    def test_grid_scalar_is_its_array_element(self, a):
+        # a single value sums its polynomials in Python floats, which must
+        # round as the array path does
+        x = np.array([1e-3, 0.3, 0.5, 0.8])
+        for fn in (lambda v: specfun.reg_beta_i(v, a, a),
+                   lambda v: specfun.reg_gamma_q(a, 2.0 * a * v),
+                   lambda v: specfun.reg_gamma_p(a, 2.0 * a * v)):
+            batch = fn(x)
+            for xi, bi in zip(x, batch):
+                assert fn(xi) == bi and fn(x[[0]] * 0 + xi)[0] == bi
+
+    def test_off_grid_and_asymmetric_are_scipy(self):
+        # shapes off the grid, above its cap, of arrays, or a != b keep
+        # scipy's betainc bitwise
+        x = np.array([1e-5, 0.3, 0.5, 0.97])
+        for a, b in ((1.482, 1.482), (96.5, 96.5), (1.5, 2.0),
+                     (np.full(4, 1.5), 1.5)):
+            assert np.array_equal(specfun.reg_beta_i(x, a, b),
+                                  sp.betainc(a, b, x))
 
     @given(st.floats(1e-4, 1.0 - 1e-4), st.floats(0.5, 10.0),
            st.floats(0.5, 10.0))
@@ -491,10 +533,9 @@ class TestSphereHeight:
     @pytest.mark.parametrize("a", [1.5, 14.5, 30.0])
     def test_far_tail_roots_skip_betainc(self, monkeypatch, a):
         # the series gives the residual of a root whose v lies below
-        # _SERIES_V, so betainc is not evaluated there: the one call left
-        # is the column's forward-form cut, whose x lies in
-        # [(1 - sqrt(1/2)) / 2, 1/2]; a root at u = 1e-200 still takes
-        # betainc, at its small x
+        # _SERIES_V, so betainc is not evaluated there, on the grid or
+        # off it; on the grid no root takes betainc at all, and off it a
+        # root at u = 1e-200 still does, at its small x
         betainc = sp.betainc
         seen = []
 
@@ -502,11 +543,12 @@ class TestSphereHeight:
             seen.append(float(np.min(x)))
             return betainc(p, q, x)
 
-        monkeypatch.setattr(specfun.sp, "betainc", spy)
-        specfun.sphere_height(1e-300, a)
-        assert min(seen) >= (1.0 - math.sqrt(0.5)) / 2.0
-        seen.clear()
+        monkeypatch.setattr(sp, "betainc", spy)
+        for shape in (a, a + 0.01):
+            specfun.sphere_height(1e-300, shape)
         specfun.sphere_height(1e-200, a)
+        assert seen == []
+        specfun.sphere_height(1e-200, a + 0.01)
         assert min(seen) < 1e-3
 
     def test_antisymmetric(self):
@@ -553,18 +595,19 @@ class TestSphereHeight:
         assert (t[0, 0], scale[0, 0]) == specfun.sphere_height(0.3, 1.5)
 
     def test_many_shapes_bounded(self):
-        # one solve takes _BLOCK shapes at most, so 4x the shapes add
-        # little to the peak beyond the larger inputs and outputs (the
-        # per-column constants of 4 _BLOCK shapes peaked at 4x before);
-        # elements across the blocks stay bitwise their own calls
+        # one solve takes _BLOCK shapes at most, so 4x the shapes over the
+        # same elements add little to the peak (the per-column constants
+        # of 4 _BLOCK shapes peaked at 4x before): a row of _BLOCK shapes
+        # over 4 rows against 4 _BLOCK elementwise shapes; elements across
+        # the blocks stay bitwise their own calls
         rng = np.random.default_rng(28)
+        n = specfun._BLOCK
+        u = rng.random((4, n))
+        u[:, ::5] = 10.0**rng.uniform(-300, -5, u[:, ::5].shape)
         peaks = []
-        for blocks in (1, 4):
-            n = blocks * specfun._BLOCK
-            a = (rng.integers(1, 81, n) / 2.0).reshape(-1, 128)
-            u = rng.random(n).reshape(-1, 128)
-            u[::5, ::3] = 10.0**rng.uniform(-300, -5, u[::5, ::3].shape)
-            a[::7, ::2] += 0.123
+        for a in (rng.integers(1, 81, n) / 2.0,
+                  rng.integers(1, 81, (4, n)) / 2.0):
+            a[..., ::14] += 0.123
             tracemalloc.start()
             try:
                 t, scale = specfun.sphere_height(u, a)
@@ -572,14 +615,36 @@ class TestSphereHeight:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0]
-        # each block's first and last elements (256 rows of 128), and 40
-        # more at random
-        rows = np.r_[0, 255, 256, 511, 512, 767, 768, 1023,
-                     rng.integers(0, 1024, 40)]
-        cols = np.r_[[0, 127] * 4, rng.integers(0, 128, 40)]
+        # each block's first and last elements, and 40 more at random
+        rows = np.r_[0, 0, 1, 1, 2, 2, 3, 3, rng.integers(0, 4, 40)]
+        cols = np.r_[[0, n - 1] * 4, rng.integers(0, n, 40)]
         for i, j in zip(rows, cols):
             assert (t[i, j], scale[i, j]) == specfun.sphere_height(u[i, j],
                                                                    a[i, j])
+
+    def test_many_shapes_peak_near_one_shape(self):
+        # the forward form's Horner steps read one coefficient per run of
+        # columns, so a solve of _BLOCK elementwise shapes up to a = 40
+        # peaks near one of 90,000 values under one shape; every height is
+        # that of the call of its shape alone
+        rng = np.random.default_rng(29)
+        a = rng.integers(1, 81, specfun._BLOCK) / 2.0
+        u = rng.random(a.size)
+        peaks = []
+        for args in ((u, a), (rng.random(90000), 40.0)):
+            tracemalloc.start()
+            try:
+                t, scale = specfun.sphere_height(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        t, scale = specfun.sphere_height(u, a)
+        assert peaks[0] < 1.5 * peaks[1]
+        for shape in np.unique(a):
+            at = a == shape
+            t_ref, scale_ref = specfun.sphere_height(u[at], shape)
+            assert np.array_equal(t[at], t_ref)
+            assert np.array_equal(scale[at], scale_ref)
 
     def test_domain(self):
         for bad in (-0.1, 1.1, math.nan, math.inf):
@@ -636,6 +701,89 @@ class TestNormal:
         for bad in (0.0, 1.0, -0.2, 1.2):
             with pytest.raises(DomainError):
                 specfun.inv_normal_cdf(bad)
+
+    def test_against_mpmath(self):
+        # AS241 within 1e-15 relative on (1e-300, 1 - 2^-53]: uniform,
+        # log-uniform in both tails, the Sobol' grid k/2^32, the ends and
+        # both sides of each region's edge (scipy's ndtri: 6.7e-16)
+        rng = np.random.default_rng(41)
+        edges = [0.075, 0.925, 0.5 - 2.0**-53, 0.5 + 2.0**-53]
+        for r in (1.6, 5.0):
+            edges += [math.exp(-r * r) * f for f in (1 - 1e-15, 1 + 1e-15)]
+        tail = 10.0**rng.uniform(-300, -0.5, 600)
+        u = np.concatenate([
+            rng.random(600), tail, 1.0 - tail[tail > 1e-15],
+            rng.integers(1, 2**32, 600) * 2.0**-32, edges,
+            [1.0000001e-300, 2.0**-33, 1.0 - 2.0**-53, 0.5]])
+        z = specfun.inv_normal_cdf(u)
+        with mpmath.workdps(40):
+            for ui, zi in zip(u, z):
+                ref = mpmath.mpf(zi)
+                for _ in range(3):
+                    # Newton on the smaller tail of the normal CDF
+                    if ui < 0.5:
+                        res = mpmath.ncdf(ref) - ui
+                    else:
+                        res = (1 - ui) - mpmath.ncdf(-ref)
+                    ref -= res / mpmath.npdf(ref)
+                assert abs(zi - ref) <= 1e-15 * abs(ref), (ui, zi)
+
+    def test_as241_hash_sums(self):
+        # each region's coefficients, as Wichura published them, have
+        # leading digits summing to his hash sum (the denominators' unit
+        # constant term left out)
+        for coef, hash_sum in (
+                (specfun._AS241_CENTRAL, 55.88319_28806_14901_4439),
+                (specfun._AS241_NEAR, 49.33206_50330_16102_89036),
+                (specfun._AS241_FAR, 47.52583_31754_92896_71629)):
+            assert coef.shape == (2, 8) and coef[1, -1] == 1.0
+            digits = sum(c / 10.0**math.floor(math.log10(c))
+                         for c in coef.ravel())
+            assert abs(digits - 1.0 - hash_sum) < 1e-13
+
+
+def erfcx_chebyshev(points, piece):
+    """The Chebyshev coefficients c_0 / 2, c_1, ... of erfcx(x) in
+    t = x - 1 on [0, 2] (piece "near"), or of x sqrt(pi) erfcx(x) in
+    t = 4/x - 1 on [2, inf) (piece "far"), interpolated at `points`
+    Chebyshev points from 40-digit mpmath values, each rounded once."""
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / points
+                 for j in range(points)]
+        values = []
+        for th in theta:
+            t = mpmath.cos(th)
+            x = t + 1 if piece == "near" else 4 / (t + 1)
+            f = mpmath.exp(x * x) * mpmath.erfc(x)
+            values.append(f if piece == "near"
+                          else x * mpmath.sqrt(mpmath.pi) * f)
+        coef = [2 * mpmath.fsum(v * mpmath.cos(k * th)
+                                for v, th in zip(values, theta)) / points
+                for k in range(points)]
+        coef[0] /= 2
+        return tuple(float(c) for c in coef)
+
+
+class TestErfcx:
+    def test_coefficients_regenerate(self):
+        # the committed coefficients are the interpolants, bit for bit
+        assert specfun._ERFCX_NEAR == erfcx_chebyshev(24, "near")
+        assert specfun._ERFCX_FAR == erfcx_chebyshev(27, "far")
+
+    def test_against_mpmath(self):
+        # within 1e-15 relative on [0, 1e8] (scipy's erfcx: 8.9e-16),
+        # both sides of the pieces' joint at 2 included
+        rng = np.random.default_rng(42)
+        x = np.concatenate([
+            [0.0, 1e-300, 2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
+             1e8], rng.uniform(0.0, 2.0, 400), rng.uniform(2.0, 12.0, 400),
+            10.0**rng.uniform(-12, 8, 400)])
+        got = specfun._erfcx(x)
+        with mpmath.workdps(40):
+            for xi, gi in zip(x, got):
+                xm = mpmath.mpf(xi)
+                ref = mpmath.exp(xm * xm) * mpmath.erfc(xm)
+                assert abs(gi - ref) <= 1e-15 * ref, (xi, gi)
 
 
 P232 = KernelParams(mu=1.5, A=1.5, B=3.0, d=2)
