@@ -314,7 +314,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (DomainError, ConfigurationError, ExhaustionError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:

@@ -17,12 +17,12 @@ every height of its sphere map):
   inverses and the chi quantile two Halley steps on those forms; other
   shapes take scipy's gammainc, gammaincc and their generic inverses;
 - I_x(a, a) of one scalar shape on the grid takes a positive series
-  (_series_coef); other shapes and every asymmetric I_x(a, b) take
+  (_series_table); other shapes and every asymmetric I_x(a, b) take
   scipy's betainc;
-- the sphere height takes Halley steps on the Wallis form of its
-  column's shape, and on that series in each column's lower tail; off
-  the grid it takes them on scipy's betainc.
-The normal CDF is scipy's.  The test suite checks every function against
+- the sphere height takes Halley steps on that series below each
+  column's cut, and above it on the Wallis form on the grid and on
+  scipy's betainc(1/2, a, .) off it.
+The test suite checks every function against
 independent adaptive-quadrature and bisection oracles, and the grid
 forms, _ndtri and _erfcx against mpmath.
 """
@@ -45,7 +45,6 @@ __all__ = [
     "reg_beta_i",
     "sphere_height",
     "chi_quantile",
-    "normal_cdf",
     "inv_normal_cdf",
 ]
 
@@ -86,16 +85,21 @@ _ASYM_X = (4.65, 2.0)
 _GAMMA_STEPS = 2
 
 # sphere_height solves F(phi) = v for the colatitude phi (see
-# _wallis_height):
-# - on the grid (2a = q an integer up to 2 _GRID_CAP), the forward
-#   Wallis form of F serves roots above sin^2 phi = _FORWARD_S2 where
-#   its rounding, about (1 + m/9) _EPS_HALF in F, moves the height by
-#   less than _FORWARD_DT, and the positive series of _series_coef the
-#   rest, from the first Halley step where v < _FORWARD_V (there the
-#   forward form's rounding exceeds 1e-6 of F), else from the last;
-# - off the grid scipy's betainc serves every root;
+# _wallis_height), every column q = 2a by one rule:
+# - each column's cut lies at sin^2 phi = _FORWARD_S2, or higher where
+#   the forward Wallis form's rounding, about (1 + m/9) _EPS_HALF in F,
+#   m = floor((q - 1)/2), would move the height by more than
+#   _FORWARD_DT (for real q off the grid too); below q = 1 at the median;
+# - roots below the cut take F from the positive series of
+#   _series_table; on the grid (2a an integer up to 2 _GRID_CAP) from
+#   the first Halley step where v < _FORWARD_V (there the forward
+#   form's rounding exceeds 1e-6 of F), else from the last, and off it
+#   on both steps;
+# - roots above it take F from the median's side: on the grid the
+#   forward form, off it 1/2 - sign(c) I_{c^2}(1/2, a) / 2 from scipy's
+#   betainc, whose absolute error is a few ulps of the small I;
 # - where the v, or the root x, lies below _SERIES_V, the series gives
-#   the residual in log space, for every shape, as F underflows there.
+#   the residual in log space, as F underflows there.
 # Halley steps start from the leading small-phi term where that term
 # puts sin^2 phi below _LEAD_S2, and from a Cornish-Fisher t-quantile
 # elsewhere; below q = 1 (off the grid), where that series in 1/q fails,
@@ -108,16 +112,10 @@ _FORWARD_V = 1e-9
 _SERIES_V = 1e-250
 _LEAD_S2 = 0.2
 _LEAD_S2_SMALL = 0.5
-# off the grid, roots with cos^2 phi below _MEDIAN_C2 take F as
-# (1 - I_{c^2}(1/2, a)) / 2, whose absolute error near the median is a
-# few ulps of the small I, where betainc(a, a, x) is a few ulps of 1/2
-_MEDIAN_C2 = 0.5
-# the series of _series_coef runs to the first term below _SERIES_TOL
-# of its leading 1 at x = _SERIES_X[0] in reg_beta_i, x = _SERIES_X[1]
-# in the far tail of sphere_height (where x is tiny unless a > 2000), and
-# the column's forward-form cut in its near tail
+# the series of _series_table runs to the first term below _SERIES_TOL
+# of its leading 1 at x = 1/2 in reg_beta_i and at the column's cut in
+# sphere_height
 _SERIES_TOL = 2.0**-54
-_SERIES_X = (0.5, 0.25)
 # columns per solve, and elements per block of one, which bounds the
 # temporaries of a call with many shapes or many rows
 _BLOCK = 2**15
@@ -198,7 +196,7 @@ _ERFCX_FAR = (
 @functools.cache
 def _special():
     """scipy.special, imported on its first use: by a shape off the
-    grid, an asymmetric incomplete beta function or normal_cdf.  A
+    grid or an asymmetric incomplete beta function.  A
     forked pool worker whose parent has not imported it pays the import
     once, in its own process."""
     from scipy import special
@@ -244,13 +242,7 @@ def _on_grid(a):
 def _ratio(coef, x):
     """coef[0](x) / coef[1](x) for the polynomials of the rows of coef,
     highest power first, at x (n,), both in one Horner scheme."""
-    terms = coef.T[:, :, None]
-    acc = terms[0] * x
-    for c in terms[1:-1]:
-        acc += c
-        acc *= x
-    acc += terms[-1]
-    num, den = acc
+    num, den = _horner(coef.T[:, :, None], x)
     num /= den
     return num
 
@@ -427,19 +419,8 @@ def _series_p(a, x, h):
     scheme in x; every term is positive, and the rounding of y moves the
     sum by its elasticity in y, E[k] / 4, about 2 at x = a = 96.
     """
-    lanes = _grid_constants(int(2.0 * a))[1]
     x2 = x * x
-    y = x2 * x2
-    acc = lanes[0] * y
-    for c in lanes[1:-1]:
-        acc += c
-        acc *= y
-    acc += lanes[-1]
-    series = acc[0] * x
-    for c in acc[1:-1]:
-        series += c
-        series *= x
-    series += acc[-1]
+    series = _horner(_horner(_grid_constants(int(2.0 * a))[1], x2 * x2), x)
     return _head(a, x, h) * series, series
 
 
@@ -451,18 +432,21 @@ def _head(a, x, h):
 
 
 def _horner(coef, x):
-    """The polynomial with coefficients coef, highest power first, at x.
-    One value takes Python floats, which round as numpy's float64 does,
-    without numpy's cost per call: the 59 terms of a scalar
-    I_x(3/2, 3/2) take 5 us instead of 0.1 ms."""
-    if x.size == 1:
+    """The polynomial with coefficients coef, highest power first, at x:
+    coef is an array or an iterable of coefficient rows, each of which
+    broadcasts against x.  One value with 1-D coefficients takes Python
+    floats, which round as numpy's float64 does, without numpy's cost per
+    call: the 59 terms of a scalar I_x(3/2, 3/2) take 5 us instead of
+    0.1 ms."""
+    if x.size == 1 and np.ndim(coef) == 1:
         terms = coef.tolist()
         acc, y = terms[0], x.item()
         for c in terms[1:]:
             acc = acc * y + c
         return np.full(x.shape, acc)
-    acc = np.full(x.shape, coef[0])
-    for c in coef[1:]:
+    rows = iter(coef)
+    acc = next(rows) + np.zeros(x.shape)
+    for c in rows:
         acc *= x
         acc += c
     return acc
@@ -582,7 +566,7 @@ def reg_beta_i(x, a, b):
 
 def _grid_beta(x, q):
     """I_x(a, a) for a = q/2 on the grid and x (n,) in [0, 1]: the
-    positive series of _series_coef at y = min(x, 1 - x), within 6e-16 of
+    positive series of _series_table at y = min(x, 1 - x), within 6e-16 of
     40-digit mpmath up to y = 1/2 (the forward Wallis form, which cancels
     in the lower tail, is 2.6e-15 off at q = 101, I = 0.28), and
     I_x = 1 - I_{1-x} above x = 1/2.
@@ -596,57 +580,52 @@ def _grid_beta(x, q):
     hi = 1.0 - y
     lo = (1.0 - hi) - y
     f = ((2.0 * y)**a * np.exp2(a) * hi**a * np.exp(a * np.log1p(lo / hi))
-         * _horner(_series_coef(float(q), _SERIES_X[0]), y)
-         / (q * _wallis_total(q)))
+         * _horner(_beta_series(q), 2.0 * y) / (q * _wallis_total(q)))
     return np.where(x > 0.5, 1.0 - f, f)
 
 
-@functools.lru_cache(maxsize=1024)
-def _series_coef(q, x_cap):
-    """The Horner coefficients, highest power first, of the series
-    sum_k (q)_k / (a + 1)_k x^k, a = q/2, a sum of positive terms:
-    I_x(a, a) = x^a (1 - x)^a / (a B(a, a)) times it (Abramowitz and
-    Stegun 26.5.4), that is s^q / (q S_n(pi)) times it with s = sin phi
-    (see _wallis_height).
+@functools.cache
+def _beta_series(q):
+    """The series of _series_table for the grid shape q to x = 1/2."""
+    return _series_table(np.array([float(q)]), np.array([0.5]))[:, 0]
 
-    Term k + 1 is term k times x f_k, f_k = (q + k) / (a + 1 + k), which
-    falls to 1 from above for a > 1 and rises to it below; the series
-    runs to the first term t_k with t_k / (1 - x max(1, f_k)) below
-    _SERIES_TOL at x = x_cap < 1, which bounds the rest of the sum for
-    every x up to x_cap.
+
+def _series_table(q, x_cap):
+    """The Horner coefficients, highest power first, of the series
+    Sigma = sum_k (q)_k / (a + 1)_k x^k, a = q/2, a sum of positive
+    terms, for the shapes q (U,), each to its cap x_cap (U,) <= 1/2, as
+    the columns of one table, each padded with leading zeros to the
+    longest (see _series_sum).  I_x(a, a) = x^a (1 - x)^a / (a B(a, a))
+    Sigma (Abramowitz and Stegun 26.5.4), that is s^q Sigma / (q S_n(pi))
+    with s = sin phi (see _wallis_height).
+
+    The series is kept in w = 2x: coefficient k is (q)_k / ((q + 2) (q +
+    4) ... (q + 2k)), 2^-k times that of x^k, so that the sum keeps the
+    bits of the one in x but no coefficient overflows (above 2^1000 for
+    q of some thousands).  Term k + 1 is term k times x f_k, f_k = (q +
+    k) / (a + 1 + k), which falls to 1 from above for a > 1 and rises to
+    it below; a column runs to the first term t_k with t_k / (1 - x
+    max(1, f_k)) below _SERIES_TOL at x = x_cap, which bounds the rest of
+    the sum for every x up to x_cap.
     """
     a1 = 0.5 * q + 1.0
-    coef, term, k = [1.0], 1.0, 0
+    coef, term, live, k = [np.ones(q.size)], np.ones(q.size), True, 0
     while True:
         f = (q + k) / (a1 + k)
-        if term < _SERIES_TOL * (1.0 - x_cap * max(1.0, f)):
+        live &= term >= _SERIES_TOL * (1.0 - x_cap * np.maximum(1.0, f))
+        if not np.any(live):
             return np.array(coef[::-1])
-        coef.append(coef[-1] * f)
+        coef.append(coef[-1] * (0.5 * f) * live)
         term *= x_cap * f
         k += 1
 
 
-def _series_table(q, x_cap):
-    """The coefficients of _series_coef for the shapes q (U,), each to
-    its cap x_cap (U,) or one cap for all, as the columns of one table,
-    each padded with leading zeros to the longest (see _series_sum)."""
-    coefs = [_series_coef(w, c) for w, c in
-             zip(q.tolist(), np.broadcast_to(x_cap, q.shape).tolist())]
-    table = np.zeros((max(map(len, coefs), default=1), q.size))
-    for j, c in enumerate(coefs):
-        table[table.shape[0] - c.size:, j] = c
-    return table
-
-
-def _series_sum(table, cols, x):
-    """The series of the columns cols (n,) of a _series_table at x (n,):
-    one Horner scheme over the table's rows, whose leading zeros add
-    nothing, so that an element's sum does not depend on the others."""
-    acc = table[0][cols]
-    for row in table[1:]:
-        acc *= x
-        acc += row[cols]
-    return acc
+def _series_sum(table, cols, w):
+    """The series of the columns cols (n,) of a _series_table at w = 2x
+    (n,): one Horner scheme over the table's rows, whose leading zeros
+    add nothing, so that an element's sum does not depend on the
+    others."""
+    return _horner((row[cols] for row in table), w)
 
 
 def sphere_height(u, a):
@@ -657,8 +636,9 @@ def sphere_height(u, a):
     and I_x(a, a) = F(phi) = S_n(phi) / S_n(pi) with n = 2a - 1 and
     S_n(phi) = int_0^phi sin^n.  Two Halley steps on log F solve for phi
     directly (_wallis_height), so that the scale keeps its relative
-    accuracy near the poles; F comes in closed form on the grid (every
-    shape the sphere map uses), and from betainc otherwise.
+    accuracy near the poles; F comes from a positive series below each
+    shape's cut, and above it in closed form on the grid (every height
+    of a map up to 192 dimensions) and from betainc(1/2, a, .) off it.
     a broadcasts against u (one shape per column of a batch).  u lies in
     [0, 1]; u = 0 gives the pole (1, 0), u = 1 gives (-1, 0) and u = 1/2
     gives (+0.0, 1).  Returns the pair (t, scale).
@@ -691,14 +671,15 @@ def _wallis_height(v, q):
     """cos phi and sin phi of the root phi in [0, pi/2] of F(phi) = v for
     the lower tail v (rows, k) <= 1/2 and shapes q = 2a > 0 (k,).
 
-    For integers q the Wallis recursion S_n = ((n-1)/n) S_{n-2} -
-    sin^(n-1) cos / n gives F in closed form (_wallis_forward).  That
-    forward form cancels where F is small, so each grid column's lower
-    tail, below v_sub, takes F from the positive series F = s^q
-    Sigma(x) / (q S_n(pi)) of _series_coef, x = s^2 / (2 (1 + c)), and
-    every column off the grid (v_sub = 1) from betainc.  F' = s^n /
-    S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n, so each
-    Halley step on log F costs one evaluation of F.
+    Every column follows one rule.  Below its cut v_sub it takes F from
+    the positive series F = s^q Sigma(x) / (q S_n(pi)) of _series_table,
+    x = s^2 / (2 (1 + c)), for any real q.  Above it, F takes the form
+    of the median's side: for integers q the Wallis recursion S_n =
+    ((n-1)/n) S_{n-2} - sin^(n-1) cos / n gives F in closed form
+    (_wallis_forward), which cancels where F is small, and off the grid
+    F = 1/2 - sign(c) I_{c^2}(1/2, a) / 2, which cancels near the pole.
+    F' = s^n / S_n(pi) and F'' = n s^(n-1) c / S_n(pi) for any real n,
+    so each Halley step on log F costs one evaluation of F.
 
     Where v or the root's x underflows, below _SERIES_V, the same Halley
     steps take the residual from that series in log space, as log(F / v)
@@ -792,47 +773,48 @@ def _wallis_columns(q):
     lays out the grid columns as _wallis_runs wants them, in the order
     of q within a degree, then the columns off the grid; in that layout
     q, the number of grid columns, the runs, S_n(pi), the cut v_sub
-    (k, 1) of the forward form and each column's index among the
-    distinct shapes, grid ones first; for those the Cornish-Fisher
-    coefficients, and for the grid ones the near tail's series table to
-    the cut."""
+    (k, 1) below which a column takes F from its series, and each
+    column's index among the distinct shapes; for those the
+    Cornish-Fisher coefficients and the series table to the cut."""
     off = (q % 1 != 0) | (q > 2.0 * _GRID_CAP)
     order = np.lexsort((q, np.floor((q - 1.0) / 2.0), q % 2 == 0, off))
     q = q[order]
     grid = q.size - int(np.count_nonzero(off))
-    on_values, on_shape = np.unique(q[:grid], return_inverse=True)
-    off_values, off_shape = np.unique(q[grid:], return_inverse=True)
-    values = np.concatenate([on_values, off_values])
-    shape_index = np.concatenate([on_shape, on_values.size + off_shape])
+    values, shape_index = np.unique(q, return_inverse=True)
+    on = (values % 1 == 0) & (values <= 2.0 * _GRID_CAP)
     big_s = np.empty(values.size)  # S_n(pi)
-    big_s[:on_values.size] = [_wallis_total(int(w)) for w in on_values]
-    if off_values.size:
-        big_s[on_values.size:] = _special().beta(0.5, 0.5 * off_values)
+    big_s[on] = [_wallis_total(int(w)) for w in values[on]]
+    if not on.all():
+        big_s[~on] = _special().beta(0.5, 0.5 * values[~on])
     # the forward form's rounding error in F, below (1 + m/9) eps/2 for
     # q up to 191 against mpmath, moves the height by that over the
-    # slope s^(n-1) / S_n(pi) of F in t; v_sub is F where the move
-    # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher
+    # slope s^(n-1) / S_n(pi) of F in t; the cut is F where the move
+    # reaches _FORWARD_DT, or F at sin^2 phi = _FORWARD_S2 if higher,
+    # and the median below q = 1
     n = values - 1.0
     with np.errstate(divide="ignore", over="ignore"):
         s_fwd = np.where(n > 1.0, (
             big_s * (1.0 + np.floor(n / 2.0) / 9.0) * _EPS_HALF
             / _FORWARD_DT) ** (1.0 / (n - 1.0)), 0.0)
-    s2_sub = np.clip(s_fwd * s_fwd, _FORWARD_S2, 1.0)
+    s2_sub = np.where(n < 0.0, 1.0, np.clip(s_fwd * s_fwd, _FORWARD_S2, 1.0))
     s_sub, c_sub = np.sqrt(s2_sub), np.sqrt(1.0 - s2_sub)
+    # the series runs to x = (1 - cos phi) / 2 at the cut: its final
+    # Halley steps lie below, and a first step a little above leaves a
+    # relative error of about (x / x_sub)^k _SERIES_TOL
+    x_sub = 0.5 * s2_sub / (1.0 + c_sub)
+    near_series = _series_table(values, x_sub)
     runs = _wallis_runs(q[:grid])
+    # on the grid the forward form at the cut, off it the series
     v_sub = _wallis_forward(np.arctan2(s_sub, c_sub)[shape_index, None],
                             s_sub[shape_index, None], c_sub[shape_index, None],
                             runs)
-    v_sub[grid:] = 1.0
+    at = shape_index[grid:]
+    v_sub[grid:, 0] = (s_sub[at]**values[at] * _series_sum(
+        near_series, at, 2.0 * x_sub[at]) / (values[at] * big_s[at]))
     # one (1, 5) product per shape, so that a shape's coefficients do not
     # depend on the others
     cornish_fisher = (np.power.outer(1.0 / values, np.arange(5.0))[:, None]
                       @ _CORNISH_FISHER.T)[:, 0]
-    # the near tail's series runs to x = (1 - cos phi) / 2 at the cut:
-    # its final Halley steps lie below, and a first step a little above
-    # leaves a relative error of about (x / x_sub)^k _SERIES_TOL
-    x_sub = 0.5 * s2_sub / (1.0 + c_sub)
-    near_series = _series_table(on_values, x_sub[:on_values.size])
     return _Columns(order, q, grid, runs, big_s[shape_index], v_sub,
                     shape_index, cornish_fisher, near_series)
 
@@ -855,45 +837,37 @@ def _wallis_block(v, q, height, scale):
                else _wallis_columns(q))
     order, q, grid, runs = columns.order, columns.q, columns.grid, columns.runs
     big_s, v_sub = columns.big_s, columns.v_sub
+    table, shape_index = columns.near_series, columns.shape_index
     n = q - 1.0
     n_col, s_col, q_col = n[:, None], big_s[:, None], q[:, None]
 
     def residual(phi, s, c, last):
+        # the median side: the forward form on the grid, and off it
+        # F = 1/2 - sign(c) I_{c^2}(1/2, a) / 2 on its rows above the cut
         f = _wallis_forward(phi, s, c, runs)
+        if upper[0].size:
+            c_u = c[grid:][upper]
+            f[grid:][upper] = 0.5 - np.copysign(
+                0.5 * _special().betainc(0.5, a_upper, c_u * c_u), c_u)
         slope = s**q_col
         slope /= s_col
         slope /= f
         g = np.log(np.divide(f, vb, out=f), out=f)
-        # the near tail's roots of this step
+        # the near tail's roots of this step take the series at w = 2x
+        # = s^2 / (1 + c), with slope = s F' / F = q / Sigma
         at = steps[last]
         cols, rows = near[0][at], near[1][at]
         if cols.size:
-            s_n, c_n, q_n = s[cols, rows], c[cols, rows], q_near[at]
-            x = s_n * s_n / (2.0 * (1.0 + c_n))
-            f, slope_n = np.empty(x.shape), np.empty(x.shape)
-            # on the grid the series, and slope = s F' / F = q / Sigma
-            on = np.searchsorted(cols, grid)
-            sigma = _series_sum(columns.near_series,
-                                columns.shape_index[cols[:on]], x[:on])
-            f[:on] = s_n[:on]**q_n[:on] * sigma / (q_n[:on]
-                                                   * big_s[cols[:on]])
-            slope_n[:on] = q_n[:on] / sigma
-            if on < x.size:
-                a_off = 0.5 * q_n[on:]
-                f[on:] = _special().betainc(a_off, a_off, x[on:])
-                c_off = c_n[on:]
-                mid = c_off * c_off < _MEDIAN_C2
-                if mid.any():
-                    f[on:][mid] = 0.5 * (1.0 - _special().betainc(
-                        0.5, a_off[mid], c_off[mid] * c_off[mid]))
-                slope_n[on:] = s_n[on:]**q_n[on:] / (big_s[cols[on:]]
-                                                     * f[on:])
-            g[cols, rows] = np.log(f / v_near[at])
-            slope[cols, rows] = slope_n
+            s_n, q_n = s[cols, rows], q_near[at]
+            sigma = _series_sum(table, shape_index[cols],
+                                s_n * s_n / (1.0 + c[cols, rows]))
+            g[cols, rows] = np.log(s_n**q_n * sigma / (q_n * big_s[cols])
+                                   / v_near[at])
+            slope[cols, rows] = q_n / sigma
         if far[0].size:
             s_f = s[far]
-            sigma = _series_sum(far_table, far_shape,
-                                s_f * s_f / (2.0 * (1.0 + c[far])))
+            sigma = _series_sum(table, shape_index[far[0]],
+                                s_f * s_f / (1.0 + c[far]))
             g[far] = q_far * np.log(s_f / lead_far) + np.log(sigma)
             slope[far] = q_far / sigma
         return g, slope
@@ -902,11 +876,13 @@ def _wallis_block(v, q, height, scale):
     for r in range(0, v.shape[0], rows):
         vb = v[r:r + rows].T[order]
         tail = np.nonzero(vb < v_sub)
+        upper = np.nonzero(vb[grid:] >= v_sub[grid:])
+        a_upper = 0.5 * q[grid:][upper[0]]
         v_tail, q_tail = vb[tail], q[tail[0]]
         a_tail = 0.5 * q_tail
         with np.errstate(all="ignore"):
             s, c = _cornish_fisher(vb, q_col, columns.cornish_fisher[
-                columns.shape_index])
+                shape_index])
             phi = np.arctan2(s, c)
             lead = _tail_scale(v_tail, q_tail, big_s[tail[0]])
             small = a_tail < 0.5
@@ -930,13 +906,9 @@ def _wallis_block(v, q, height, scale):
             v_near, q_near = v_tail[~series], q_tail[~series]
             # the near tail's roots of each Halley step: on the first those
             # below _FORWARD_V and those off the grid, on the last all
-            on = np.searchsorted(near[0], grid)
             final = np.arange(v_near.size)
-            steps = (np.flatnonzero((v_near < _FORWARD_V) | (final >= on)),
-                     final)
-            if q_far.size:
-                values, far_shape = np.unique(q_far, return_inverse=True)
-                far_table = _series_table(values, _SERIES_X[1])
+            steps = (np.flatnonzero((v_near < _FORWARD_V)
+                                    | (near[0] >= grid)), final)
             # these start from sin and cos of phi, which may differ by an
             # ulp from the Cornish-Fisher pair
             reset = tail[0][own | series], tail[1][own | series]
@@ -978,10 +950,7 @@ def _cornish_fisher(v, q, coef):
     sin phi = sqrt(q) / r, r = sqrt(q + T^2); coef (k, 5) holds each
     column's sum_l _CORNISH_FISHER[j, l] / q^l."""
     z = _ndtri(v)
-    w = z * z
-    t = coef[:, 4:]
-    for j in range(3, -1, -1):
-        t = t * w + coef[:, j:j + 1]
+    t = _horner(coef.T[::-1, :, None], z * z)
     t *= z
     r = np.sqrt(q + t * t)
     return np.sqrt(q) / r, -t / r
@@ -1020,13 +989,6 @@ def chi_quantile(dof, u):
                                "chi quantile at u = 1 is infinite")
     half_sq = _gamma_inverse(dof / 2.0, u_arr, upper=False)
     return _like_input(u, np.sqrt(2.0 * half_sq))
-
-
-def normal_cdf(x):
-    """Standard normal CDF via erf."""
-    _check_finite("x", x)
-    return 0.5 * (1.0 + _special().erf(np.asarray(x, dtype=float)
-                                       / np.sqrt(2.0)))
 
 
 def inv_normal_cdf(u):

@@ -33,8 +33,8 @@ from numpy.polynomial.legendre import leggauss
 from ._pool import _pool_map
 from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _rng
-from .specfun import (_check_positive_int, _like_input, inv_reg_gamma_q,
-                      reg_beta_i, reg_gamma_p, reg_gamma_q)
+from .specfun import (_check_finite, _check_positive_int, _like_input,
+                      inv_reg_gamma_q, reg_beta_i, reg_gamma_p, reg_gamma_q)
 from .spheremap import (SpacePoints, _check_unit, _stratified_draws,
                         cap_measure, equal_area_partition_s2, radial_shells)
 
@@ -635,11 +635,17 @@ def strata_scaling(p, M_list, seed, draws=0):
 def lambda_k(mu, c, K):
     """The finite mean Lambda_K = (1/K) sum_k Q(mu, c Q^{-1}(mu, k/K)),
     which approaches I_{1/(1+c)}(mu, mu) + 1/(2K) + O(K^{-2}); at c = B/A
-    it sums the K radial shells of stratified_expected_wce_sq."""
+    it sums the K radial shells of stratified_expected_wce_sq.  c Q^{-1}
+    is held at the largest float where it overflows, as in
+    _scaled_square, where Q is 0 already."""
+    _check_finite("mu", mu)
+    _check_finite("c", c)
     if mu <= 0:
         raise DomainError("mu must be positive")
     if c <= 1:
         raise DomainError("c must exceed 1")
     _check_positive_int("K", K)
     ks = np.arange(1, K + 1) / K
-    return float(np.mean(reg_gamma_q(mu, c * inv_reg_gamma_q(mu, ks))))
+    with np.errstate(over="ignore"):
+        x = np.minimum(c * inv_reg_gamma_q(mu, ks), _FLOAT_MAX)
+    return float(np.mean(reg_gamma_q(mu, x)))

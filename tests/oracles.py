@@ -7,12 +7,13 @@ differs."""
 
 import math
 
+import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from spherecone.errors import ConfigurationError, DomainError
-from spherecone.specfun import (_check_positive_int, _like_input,
-                                reg_gamma_p, reg_gamma_q)
+from spherecone.specfun import (_check_finite, _check_positive_int,
+                                _like_input, reg_gamma_p, reg_gamma_q)
 from spherecone.wce import (_as_polar, _directions, _kernel_sum,
                             _kr_psi_integral, _mean_distance, _wce_reports,
                             phi_cdf, sphere_constants, w_kr_psi)
@@ -148,3 +149,34 @@ def chi_cdf(dof, x):
     """CDF of the chi distribution with `dof` degrees of freedom."""
     _check_positive_int("dof", dof)
     return reg_gamma_p(dof / 2.0, np.square(x) / 2.0)
+
+
+def normal_cdf(x):
+    """Standard normal CDF via erf: the oracle of inv_normal_cdf."""
+    _check_finite("x", x)
+    return 0.5 * (1.0 + special.erf(np.asarray(x, dtype=float)
+                                    / np.sqrt(2.0)))
+
+
+def sphere_height_tail_mpmath(u, a, dps=40):
+    """Independent oracle of sphere_height for u up to 1/2, also where x
+    lies below the double range: Newton's method at `dps` digits on
+    log I_x(a, a) = log u in y = log x, from the leading small-x term
+    x^a / (a B(a, a)) = u, or from x = 1/2 where that lies above.
+    Returns the height 1 - 2x and the scale 2 sqrt(x (1 - x))."""
+    with mpmath.workdps(dps):
+        u, a = mpmath.mpf(u), mpmath.mpf(a)
+        beta = mpmath.beta(a, a)
+        y = min(mpmath.log(u * a * beta) / a, -mpmath.log(2))
+        for _ in range(50):
+            x = mpmath.exp(y)
+            ix = mpmath.betainc(a, a, 0, x, regularized=True)
+            dy = ((mpmath.log(ix) - mpmath.log(u))
+                  * beta * ix / (x**a * (1 - x)**(a - 1)))
+            y -= dy
+            if abs(dy) <= mpmath.mpf(10) ** (5 - dps):
+                break
+        else:
+            raise AssertionError(f"no convergence at u={u}, a={a}")
+        x = mpmath.exp(y)
+        return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))

@@ -30,8 +30,8 @@ from spherecone import finance, spheremap, wce
 from spherecone.finance import OptionSpec, mc_reference_price
 from spherecone.lds import SobolStream
 from spherecone.specfun import (_U_FLOOR, inv_normal_cdf, inv_reg_gamma_p,
-                                inv_reg_gamma_q, normal_cdf, reg_beta_i,
-                                reg_gamma_p, reg_gamma_q, sphere_height)
+                                inv_reg_gamma_q, reg_beta_i, reg_gamma_p,
+                                reg_gamma_q, sphere_height)
 from spherecone.spheremap import (SpacePoints, cap_measure,
                                   equal_area_partition_s2, lift_to_space,
                                   map_to_sphere, radial_shells,
@@ -41,6 +41,7 @@ from spherecone.wce import (KernelParams, expected_wce_sq_permutation,
                             rms_wce_fixed_directions, rms_wce_iid,
                             sphere_constants, stratified_expected_wce_sq,
                             w_kernel, wce_nakagami)
+from oracles import normal_cdf
 
 PARAM_SETS = [KernelParams(mu=1.5, A=1.5, B=3.0, d=2),
               KernelParams(mu=1.0, A=0.5, B=2.0, d=2),

@@ -330,6 +330,20 @@ class TestLambda:
         expect = 1 / 3 + 1 / 8 + 1 / 96
         assert float(out.strip()) == pytest.approx(expect, rel=1e-13)
 
+    @pytest.mark.parametrize("c, name, value", [
+        ("1e308", None, 0.25), ("inf", "c", None), ("nan", "c", None),
+    ])
+    def test_whole_domain_of_c(self, capsys, c, name, value):
+        # c Q^{-1} overflowing is held at the largest float; a
+        # non-finite c exits 2 with c named
+        code, out, err = run_cli(["lambda", "--mu", "1.5", "--c", c,
+                                  "--K", "4"], capsys)
+        if value is None:
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {name} must be finite")
+        else:
+            assert code == 0 and err == "" and float(out) == value
+
 
 class TestTrialIntegral:
     def test_errors_reported(self, capsys):
@@ -501,6 +515,19 @@ class TestErrors:
         code, _, _ = run_cli(["wce", "--input", "/nonexistent.csv",
                               "--mu", "1", "--A", "1", "--B", "2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["points", "--dim", "2", "--n", "4", "--output", "{dir}"],
+        ["wce", "--input", "{dir}", "--mu", "1", "--A", "1", "--B", "2"],
+        ["points", "--dim", "2", "--n", "4", "--gen", "sobol",
+         "--dirfile", "{dir}"],
+    ], ids=["output", "input", "dirfile"])
+    def test_directory_path_exit_2(self, capsys, tmp_path, argv):
+        # an OSError such as IsADirectoryError is a usage error
+        code, out, err = run_cli([arg.format(dir=tmp_path) for arg in argv],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_bad_barrier_exit_2(self, capsys):
         code, _, _ = run_cli(["price", "--N", "128", "--kind", "barrier",

@@ -38,7 +38,7 @@ MOVED = {
             "psi_density"],
     "spheremap": ["RadialShells.shell_mass", "SpherePartition.cell_area"],
     "finance": ["min_matrix_eigenvalues"],
-    "specfun": ["chi_cdf"],
+    "specfun": ["chi_cdf", "normal_cdf"],
 }
 
 
@@ -68,4 +68,29 @@ def test_no_scipy_integrate_in_src():
                 continue
             found += [f"{path.name}: {n}" for n in names
                       if n.startswith("scipy.integrate")]
+    assert found == []
+
+
+def test_scipy_only_inside_special():
+    # scipy.special is imported on first use, off the half-integer grid,
+    # by specfun._special alone: no other import of scipy in src/
+    found = []
+    for path in sorted(Path(spherecone.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "specfun.py":
+            special = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef)
+                           and node.name == "_special")
+            allowed = {id(node) for node in ast.walk(special)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if id(node) not in allowed:
+                found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                          if n.split(".")[0] == "scipy"]
     assert found == []

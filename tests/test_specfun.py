@@ -14,7 +14,8 @@ from spherecone.finance import OptionSpec
 from spherecone.spheremap import (cap_measure, equal_area_partition_s2,
                                   radial_shells)
 from spherecone.wce import KernelParams, lambda_k, phi_cdf, sphere_constants
-from oracles import chi_cdf, kernel_psi_integral, phi_psi_integral
+from oracles import (chi_cdf, kernel_psi_integral, normal_cdf,
+                     phi_psi_integral, sphere_height_tail_mpmath)
 
 
 def gamma_p_quadrature(a, x):
@@ -352,29 +353,6 @@ def sphere_height_mpmath(u, a, dps=50):
         return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
 
 
-def sphere_height_tail_mpmath(u, a, dps=40):
-    """Independent oracle for tiny u, where x can lie below the double
-    range: Newton's method at `dps` digits on log I_x(a, a) = log u in
-    y = log x, from the leading small-x term x^a / (a B(a, a)) = u.
-    Returns the height 1 - 2x and the scale 2 sqrt(x (1 - x))."""
-    with mpmath.workdps(dps):
-        u, a = mpmath.mpf(u), mpmath.mpf(a)
-        beta = mpmath.beta(a, a)
-        y = mpmath.log(u * a * beta) / a
-        for _ in range(50):
-            x = mpmath.exp(y)
-            ix = mpmath.betainc(a, a, 0, x, regularized=True)
-            dy = ((mpmath.log(ix) - mpmath.log(u))
-                  * beta * ix / (x**a * (1 - x)**(a - 1)))
-            y -= dy
-            if abs(dy) <= mpmath.mpf(10) ** (5 - dps):
-                break
-        else:
-            raise AssertionError(f"no convergence at u={u}, a={a}")
-        x = mpmath.exp(y)
-        return 1 - 2 * x, 2 * mpmath.sqrt(x * (1 - x))
-
-
 # the half-width of the band around the median whose edges HEIGHT_U holds
 BAND = 2.0**-4
 HEIGHT_U = np.array(
@@ -532,24 +510,67 @@ class TestSphereHeight:
 
     @pytest.mark.parametrize("a", [1.5, 14.5, 30.0])
     def test_far_tail_roots_skip_betainc(self, monkeypatch, a):
-        # the series gives the residual of a root whose v lies below
-        # _SERIES_V, so betainc is not evaluated there, on the grid or
-        # off it; on the grid no root takes betainc at all, and off it a
-        # root at u = 1e-200 still does, at its small x
+        # every root below its column's cut takes F from the series, in
+        # log space where v lies below _SERIES_V, so that no tail root
+        # calls betainc, on the grid or off it; off the grid a root
+        # above its cut calls only betainc(1/2, a, c^2), the form of F
+        # on the median's side
         betainc = sp.betainc
         seen = []
 
         def spy(p, q, x):
-            seen.append(float(np.min(x)))
+            seen.append(np.unique(p).tolist())
             return betainc(p, q, x)
 
         monkeypatch.setattr(sp, "betainc", spy)
         for shape in (a, a + 0.01):
-            specfun.sphere_height(1e-300, shape)
-        specfun.sphere_height(1e-200, a)
+            specfun.sphere_height([1e-300, 1e-200, 1e-9, 1e-3], shape)
         assert seen == []
-        specfun.sphere_height(1e-200, a + 0.01)
-        assert min(seen) < 1e-3
+        specfun.sphere_height([0.4, 0.6], a + 0.01)
+        assert seen and all(p == [0.5] for p in seen)
+
+    def test_series_table_is_its_term_loop(self):
+        # one table over shapes on the grid, off it, below q = 1 and far
+        # above the grid, each column bitwise the scalar recurrence in
+        # w = 2x to its cap, with no coefficient overflowing
+        q = np.array([0.14, 0.6, 1.0, 3.0, 3.02, 60.0, 193.0, 600.6, 2e4])
+        x_cap = np.array([0.5, 0.5, 0.146, 0.146, 0.2, 0.3, 0.45, 0.47, 0.5])
+        table = specfun._series_table(q, x_cap)
+        assert np.isfinite(table).all()
+        for j, (qj, cap) in enumerate(zip(q.tolist(), x_cap.tolist())):
+            coef, term, k = [1.0], 1.0, 0
+            while True:
+                f = (qj + k) / (0.5 * qj + 1.0 + k)
+                if term < 2.0**-54 * (1.0 - cap * max(1.0, f)):
+                    break
+                coef.append(coef[-1] * (0.5 * f))
+                term *= cap * f
+                k += 1
+            column = table[:, j]
+            assert column[:-len(coef)].tolist() == [0.0] * (
+                table.shape[0] - len(coef))
+            assert column[-len(coef):].tolist() == coef[::-1]
+
+    @pytest.mark.parametrize("a", [0.07, 0.3, 1.482, 5.3, 12.7, 20.3, 40.3,
+                                   60.7, 80.3, 96.5, 100.0, 125.0, 150.0])
+    def test_off_grid_against_log_space_mpmath(self, a):
+        # off the grid (2a not an integer, or above its cap) the series
+        # serves each column below its cut as on the grid; betainc(a, a,
+        # x) there gave NaN at a = 60.7, u = 9.3e-18, and put t 1.6e-7
+        # off at a = 96.5, u = 2^-53 and 9.8e-14 off at a = 12.7.  u from
+        # 1e-20 to 1/2, and the roots at cos^2 phi around the median
+        # side's edge
+        with mpmath.workdps(40):
+            at_c2 = [float(mpmath.betainc(
+                a, a, 0, (1 - mpmath.sqrt(c2)) / 2, regularized=True))
+                for c2 in (0.3, 0.45, 0.49, 0.499, 0.6)]
+        u = np.array([1e-20, 9.3e-18, 2.0**-53, 1e-12, 1e-9, 2.0**-32, 1e-6,
+                      1e-3, 0.01, 0.1, 0.25, 0.4, 0.49, 0.5] + at_c2)
+        t, scale = specfun.sphere_height(u, a)
+        for i, ui in enumerate(u):
+            t_ref, scale_ref = sphere_height_tail_mpmath(ui, a)
+            assert abs(t[i] - t_ref) <= 2e-15, ui
+            assert abs(scale[i] / scale_ref - 1) <= 2e-15, ui
 
     def test_antisymmetric(self):
         # on the Sobol' grid k/2^32, 1 - u is exact
@@ -687,9 +708,9 @@ class TestNormal:
     def test_bisection_oracle(self):
         for u in (0.01, 0.3, 0.8, 0.999):
             z = specfun.inv_normal_cdf(u)
-            z_ref = bisect(lambda t: specfun.normal_cdf(t) - u, -10.0, 10.0)
+            z_ref = bisect(lambda t: normal_cdf(t) - u, -10.0, 10.0)
             assert z == pytest.approx(z_ref, abs=1e-9)
-            assert specfun.normal_cdf(z) == pytest.approx(u, abs=1e-9)
+            assert normal_cdf(z) == pytest.approx(u, abs=1e-9)
 
     @given(st.floats(1e-6, 1.0 - 1e-6))
     @settings(max_examples=100, deadline=None)
@@ -832,7 +853,7 @@ CHECKED = {
     "chi_cdf": (lambda x, k: chi_cdf(k, x), 0.5, 3.0, False),
     "chi_quantile": (lambda u, k: specfun.chi_quantile(k, u), 0.5, 3.0,
                      True),
-    "normal_cdf": (lambda x, _: specfun.normal_cdf(x), 0.5, None, False),
+    "normal_cdf": (lambda x, _: normal_cdf(x), 0.5, None, False),
     "inv_normal_cdf": (lambda u, _: specfun.inv_normal_cdf(u), 0.5, None,
                        True),
 }

@@ -13,7 +13,7 @@ from spherecone.spheremap import (RadialShells, SpacePoints,
                                   equal_area_partition_s2, lift_to_space,
                                   map_to_sphere, radial_shells,
                                   stratified_sample)
-from oracles import cell_area, shell_mass
+from oracles import cell_area, shell_mass, sphere_height_tail_mpmath
 
 
 def map_to_sphere_loop(x):
@@ -114,6 +114,21 @@ class TestMapToSphere:
             assert abs((got[0] - want) / want) < 4e-16
             assert got[1] == 0.0
             assert got[2] == 1.0 - 2.0 * x2
+
+    def test_height_above_the_grid_against_mpmath(self):
+        # a 300-dimensional point takes heights up to q = 300, above the
+        # grid's q = 192; betainc(a, a, x) put the q = 193 height 1.6e-7
+        # off at a coordinate of 2^-53.  The later coordinates at 1/2
+        # give heights 0 and scales 1, so that y[193] is that height and
+        # the norm of y[:193] its scale
+        x = np.full(300, 0.5)
+        x[:192] = np.random.default_rng(31).random(192)
+        x[192] = 2.0**-53
+        y = map_to_sphere(x)
+        t_ref, scale_ref = sphere_height_tail_mpmath(2.0**-53, 193 / 2.0)
+        assert abs(y[193] - t_ref) <= 2e-15
+        assert abs(np.linalg.norm(y[:193]) / scale_ref - 1) <= 1e-14
+        assert not y[194:].any()
 
     def test_zero_coordinate_is_the_north_pole(self):
         # a zero later coordinate gives height +1, not the opposite pole

@@ -1035,6 +1035,17 @@ class TestLambdaK:
             lambda_k(-1.0, 2.0, 16)
         with pytest.raises(DomainError):
             lambda_k(1.0, 2.0, 0)
+        for mu, c, name in ((1.5, math.inf, "c"), (1.5, math.nan, "c"),
+                            (math.inf, 2.0, "mu"), (math.nan, 2.0, "mu")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                lambda_k(mu, c, 4)
+
+    def test_huge_c_holds_at_the_largest_float(self):
+        # c Q^{-1} overflows for every k < K, where Q is 0; k = K has
+        # Q^{-1} = 0 and Q = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_k(1.5, 1e308, 4) == 0.25
 
 
 class TestKernelParams:
