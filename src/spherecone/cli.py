@@ -100,6 +100,10 @@ def _read_points(path):
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.size == 0:
         raise ConfigurationError(f"{path}: no points")
+    if rows.shape[1] != len(header):
+        raise ConfigurationError(
+            f"{path}: rows of {rows.shape[1]} values under a header of "
+            f"{len(header)} columns")
     if header[0] == "radius":
         return spheremap.SpacePoints(rows[:, 1:], rows[:, 0])
     return spheremap.SpacePoints.from_cartesian(rows)

@@ -273,18 +273,27 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
         for a in range(0, n_points, step):
             rows = min(step, n_points - a)
             Z = draw(rows)
-            for (g, c), column in zip(columns, payoffs):
-                S = _paths(spec, Z[g], transforms[c])
-                column[..., a:a + rows] = _discounted_payoffs(
-                    specs, S).reshape(len(specs), len(reps), rows)
+            # paths may overflow to inf, and a discount of 0 times an
+            # infinite payoff is NaN: such prices raise below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for (g, c), column in zip(columns, payoffs):
+                    S = _paths(spec, Z[g], transforms[c])
+                    column[..., a:a + rows] = _discounted_payoffs(
+                        specs, S).reshape(len(specs), len(reps), rows)
             # so that the next tile's draw does not meet this one's
             Z = S = None
-        return payoffs.mean(axis=-1)
+        with np.errstate(over="ignore"):
+            return payoffs.mean(axis=-1)
 
     prices = np.concatenate(_pool_map(task_prices, len(starts)), axis=-1)
-    means = prices.mean(axis=-1)
-    sds = (prices.std(axis=-1, ddof=1) if n_replicates > 1
-           else np.zeros_like(means))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = prices.mean(axis=-1)
+        sds = (prices.std(axis=-1, ddof=1) if n_replicates > 1
+               else np.zeros_like(means))
+    if not (np.isfinite(means).all() and np.isfinite(sds).all()):
+        raise DomainError(
+            f"prices or their spread overflow at S0={spec.S0}, T={spec.T}, "
+            f"sigma={spec.sigma}, r={spec.r}")
     return [[PriceEstimate(
         mean=float(mean), std_dev_across_replicates=float(sd),
         n_points=n_points, n_replicates=n_replicates,

@@ -13,7 +13,7 @@ every height of its sphere map):
 - the inverse normal CDF is Wichura's AS241 everywhere (_ndtri);
 - the incomplete gamma functions of one scalar shape on the grid (the
   chi lift's dof/2, the Nakagami mu of the wce kernel) take P and Q in
-  closed form, with erfcx from two Chebyshev series (_erfcx), and their
+  closed form, with erfcx from two polynomials (_erfcx), and their
   inverses and the chi quantile two Halley steps on those forms; other
   shapes take scipy's gammainc, gammaincc and their generic inverses;
 - I_x(a, a) of one scalar shape on the grid takes a positive series
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InfiniteResultError
+from .errors import DomainError, InfiniteResultError, NumericError
 
 __all__ = [
     "reg_gamma_p",
@@ -90,6 +90,7 @@ _GAMMA_STEPS = 2
 #   the forward Wallis form's rounding, about (1 + m/9) _EPS_HALF in F,
 #   m = floor((q - 1)/2), would move the height by more than
 #   _FORWARD_DT (for real q off the grid too); below q = 1 at the median;
+#   the cut's v_sub is the column's series there, on the grid and off it;
 # - roots below the cut take F from the positive series of
 #   _series_table; on the grid (2a an integer up to 2 _GRID_CAP) from
 #   the first Halley step where v < _FORWARD_V (there the forward
@@ -167,30 +168,31 @@ _AS241_FAR = np.array([
      1.48753612908506148525e-2, 1.36929880922735805310e-1,
      5.99832206555887937690e-1, 1.0]])
 
-# erfcx(x) = e^(x^2) erfc(x) as two Chebyshev series sum_k c_k T_k(t),
-# c_0 halved: erfcx(x) in t = x - 1 on [0, 2], and x sqrt(pi) erfcx(x)
-# in t = 4/x - 1 above 2 (1 at x = inf).  The coefficients interpolate
-# at 24 and 27 Chebyshev points of 40-digit mpmath values (the tests
-# regenerate them); the relative error is within 4.5e-16 on [0, 1e8].
-_ERFCX_NEAR = (
-    0.5213608704996062, -0.3447707454725235, 0.09975977926820097,
-    -0.026063665256478758, 0.00626846349431901, -0.001406122385887065,
-    0.00029698557246549, -5.948555390106724e-05, 1.136296076113552e-05,
-    -2.079407863414776e-06, 3.6590821201669714e-07, -6.210726136362159e-08,
-    1.0195316699270051e-08, -1.622322780246961e-09, 2.5073406746662083e-10,
-    -3.770381359374271e-11, 5.5248768982320355e-12, -7.899912979020314e-13,
-    1.1036213151270347e-13, -1.5079931620321985e-14, 2.017431079438067e-15,
-    -2.644942938108979e-16, 3.4003459737232464e-17, -4.228016722359837e-18)
-_ERFCX_FAR = (
-    0.9619844936887868, -0.048665452939342074, -0.00931619370804821,
-    0.0013717722819950482, 4.624701975231406e-06, -2.9424847419853448e-05,
-    4.285757022153883e-06, 1.29579876332491e-07, -1.611860469661287e-07,
-    2.7132498524740045e-08, 4.733594665359546e-10, -1.2212546762399917e-09,
-    2.652146001231607e-10, -8.375793954443914e-12, -1.0805342292378375e-11,
-    3.2946423445136163e-12, -3.278727069998186e-13, -9.00026380024857e-14,
-    4.5155515777272936e-14, -8.183767154480028e-15, -2.589811528809201e-16,
-    6.002737413390689e-16, -1.7663011203222698e-16, 1.7984305061885842e-17,
-    6.0831263346712315e-18, -3.364456485054291e-18, 7.789813929435005e-19)
+# erfcx(x) = e^(x^2) erfc(x) as two polynomials, highest power first:
+# erfcx(x) in t = x - 1 on [0, 2], and x sqrt(pi) erfcx(x) in t = 4/x - 1
+# above 2 (1 at x = inf).  Each is the interpolant at 24 and 27 Chebyshev
+# points of 40-digit mpmath values, taken to the power basis in mpmath
+# and each coefficient rounded once (the tests regenerate them); the
+# relative error is within 3e-16 on [0, 1e8].
+_ERFCX_NEAR = np.array([
+    -1.7733587450660754e-11, 7.131042359485654e-11, -1.7537424078575673e-10,
+    6.655075760047144e-10, -2.7519864789888906e-09, 1.0108303180958757e-08,
+    -3.590842539856099e-08, 1.259329923541457e-07, -4.314587205214283e-07,
+    1.439728868761518e-06, -4.675492704912898e-06, 1.4753150124744093e-05,
+    -4.51439205786341e-05, 0.0001336629815467615, -0.0003819545277091378,
+    0.001050269398508838, -0.0027690647758762074, 0.006970142375090882,
+    -0.016661869090412656, 0.037572296215283754, -0.07922696894132679,
+    0.15437156137190858, -0.27321201478389856, 0.427583576155807])
+_ERFCX_FAR = np.array([
+    2.613827817878797e-11, -5.6446213172356614e-11, -1.1886984592608803e-10,
+    4.282204749855169e-10, -1.8813489265871133e-10, -7.7446859558668e-10,
+    1.8875984901530376e-09, -2.822065804940862e-09, 1.4296530987846455e-09,
+    8.61087325576067e-09, -3.181045881190381e-08, 5.1755081848436096e-08,
+    2.7120687250442176e-10, -2.5237805611217647e-07, 7.34531272922041e-07,
+    -8.122487218355137e-07, -1.7247879400611821e-06, 9.998776224592827e-06,
+    -1.9152019197580275e-05, -1.0590783857882367e-05, 0.000177894876831483,
+    -0.0004721298412913321, -0.0001944591858463083, 0.006079322930622236,
+    -0.01858707988910755, -0.05292854361494005, 0.9713008649580285])
 
 
 @functools.cache
@@ -273,33 +275,16 @@ def _ndtri(p):
     return z.reshape(shape)
 
 
-def _chebyshev(coef, t):
-    """sum_k coef[k] T_k(t) at t (n,) in [-1, 1], by Clenshaw's
-    recurrence."""
-    t2 = t + t
-    b1, b2, b0 = np.full(t.shape, coef[-1]), np.zeros(t.shape), np.empty(
-        t.shape)
-    for c in coef[-2:0:-1]:
-        np.multiply(t2, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b1, b2, b0 = b0, b1, b2
-    b1 *= t
-    b1 -= b2
-    b1 += coef[0]
-    return b1
-
-
 def _erfcx(x):
     """e^(x^2) erfc(x) for x (n,) >= 0, from _ERFCX_NEAR and _ERFCX_FAR."""
     out = np.empty(x.shape)
     near = np.flatnonzero(x <= 2.0)
     far = np.flatnonzero(x > 2.0)
     if near.size:
-        out[near] = _chebyshev(_ERFCX_NEAR, x[near] - 1.0)
+        out[near] = _horner(_ERFCX_NEAR, x[near] - 1.0)
     if far.size:
         x_far = x[far]
-        g = _chebyshev(_ERFCX_FAR, 4.0 / x_far - 1.0)
+        g = _horner(_ERFCX_FAR, 4.0 / x_far - 1.0)
         g /= x_far * _SQRT_PI
         out[far] = g
     return out
@@ -371,10 +356,13 @@ def _check_probability(name, value, infinite_at, message):
 def _gamma_inverse(a, v, upper):
     """x with Q(a, x) = v if upper, else P(a, x) = v, for the checked
     shape a and probabilities v: _gamma_root on the grid, else scipy's
-    gammainccinv or gammaincinv."""
+    gammainccinv or gammaincinv, whose NaN (at a = 5e-324) raises."""
     if not _on_grid(a):
-        return (_special().gammainccinv if upper
-                else _special().gammaincinv)(a, v)
+        x = (_special().gammainccinv if upper
+             else _special().gammaincinv)(a, v)
+        if _any(np.isnan(x)):
+            raise NumericError(f"scipy's gamma inverse failed at a = {a!r}")
+        return x
     p, q = (1.0 - v, v) if upper else (v, 1.0 - v)
     return _gamma_root(float(a), p, q)
 
@@ -773,9 +761,10 @@ def _wallis_columns(q):
     lays out the grid columns as _wallis_runs wants them, in the order
     of q within a degree, then the columns off the grid; in that layout
     q, the number of grid columns, the runs, S_n(pi), the cut v_sub
-    (k, 1) below which a column takes F from its series, and each
-    column's index among the distinct shapes; for those the
-    Cornish-Fisher coefficients and the series table to the cut."""
+    (k, 1), the series at the cut, below which a column takes F from
+    that series, and each column's index among the distinct shapes; for
+    those the Cornish-Fisher coefficients and the series table to the
+    cut."""
     off = (q % 1 != 0) | (q > 2.0 * _GRID_CAP)
     order = np.lexsort((q, np.floor((q - 1.0) / 2.0), q % 2 == 0, off))
     q = q[order]
@@ -798,25 +787,20 @@ def _wallis_columns(q):
             / _FORWARD_DT) ** (1.0 / (n - 1.0)), 0.0)
     s2_sub = np.where(n < 0.0, 1.0, np.clip(s_fwd * s_fwd, _FORWARD_S2, 1.0))
     s_sub, c_sub = np.sqrt(s2_sub), np.sqrt(1.0 - s2_sub)
-    # the series runs to x = (1 - cos phi) / 2 at the cut: its final
-    # Halley steps lie below, and a first step a little above leaves a
-    # relative error of about (x / x_sub)^k _SERIES_TOL
+    # the series runs to x = (1 - cos phi) / 2 at the cut, and gives v_sub
+    # there: its final Halley steps lie below, and a first step a little
+    # above leaves a relative error of about (x / x_sub)^k _SERIES_TOL
     x_sub = 0.5 * s2_sub / (1.0 + c_sub)
     near_series = _series_table(values, x_sub)
-    runs = _wallis_runs(q[:grid])
-    # on the grid the forward form at the cut, off it the series
-    v_sub = _wallis_forward(np.arctan2(s_sub, c_sub)[shape_index, None],
-                            s_sub[shape_index, None], c_sub[shape_index, None],
-                            runs)
-    at = shape_index[grid:]
-    v_sub[grid:, 0] = (s_sub[at]**values[at] * _series_sum(
-        near_series, at, 2.0 * x_sub[at]) / (values[at] * big_s[at]))
+    v_sub = s_sub**values * _series_sum(
+        near_series, np.arange(values.size), 2.0 * x_sub) / (values * big_s)
     # one (1, 5) product per shape, so that a shape's coefficients do not
     # depend on the others
     cornish_fisher = (np.power.outer(1.0 / values, np.arange(5.0))[:, None]
                       @ _CORNISH_FISHER.T)[:, 0]
-    return _Columns(order, q, grid, runs, big_s[shape_index], v_sub,
-                    shape_index, cornish_fisher, near_series)
+    return _Columns(order, q, grid, _wallis_runs(q[:grid]), big_s[shape_index],
+                    v_sub[shape_index, None], shape_index, cornish_fisher,
+                    near_series)
 
 
 @functools.lru_cache(maxsize=8)

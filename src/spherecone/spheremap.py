@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .lds import _cube_points, _rng
 from .specfun import (_U_CAP, _U_FLOOR, _check_positive_int, _like_input,
                       chi_quantile, inv_normal_cdf, reg_beta_i,
@@ -51,9 +51,11 @@ _UNIT_TOL = 1e-10
 
 def _check_unit(directions):
     """Raise DomainError unless every row of directions has unit length."""
-    # written as "not within" so that a NaN row is rejected too
-    if np.any(~(np.abs(np.linalg.norm(directions, axis=1) - 1.0)
-                <= _UNIT_TOL)):
+    # written as "not within" so that a NaN row is rejected too; a row
+    # whose squares overflow has norm inf
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(directions, axis=1)
+    if np.any(~(np.abs(norms - 1.0) <= _UNIT_TOL)):
         raise DomainError("directions must be unit vectors")
 
 
@@ -216,13 +218,23 @@ class RadialShells:
         """The interior boundaries rho_1 < ... < rho_{K-1}, with
         integral_0^{rho_k} psi = k/K."""
         ks = np.arange(1, self.K)
-        return np.sqrt((self.B / self.mu)
-                       * inv_reg_gamma_q(self.mu, 1.0 - ks / self.K))
+        return self._radius(inv_reg_gamma_q(self.mu, 1.0 - ks / self.K))
 
     def sample_radius(self, k, u):
         """Radius at conditional quantile u within shell k (1-based)."""
         p = (k - 1 + np.asarray(u, dtype=float)) / self.K
-        return np.sqrt((self.B / self.mu) * inv_reg_gamma_p(self.mu, p))
+        return self._radius(inv_reg_gamma_p(self.mu, p))
+
+    def _radius(self, x):
+        """The radius sqrt((B / mu) x) of the gamma quantile x, which
+        raises NumericError where it is not finite: where B / mu or its
+        product with x overflows, or inf times an x of 0 is NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = (self.B / self.mu) * x
+        if not np.isfinite(r2).all():
+            raise NumericError(f"a radius of the shells of mu={self.mu}, "
+                               f"B={self.B} is not finite")
+        return np.sqrt(r2)
 
 
 def radial_shells(mu, B, K):

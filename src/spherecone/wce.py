@@ -108,6 +108,13 @@ class KernelParams:
         if not (0 < self.A < self.B) or not math.isfinite(self.B):
             raise DomainError(
                 f"need 0 < A < B, got A={self.A}, B={self.B}")
+        # the radial rates: mu (1/A - 1/B) of Phi, and mu/A, the larger
+        # of the two of the Nakagami laws (see _kr_psi_integral)
+        rate = self.mu * (1.0 / self.A - 1.0 / self.B)
+        if not (math.isfinite(rate) and math.isfinite(self.mu / self.A)):
+            raise DomainError(
+                f"the radial rates mu (1/A - 1/B) and mu/A must be finite, "
+                f"got mu={self.mu}, A={self.A}, B={self.B}")
         _check_positive_int("d", self.d)
 
 
@@ -157,11 +164,22 @@ def psi_tail(p, rho):
     return reg_gamma_q(p.mu, _scaled_square(p.mu / p.B, rho))
 
 
+def _mean_probability(name, value):
+    """value, a mean of probabilities, checked to lie in [0, 1] but for
+    rounding: a closed form that fails there (NaN, or scipy's
+    betainc(1e-308, 1e-308, 0.6) = 1, which puts W(K_R, psi) at -1)
+    raises NumericError."""
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise NumericError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 def w_kr_psi(p):
     """Double radial integral W(K_R, psi) = int int Phi(min{r, rho})
     psi(r) psi(rho) dr drho = 1 - 2 (A/B)^mu I_{B/(A+B)}(mu, mu)."""
     x = p.B / (p.A + p.B)
-    return 1.0 - 2.0 * (p.A / p.B)**p.mu * float(reg_beta_i(x, p.mu, p.mu))
+    return _mean_probability("W(K_R, psi)", 1.0 - 2.0 * (p.A / p.B)**p.mu
+                             * float(reg_beta_i(x, p.mu, p.mu)))
 
 
 def w_kernel(p):
@@ -316,6 +334,10 @@ def _wce_reports(d, w_kr, radii, phi, single, dirs):
         double_sum = s / n**2 - w_k
         single_sum = 2.0 * consts.W_KS * float(bracket)
         sq = double_sum - single_sum
+        if not math.isfinite(sq):
+            raise NumericError(
+                f"squared wce is not finite: double sum {double_sum!r}, "
+                f"single sum {single_sum!r}")
         if sq < _CANCEL_TOL:
             warnings.warn(f"squared wce {sq} below cancellation tolerance; "
                           "clamping to 0", RuntimeWarning)
@@ -561,6 +583,9 @@ def stratified_expected_wce_sq(p, partition, shells):
     radial = abmu * (2.0 * g - 1.0 / K) / M
     angular = (sphere_constants(2).C_d * (1.0 - 2.0 * K * abmu * g)
                * mean_dist / (M * K))
+    if not math.isfinite(radial + angular):
+        raise NumericError(f"stratified E[wce^2] is not finite at M={M}, "
+                           f"K={K}: radial {radial!r}, angular {angular!r}")
     return StratifiedWcePrediction(
         value=radial + angular, radial_term=radial, angular_term=angular,
         mean_cell_distance=mean_dist, M=M, K=K)
@@ -648,4 +673,4 @@ def lambda_k(mu, c, K):
     ks = np.arange(1, K + 1) / K
     with np.errstate(over="ignore"):
         x = np.minimum(c * inv_reg_gamma_q(mu, ks), _FLOAT_MAX)
-    return float(np.mean(reg_gamma_q(mu, x)))
+    return _mean_probability("Lambda_K", float(np.mean(reg_gamma_q(mu, x))))

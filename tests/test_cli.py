@@ -529,6 +529,18 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", [
+        "x1,x2,x3\n1,0\n", "radius,y1,y2,y3\n1,1,0\n"],
+        ids=["cartesian", "polar"])
+    def test_short_rows_exit_2(self, capsys, tmp_path, text):
+        # a row short of its header is not a point of a smaller sphere
+        f = tmp_path / "short.csv"
+        f.write_text(text)
+        code, out, err = run_cli(["wce", "--input", str(f), "--mu", "1.5",
+                                  "--A", "1.5", "--B", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}: rows of ")
+
     def test_bad_barrier_exit_2(self, capsys):
         code, _, _ = run_cli(["price", "--N", "128", "--kind", "barrier",
                               "--barrier", "50"], capsys)
@@ -645,7 +657,7 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "2b95b535b279575af36f3cd9571a5d4c459d82e7a37c2422e7985f4305386a6a",
+        "8923c28a637e574906422cc1ef14a66cbd220c27926713deb5a3ca90dba31c1a",
         "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (

@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,24 @@ class TestPricing:
         a = price_option(SPEC, "standard", "mc", 2048, 8, seed=4)
         b = price_option(BARRIER, "standard", "mc", 2048, 8, seed=4)
         assert b.mean < a.mean
+
+    def test_overflowing_paths_raise(self):
+        # every path is inf and the discount 0: the prices were NaN
+        spec = dataclasses.replace(SPEC, T=1e308)
+        with pytest.raises(DomainError, match="overflow"):
+            price_option(spec, "standard", "sobol_inverse_normal", 64, 2,
+                         seed=0)
+
+    def test_digital_overflow_keeps_its_price(self):
+        # the paths overflow to inf, above the strike: the price is the
+        # discount, without a warning
+        spec = OptionSpec(S0=1e308, K_strike=100.0, T=1.0, sigma=0.0,
+                          r=100.0, d_steps=30, kind="digital")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = price_option(spec, "standard", "sobol_inverse_normal", 64,
+                               2, seed=0)
+        assert est.mean == pytest.approx(math.exp(-100.0), rel=1e-15)
 
     def test_digital_bounded(self):
         est = price_option(DIGITAL, "pca", "sobol_inverse_normal", 512, 8,

@@ -9,7 +9,8 @@ from scipy import integrate
 from scipy import special as sp
 
 from spherecone import specfun
-from spherecone.errors import DomainError, InfiniteResultError
+from spherecone.errors import (DomainError, InfiniteResultError,
+                               NumericError)
 from spherecone.finance import OptionSpec
 from spherecone.spheremap import (cap_measure, equal_area_partition_s2,
                                   radial_shells)
@@ -95,6 +96,14 @@ class TestInvRegGamma:
         assert specfun.inv_reg_gamma_q(1.0, 0.5) == pytest.approx(
             math.log(2.0), rel=1e-13)
         assert specfun.inv_reg_gamma_q(1.0, 1.0) == 0.0
+
+    def test_scipy_nan_raises(self):
+        # scipy's inverses return NaN at a = 5e-324, which would reach the
+        # caller as a quantile
+        with pytest.raises(NumericError):
+            specfun.inv_reg_gamma_q(5e-324, np.array([0.25, 0.5]))
+        with pytest.raises(NumericError):
+            specfun.inv_reg_gamma_p(5e-324, 0.5)
 
     def test_bisection_oracle(self):
         z = specfun.inv_reg_gamma_q(2.5, 0.3)
@@ -763,11 +772,13 @@ class TestNormal:
             assert abs(digits - 1.0 - hash_sum) < 1e-13
 
 
-def erfcx_chebyshev(points, piece):
-    """The Chebyshev coefficients c_0 / 2, c_1, ... of erfcx(x) in
-    t = x - 1 on [0, 2] (piece "near"), or of x sqrt(pi) erfcx(x) in
-    t = 4/x - 1 on [2, inf) (piece "far"), interpolated at `points`
-    Chebyshev points from 40-digit mpmath values, each rounded once."""
+def erfcx_power(points, piece):
+    """The power-basis coefficients, highest power first, of the
+    interpolant of erfcx(x) in t = x - 1 on [0, 2] (piece "near"), or of
+    x sqrt(pi) erfcx(x) in t = 4/x - 1 on [2, inf) (piece "far"), at
+    `points` Chebyshev points of 40-digit mpmath values: the Chebyshev
+    coefficients c_0 / 2, c_1, ... taken to the power basis by
+    T_(k+1) = 2t T_k - T_(k-1) in mpmath, each rounded once."""
     with mpmath.workdps(40):
         theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / points
                  for j in range(points)]
@@ -778,18 +789,28 @@ def erfcx_chebyshev(points, piece):
             f = mpmath.exp(x * x) * mpmath.erfc(x)
             values.append(f if piece == "near"
                           else x * mpmath.sqrt(mpmath.pi) * f)
-        coef = [2 * mpmath.fsum(v * mpmath.cos(k * th)
+        cheb = [2 * mpmath.fsum(v * mpmath.cos(k * th)
                                 for v, th in zip(values, theta)) / points
                 for k in range(points)]
-        coef[0] /= 2
-        return tuple(float(c) for c in coef)
+        cheb[0] /= 2
+        # T_(k-1) and T_k as integer coefficients, lowest power first
+        power = [mpmath.mpf(0)] * points
+        lower, basis = [], [1]
+        for k, c in enumerate(cheb):
+            for j, b in enumerate(basis):
+                power[j] += c * b
+            upper = [0] + [(2 if k else 1) * b for b in basis]
+            for j, b in enumerate(lower):
+                upper[j] -= b
+            lower, basis = basis, upper
+        return tuple(float(c) for c in power[::-1])
 
 
 class TestErfcx:
     def test_coefficients_regenerate(self):
         # the committed coefficients are the interpolants, bit for bit
-        assert specfun._ERFCX_NEAR == erfcx_chebyshev(24, "near")
-        assert specfun._ERFCX_FAR == erfcx_chebyshev(27, "far")
+        assert tuple(specfun._ERFCX_NEAR) == erfcx_power(24, "near")
+        assert tuple(specfun._ERFCX_FAR) == erfcx_power(27, "far")
 
     def test_against_mpmath(self):
         # within 1e-15 relative on [0, 1e8] (scipy's erfcx: 8.9e-16),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -445,6 +446,13 @@ class TestSpacePointTypes:
             SpacePoints(np.array([1.0, 0.0]), -0.5)
         with pytest.raises(ConfigurationError):
             SpacePoints(np.eye(3), [1.0, 2.0])
+
+    def test_overflowing_direction_rejected_without_warning(self):
+        # the squares of 1e308 overflow: the norm is inf, not 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                SpacePoints(np.array([1e308, 1.5, 1e-308]), 1.0)
 
     def test_indexing_gives_one_row_set(self):
         pts = SpacePoints(np.eye(3), [1.0, 2.0, 3.0])

@@ -11,7 +11,8 @@ from scipy import integrate, special
 from scipy.spatial.distance import cdist, pdist, squareform
 from itertools import permutations
 
-from spherecone.errors import ConfigurationError, DomainError
+from spherecone.errors import (ConfigurationError, DomainError,
+                               NumericError)
 from spherecone.lds import _rng
 from spherecone.specfun import reg_gamma_p, reg_gamma_q
 from spherecone.spheremap import (SpacePoints, equal_area_partition_s2,
@@ -1047,8 +1048,62 @@ class TestLambdaK:
             warnings.simplefilter("error")
             assert lambda_k(1.5, 1e308, 4) == 0.25
 
+    @pytest.mark.parametrize("mu", [1e308, 5e-324])
+    def test_failed_closed_form_raises(self, mu):
+        # Q(1e308, .) is NaN in scipy, and so is its inverse at a =
+        # 5e-324: a mean of NaN is no answer
+        with pytest.raises(NumericError):
+            lambda_k(mu, 3.0, 16)
+
+
+class TestFailedClosedForms:
+    def test_w_kr_psi_outside_unit_interval(self):
+        # scipy's betainc(1e-308, 1e-308, 0.6) = 1 puts W(K_R, psi) at -1
+        # and the wce of three points at 0 with a raw square of -0.67
+        p = KernelParams(mu=1e-308, A=2.0, B=3.0, d=2)
+        with pytest.raises(NumericError):
+            w_kr_psi(p)
+        with pytest.raises(NumericError):
+            wce_nakagami(p, np.eye(3))
+
+    def test_w_kr_psi_nan(self):
+        with pytest.raises(NumericError):
+            w_kr_psi(KernelParams(mu=1e308, A=1.5, B=130.0, d=2))
+
+    def test_non_finite_wce_raises(self):
+        # W(K_R, psi) = 1 holds, but P(1e308, .) is NaN in the single sum
+        p = KernelParams(mu=1e308, A=3.0, B=1e308, d=2)
+        with pytest.raises(NumericError):
+            wce_nakagami(p, np.eye(3))
+
+    def test_non_finite_stratified_prediction(self):
+        # I_{A/(A+B)}(1e308, 1e308) is NaN in scipy
+        p = KernelParams(mu=1e308, A=100.0, B=130.0, d=2)
+        part = equal_area_partition_s2(4)
+        shells = radial_shells(1e308, 130.0, 2)
+        with pytest.raises(NumericError, match="stratified"):
+            stratified_expected_wce_sq(p, part, shells)
+
+    def test_overflowing_radius_raises(self):
+        # B / mu overflows: inf times a gamma quantile of 0 was NaN, and
+        # times a positive one inf, each with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu, B in ((1e-308, 3.0), (1.0, 1e308)):
+                shells = radial_shells(mu, B, 2)
+                with pytest.raises(NumericError):
+                    shells.sample_radius(np.array([1, 2]),
+                                         np.array([0.25, 0.75]))
+
 
 class TestKernelParams:
+    def test_overflowing_rates_rejected(self):
+        # mu (1/A - 1/B) or mu/A overflows: Phi's rate times a radius of
+        # 0 was NaN
+        for mu, A, B in ((1e-308, 5e-324, 1e-308), (1e308, 0.5, 0.6)):
+            with pytest.raises(DomainError, match="radial rates"):
+                KernelParams(mu=mu, A=A, B=B, d=2)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             KernelParams(mu=0.0, A=1.0, B=2.0, d=2)
