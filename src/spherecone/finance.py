@@ -286,9 +286,15 @@ def _price_columns(specs, columns, n_points, n_replicates, seed):
             return payoffs.mean(axis=-1)
 
     prices = np.concatenate(_pool_map(task_prices, len(starts)), axis=-1)
+    # each column's prices scaled by 2^-e, e the exponent of the largest,
+    # so that their sum and squares stay finite where the prices are;
+    # scaling by a power of two is exact, so their mean and spread keep
+    # every bit of those of the prices themselves
+    e = np.frexp(np.abs(prices).max(axis=-1))[1]
+    scaled = np.ldexp(prices, -e[..., None])
     with np.errstate(over="ignore", invalid="ignore"):
-        means = prices.mean(axis=-1)
-        sds = (prices.std(axis=-1, ddof=1) if n_replicates > 1
+        means = np.ldexp(scaled.mean(axis=-1), e)
+        sds = (np.ldexp(scaled.std(axis=-1, ddof=1), e) if n_replicates > 1
                else np.zeros_like(means))
     if not (np.isfinite(means).all() and np.isfinite(sds).all()):
         raise DomainError(

@@ -21,7 +21,9 @@ every height of its sphere map):
   scipy's betainc;
 - the sphere height takes Halley steps on that series below each
   column's cut, and above it on the Wallis form on the grid and on
-  scipy's betainc(1/2, a, .) off it.
+  scipy's betainc(1/2, a, .) off it; off the grid, S_n(pi) = B(1/2, a)
+  comes from scipy's beta up to a = 150 and from an asymptotic series
+  above.
 The test suite checks every function against
 independent adaptive-quadrature and bisection oracles, and the grid
 forms, _ndtri and _erfcx against mpmath.
@@ -117,6 +119,16 @@ _LEAD_S2_SMALL = 0.5
 # of its leading 1 at x = 1/2 in reg_beta_i and at the column's cut in
 # sphere_height
 _SERIES_TOL = 2.0**-54
+# r(a) = Gamma(a + 1/2) / Gamma(a) = sqrt(a) sum_j _HALF_RATIO[j] a^(j - 6),
+# highest power first, its asymptotic series in 1/a (DLMF 5.11.13), each
+# coefficient an exact binary fraction; an off-grid column above a =
+# _HALF_RATIO_A takes S_n(pi) = B(1/2, a) = sqrt(pi) / r(a) from it,
+# within 2.2e-16 of 40-digit mpmath from a = 150.3 to 10^6 + 0.3 (scipy's
+# beta, which serves the columns below, is 1.9e-13 off at a = 233.2 and
+# 4.7e-13 at 1000.7)
+_HALF_RATIO = np.array([869 / 4194304, -399 / 262144, -21 / 32768,
+                        5 / 1024, 1 / 128, -1 / 8, 1.0])
+_HALF_RATIO_A = 150.0
 # columns per solve, and elements per block of one, which bounds the
 # temporaries of a call with many shapes or many rows
 _BLOCK = 2**15
@@ -773,8 +785,14 @@ def _wallis_columns(q):
     on = (values % 1 == 0) & (values <= 2.0 * _GRID_CAP)
     big_s = np.empty(values.size)  # S_n(pi)
     big_s[on] = [_wallis_total(int(w)) for w in values[on]]
-    if not on.all():
-        big_s[~on] = _special().beta(0.5, 0.5 * values[~on])
+    off = np.flatnonzero(~on)
+    far = off[values[off] > 2.0 * _HALF_RATIO_A]
+    a_far = 0.5 * values[far]
+    big_s[far] = _SQRT_PI / (np.sqrt(a_far) * _horner(_HALF_RATIO,
+                                                      1.0 / a_far))
+    near = off[values[off] <= 2.0 * _HALF_RATIO_A]
+    if near.size:
+        big_s[near] = _special().beta(0.5, 0.5 * values[near])
     # the forward form's rounding error in F, below (1 + m/9) eps/2 for
     # q up to 191 against mpmath, moves the height by that over the
     # slope s^(n-1) / S_n(pi) of F in t; the cut is F where the move

@@ -252,7 +252,10 @@ class SpherePartition:
     Each entry of bands is (theta0, theta1, n_sectors), in colatitude
     order: the band between colatitudes theta0 and theta1 splits into
     n_sectors cells of equal azimuth width, and the polar caps are bands
-    of one cell.
+    of one cell.  Every cell has area 4 pi / M, so the cell counts fix
+    the boundaries: the band below the first c cells starts at colatitude
+    arccos(1 - 2c/M).  wce.stratified_expected_wce_sq relies on this to
+    find mirror-image bands from the counts alone.
     """
 
     bands: list

@@ -79,6 +79,15 @@ _HEAP_ELEMS = 2**14 - 64
 # tile
 _GEMM_SIZE = 2**18
 
+# rows of one row block of the kernel sums, at most: a block computes the
+# whole square of its diagonal block and discards its lower half, about
+# rows / n of a set's n^2 / 2 distances (6 % at 512 points in 32 rows, 17 %
+# in the 102 rows that _GEMM_SIZE allows there).  On 2 vCPUs 32 rows took
+# a strata batch of 16 sets of 512 points from 6.7 to 5.8 ms and one of 128
+# sets of 64 from 2.0 to 1.6 ms, where 64 rows took 6.3 and 2.0 ms; sets of
+# 2048 points or more keep the fewer rows of _GEMM_SIZE
+_BLOCK_ROWS = 32
+
 # points of the stratified draws one strata_scaling pool task samples and
 # scores at once: stacks of a few hundred kB share the per-call costs of
 # the sampler and the wce core, where one stack per M took the peak RSS of
@@ -90,6 +99,7 @@ _STRATA_BATCH_POINTS = 2**13
 _ORACLE_CHUNK = 100_000
 
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -252,17 +262,20 @@ def _upper_distance_row_sums(X):
     block of as many sets as _TILE_ELEMS distances hold, one gemm per
     set.  A row block meets the column blocks from its diagonal on, the
     first holding its diagonal block, whose lower triangle and diagonal
-    are set to 0; rows and cols fix each row's segments and so numpy's
-    summation order, and with it every bit of the sums, whatever the
-    stack.  The squares are not clamped at 0: the rare row whose sum
-    comes out NaN (a rounded negative square of a coincident or
-    near-coincident pair) has its row block computed again with the
-    squares clamped, which gives the clamped loop's bits for every row.
+    are computed and then set to 0, so rows is also at most _BLOCK_ROWS:
+    fewer rows per block waste fewer distances, and the tile takes more
+    sets instead.  rows and cols depend on n and D only; they fix each
+    row's segments and so numpy's summation order, and with it every bit
+    of the sums, whatever the stack.  The squares are not clamped at 0:
+    the rare row whose sum comes out NaN (a rounded negative square of a
+    coincident or near-coincident pair) has its row block computed again
+    with the squares clamped, which gives the clamped loop's bits for
+    every row.
     """
     B, n, D = X.shape
     k = D + 2
     cols = min(n, _GEMM_SIZE // k)
-    rows = min(cols, _GEMM_SIZE // (cols * k))
+    rows = min(cols, _GEMM_SIZE // (cols * k), _BLOCK_ROWS)
     sets = max(1, _TILE_ELEMS // (rows * cols))
     lower = np.tri(rows, dtype=bool)
     sq = np.einsum("bij,bij->bi", X, X)
@@ -567,7 +580,9 @@ def stratified_expected_wce_sq(p, partition, shells):
     with g = Lambda_K - I_{A/(A+B)}(mu, mu), Lambda_K = lambda_k(mu, B/A, K),
     radial = (A/B)^mu (2 g - 1/K) / M and angular = C_2 (1 - 2 K (A/B)^mu g)
     chord / (M K), chord the cells' mean chord by a fixed Gauss-Legendre
-    rule in Duffy coordinates (_band_mean_chords).
+    rule in Duffy coordinates (_band_mean_chords).  A band and its mirror
+    image in the equator, found from the cell counts alone (see
+    SpherePartition), share one integration.
     """
     if p.d != 2:
         raise ConfigurationError("stratified prediction implemented for d=2")
@@ -577,9 +592,20 @@ def stratified_expected_wce_sq(p, partition, shells):
     abmu = (p.A / p.B)**p.mu
     g = (lambda_k(p.mu, p.B / p.A, K)
          - float(reg_beta_i(p.A / (p.A + p.B), p.mu, p.mu)))
-    weights = np.array([b[2] for b in partition.bands], dtype=float)
-    mean_dist = float(np.average(_band_mean_chords(partition.bands),
-                                 weights=weights))
+    # band i holds the cells lo_i to hi_i, and every boundary lies at
+    # arccos(1 - 2c/M) for an integer c, so band j mirrors band i in the
+    # equator exactly when lo_j = M - hi_i and m_j = m_i; the mean chord
+    # is the same under theta -> pi - theta, so each pair, keyed by
+    # (min(lo, M - hi), m), is integrated once, from its northern member
+    counts = [m for _, _, m in partition.bands]
+    keys = [(min(hi - m, M - hi), m)
+            for hi, m in zip(np.cumsum(counts).tolist(), counts)]
+    northern = {}
+    for key, band in zip(keys, partition.bands):
+        northern.setdefault(key, band)
+    chords = dict(zip(northern, _band_mean_chords(list(northern.values()))))
+    mean_dist = float(np.average([chords[key] for key in keys],
+                                 weights=counts))
     radial = abmu * (2.0 * g - 1.0 / K) / M
     angular = (sphere_constants(2).C_d * (1.0 - 2.0 * K * abmu * g)
                * mean_dist / (M * K))
@@ -662,7 +688,14 @@ def lambda_k(mu, c, K):
     which approaches I_{1/(1+c)}(mu, mu) + 1/(2K) + O(K^{-2}); at c = B/A
     it sums the K radial shells of stratified_expected_wce_sq.  c Q^{-1}
     is held at the largest float where it overflows, as in
-    _scaled_square, where Q is 0 already."""
+    _scaled_square, where Q is 0 already.
+
+    For small mu the root x = Q^{-1}(mu, k/K) falls below the smallest
+    normal float, or to 0, while c x need not.  There log x comes from
+    the leading term x^mu / Gamma(mu + 1) = 1 - k/K, whose next term is
+    x mu / (mu + 1) of it; c x is exp(log c + log x), and where that too
+    lies below the smallest normal float, Q(mu, c x) = 1 - c^mu (1 - k/K)
+    by the same term."""
     _check_finite("mu", mu)
     _check_finite("c", c)
     if mu <= 0:
@@ -671,6 +704,17 @@ def lambda_k(mu, c, K):
         raise DomainError("c must exceed 1")
     _check_positive_int("K", K)
     ks = np.arange(1, K + 1) / K
+    root = inv_reg_gamma_q(mu, ks)
     with np.errstate(over="ignore"):
-        x = np.minimum(c * inv_reg_gamma_q(mu, ks), _FLOAT_MAX)
-    return _mean_probability("Lambda_K", float(np.mean(reg_gamma_q(mu, x))))
+        x = np.minimum(c * root, _FLOAT_MAX)
+    low = np.flatnonzero((root < _FLOAT_TINY) & (ks < 1.0))
+    if low.size:
+        # only here, as lgamma(mu + 1) overflows from mu = 3e305 on; log x
+        # over mu of about 1e-308 overflows to -inf, where c x is 0
+        with np.errstate(over="ignore"):
+            x[low] = np.exp(math.log(c) + (np.log1p(-ks[low])
+                                           + math.lgamma(mu + 1.0)) / mu)
+    q = reg_gamma_q(mu, x)
+    under = low[x[low] < _FLOAT_TINY]
+    q[under] = -np.expm1(np.log1p(-ks[under]) + mu * math.log(c))
+    return _mean_probability("Lambda_K", float(np.mean(q)))

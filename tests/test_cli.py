@@ -657,7 +657,7 @@ GOLDEN = {
     "strata": (
         ["strata", *KERNEL_ARGS, "--M-list", "4,9", "--draws", "2", "--seed",
          "3"],
-        "8923c28a637e574906422cc1ef14a66cbd220c27926713deb5a3ca90dba31c1a",
+        "172710af48a1b18d40196aa71039df46b1ffd74dea3e264efdcc1d39199491cf",
         "6f913f8d70a8da707204937d2a0984e25e5a3f98e32f386384d3d5a80442faed",
         0),
     "lambda": (

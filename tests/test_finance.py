@@ -192,6 +192,21 @@ class TestPricing:
             price_option(spec, "standard", "sobol_inverse_normal", 64, 2,
                          seed=0)
 
+    def test_spread_of_huge_prices(self):
+        # prices near 2e200 are finite, but np.std squared them to inf
+        # (`price --S0 1e200 --K 1 --N 4 --reps 2 --gen mc` exited 2); the
+        # paths, payoffs and prices scale by a power of two exactly, so
+        # the mean and spread are bitwise 2^664 times those at S0 = 1
+        huge = dataclasses.replace(SPEC, S0=2.0**664, K_strike=1.0)
+        unit = dataclasses.replace(SPEC, S0=1.0, K_strike=2.0**-664)
+        got = price_option(huge, "standard", "mc", 4, 2, seed=0)
+        want = price_option(unit, "standard", "mc", 4, 2, seed=0)
+        assert math.isfinite(got.std_dev_across_replicates)
+        assert got.std_dev_across_replicates > 1e190
+        assert (got.mean, got.std_dev_across_replicates) == (
+            math.ldexp(want.mean, 664),
+            math.ldexp(want.std_dev_across_replicates, 664))
+
     def test_digital_overflow_keeps_its_price(self):
         # the paths overflow to inf, above the strike: the price is the
         # discount, without a warning

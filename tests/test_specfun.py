@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -517,6 +518,45 @@ class TestSphereHeight:
             assert abs(t - t_ref) <= 2e-15, u
             assert abs(scale / scale_ref - 1) <= 1e-14, u
 
+    def test_half_ratio_series_coefficients(self):
+        # log(Gamma(a + 1/2) / (Gamma(a) sqrt(a))) = sum_{k >= 2} (-1)^k
+        # (B_k(1/2) - B_k) / (k (k - 1) a^(k - 1)) (DLMF 5.11.8), with
+        # B_k(1/2) = (2^(1 - k) - 1) B_k, exponentiated term by term in
+        # exact fractions: each coefficient is bitwise its exact value
+        n = specfun._HALF_RATIO.size
+
+        def bernoulli(k):
+            num, den = mpmath.bernfrac(k)
+            return Fraction(int(num), int(den))
+
+        log_coef = [Fraction(0)] * n
+        for k in range(2, n + 1):
+            log_coef[k - 1] = ((-1)**k * (Fraction(2)**(1 - k) - 2)
+                               * bernoulli(k) / (k * (k - 1)))
+        coef = [Fraction(1)]
+        for j in range(1, n):
+            coef.append(sum(i * log_coef[i] * coef[j - i]
+                            for i in range(1, j + 1)) / j)
+        assert [Fraction(c) for c in specfun._HALF_RATIO[::-1]] == coef
+
+    @pytest.mark.parametrize("a", [150.0, 150.3, 233.2, 1e4 + 0.3])
+    def test_half_beta_from_series_above_150(self, monkeypatch, a):
+        # S_n(pi) = B(1/2, a) off the grid: scipy's beta up to a = 150,
+        # the series above, within 2.2e-16 of mpmath either way
+        beta = sp.beta
+        seen = []
+
+        def spy(x, y):
+            seen.append(y)
+            return beta(x, y)
+
+        monkeypatch.setattr(sp, "beta", spy)
+        big_s = specfun._wallis_columns(np.array([2.0 * a])).big_s[0]
+        assert (seen != []) == (a <= 150.0)
+        with mpmath.workdps(40):
+            want = mpmath.beta(0.5, a)
+        assert abs(big_s - want) <= 2.2e-16 * want
+
     @pytest.mark.parametrize("a", [1.5, 14.5, 30.0])
     def test_far_tail_roots_skip_betainc(self, monkeypatch, a):
         # every root below its column's cut takes F from the series, in
@@ -561,18 +601,23 @@ class TestSphereHeight:
             assert column[-len(coef):].tolist() == coef[::-1]
 
     @pytest.mark.parametrize("a", [0.07, 0.3, 1.482, 5.3, 12.7, 20.3, 40.3,
-                                   60.7, 80.3, 96.5, 100.0, 125.0, 150.0])
+                                   60.7, 80.3, 96.5, 100.0, 125.0, 150.0,
+                                   233.2, 300.3, 1000.7])
     def test_off_grid_against_log_space_mpmath(self, a):
         # off the grid (2a not an integer, or above its cap) the series
         # serves each column below its cut as on the grid; betainc(a, a,
         # x) there gave NaN at a = 60.7, u = 9.3e-18, and put t 1.6e-7
-        # off at a = 96.5, u = 2^-53 and 9.8e-14 off at a = 12.7.  u from
+        # off at a = 96.5, u = 2^-53 and 9.8e-14 off at a = 12.7; scipy's
+        # beta(1/2, a) put t 4.7e-15 off at a = 233.2 and 300.3 and
+        # 5.5e-15 at 1000.7, where S_n(pi) takes its series.  u from
         # 1e-20 to 1/2, and the roots at cos^2 phi around the median
-        # side's edge
+        # side's edge, but for those below the double range (cos^2 phi =
+        # 0.6 at a = 1000.7), where u = 0 is the pole
         with mpmath.workdps(40):
             at_c2 = [float(mpmath.betainc(
                 a, a, 0, (1 - mpmath.sqrt(c2)) / 2, regularized=True))
                 for c2 in (0.3, 0.45, 0.49, 0.499, 0.6)]
+        at_c2 = [v for v in at_c2 if v > 0.0]
         u = np.array([1e-20, 9.3e-18, 2.0**-53, 1e-12, 1e-9, 2.0**-32, 1e-6,
                       1e-3, 0.01, 0.1, 0.25, 0.4, 0.49, 0.5] + at_c2)
         t, scale = specfun.sphere_height(u, a)

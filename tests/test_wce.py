@@ -297,7 +297,7 @@ def triu_row_sums_loop(X):
     right = np.ascontiguousarray(np.hstack([X, sq, one]).T)
     k = left.shape[1]
     cols = min(n, wce._GEMM_SIZE // k)
-    rows = min(cols, wce._GEMM_SIZE // (cols * k))
+    rows = min(cols, wce._GEMM_SIZE // (cols * k), wce._BLOCK_ROWS)
     out = np.zeros(n)
     for a in range(0, n, rows):
         b = min(a + rows, n)
@@ -354,12 +354,21 @@ class TestTiledCore:
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("sets, n, tile, tiles, row_blocks", [
-        # 52 sets of 50 per tile: a ragged last tile of 8
-        pytest.param(60, 50, None, (52, 8), 1, id="60-50-None"),
+        # 32 rows per block, so 81 sets of 50 per tile: one tile, and a
+        # ragged last row block of 18
+        pytest.param(60, 50, None, (60,), 2, id="60-50-None"),
+        # the same with a ragged last tile of 19
+        pytest.param(100, 50, None, (81, 19), 2, id="100-50-None"),
         # 3 sets of 20 per tile: a ragged last tile of 1
         pytest.param(7, 20, 3 * 400, (3, 3, 1), 1, id="7-20-1200"),
-        # 2 sets per tile, 52 rows per block: ragged last tile and block
-        pytest.param(3, 1000, None, (2, 1), 20, id="3-1000-None"),
+        # 4 sets per tile, 32 rows per block: a ragged last block of 8
+        pytest.param(3, 1000, None, (3,), 32, id="3-1000-None"),
+        # 32 rows per block at 512 points, 8 sets per tile: a ragged
+        # last tile of 2
+        pytest.param(10, 512, None, (8, 2), 16, id="10-512-None"),
+        # the gemm bound is below the row cap from 2048 points on: 25
+        # rows per block, 2 sets per tile and a ragged last block of 23
+        pytest.param(3, 2048, None, (2, 1), 82, id="3-2048-None"),
         # one set per tile, 4 rows per block: ragged at the end of each set
         pytest.param(4, 9, 4 * 9, (1, 1, 1, 1), 3, id="4-9-36"),
         # one set per tile, one row by 128 columns: ragged column blocks
@@ -398,9 +407,9 @@ class TestTiledCore:
         # coincident pairs round some squared distances below 0, whose
         # sqrt is NaN; the rows whose sums come out NaN are computed again
         # with the squares clamped, bitwise the clamped loop's, and no
-        # warning of the unclamped sqrt escapes.  Rows per gemm: 102 at
-        # 512 points, 64 at 64 and 52 at 1000, which leaves a ragged
-        # last row block.
+        # warning of the unclamped sqrt escapes.  Rows per gemm: 32 at
+        # 512, 64 and 1000 points, which leaves a ragged last row block
+        # at 1000.
         rng = np.random.default_rng(sets * n)
         X = rng.standard_normal((sets, n, 3))
         X /= np.linalg.norm(X, axis=-1, keepdims=True)
@@ -444,6 +453,25 @@ class TestTiledCore:
         assert max(m * k * c for _, m, k, c in shapes) <= 2**18
         if n == 64:
             assert min(s for s, _, _, _ in shapes) > 1
+
+    @pytest.mark.parametrize("n, bound", [(512, 0.07), (64, 0.35)])
+    def test_discarded_distances(self, monkeypatch, n, bound):
+        # a row block computes the whole of its diagonal block and then
+        # sets its lower half to 0: at 512 points 17 % of the distances
+        # computed in blocks of 102 rows, 6 % in blocks of 32, and at 64
+        # points 51 % in one block, 34 % in two
+        computed = []
+        matmul = np.matmul
+
+        def recorded(a, b):
+            computed.append(a.shape[-2] * b.shape[-1])
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        X = np.random.default_rng(n).standard_normal((1, n, 3))
+        wce._upper_distance_row_sums(X)
+        wasted = sum(computed) - n * (n - 1) // 2
+        assert 0 < wasted <= bound * sum(computed)
 
     def test_stacked_kernel_sums_match_per_set(self):
         pts = [random_points(P232, 40, seed) for seed in (27, 28, 29)]
@@ -997,6 +1025,52 @@ class TestBandMeanChords:
         got = wce._band_mean_chords(bands)
         np.testing.assert_allclose(got, got[::-1], rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("band", [
+        equal_area_partition_s2(9).bands[-1],
+        equal_area_partition_s2(64).bands[-1],
+        equal_area_partition_s2(4096).bands[29],
+        (math.pi / 2, math.pi, 1)])
+    def test_reflection_invariant(self, band):
+        # the mean chord is the same under theta -> pi - theta; each band
+        # lies in the southern hemisphere, where pi - t is exact, as a
+        # northern band's pi - t rounds and a cap's mean chord moves by
+        # that rounding over its radius (1.1e-15 at M = 64)
+        t0, t1, m = band
+        got = wce._band_mean_chords([band])[0]
+        want = wce._band_mean_chords([(math.pi - t1, math.pi - t0, m)])[0]
+        assert abs(got - want) <= 4e-16 * want
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 9, 16, 64, 4096])
+    def test_mirror_pairs_share_one_integration(self, M):
+        # the mean chord of the cells, each pair of mirror bands
+        # integrated once, against every band integrated
+        part = equal_area_partition_s2(M)
+        pred = stratified_expected_wce_sq(P232, part,
+                                          radial_shells(1.5, 3.0, 2))
+        want = np.average(wce._band_mean_chords(part.bands),
+                          weights=[m for _, _, m in part.bands])
+        assert abs(pred.mean_cell_distance - want) <= 4e-16 * want
+
+    @pytest.mark.parametrize("M, bands, integrated", [
+        (4096, 58, 29), (1024, 29, 15), (9, 4, 3)])
+    def test_mirror_pairs_integrated_once(self, monkeypatch, M, bands,
+                                          integrated):
+        # each pair from its northern member, the first in colatitude
+        # order; M = 9 has cell counts [1, 3, 4, 1], so only its caps
+        # pair, and its band of 4 cells is integrated alone
+        part = equal_area_partition_s2(M)
+        assert len(part.bands) == bands
+        seen = []
+        band_mean_chords = wce._band_mean_chords
+
+        def recorded(given):
+            seen.extend(given)
+            return band_mean_chords(given)
+
+        monkeypatch.setattr(wce, "_band_mean_chords", recorded)
+        stratified_expected_wce_sq(P232, part, radial_shells(1.5, 3.0, 2))
+        assert seen == part.bands[:integrated]
+
     @pytest.mark.parametrize("M", [1, 2, 9, 16, 64, 4096])
     def test_converged_in_node_count(self, monkeypatch, M):
         bands = equal_area_partition_s2(M).bands
@@ -1012,6 +1086,32 @@ class TestBandMeanChords:
         monkeypatch.setattr(wce, "_TILE_ELEMS", 1)
         np.testing.assert_allclose(wce._band_mean_chords(bands), got,
                                    rtol=1e-15, atol=0)
+
+
+def lambda_k_mpmath(mu, c, K, dps=30):
+    """Lambda_K at `dps` digits: each root x of P(mu, x) = 1 - k/K by
+    Newton's method on log P in y = log x from the leading term x^mu /
+    Gamma(mu + 1), so that roots below the double range are found, and
+    Q(mu, c x) by mpmath's gammainc."""
+    with mpmath.workdps(dps):
+        mu, c = mpmath.mpf(mu), mpmath.mpf(c)
+        total = mpmath.mpf(1)  # k = K: the root 0, where Q = 1
+        for k in range(1, K):
+            p = 1 - mpmath.mpf(k) / K
+            y = (mpmath.log(p) + mpmath.loggamma(mu + 1)) / mu
+            for _ in range(50):
+                x = mpmath.exp(y)
+                lower = mpmath.gammainc(mu, 0, x)
+                dy = ((mpmath.log(lower / mpmath.gamma(mu)) - mpmath.log(p))
+                      * lower / (x**mu * mpmath.exp(-x)))
+                y -= dy
+                if abs(dy) <= mpmath.mpf(10) ** (5 - dps):
+                    break
+            else:
+                raise AssertionError(f"no convergence at k={k}")
+            total += mpmath.gammainc(mu, c * mpmath.exp(y), mpmath.inf,
+                                     regularized=True)
+        return float(total / K)
 
 
 class TestLambdaK:
@@ -1047,6 +1147,25 @@ class TestLambdaK:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lambda_k(1.5, 1e308, 4) == 0.25
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e-308])
+    @pytest.mark.parametrize("c", [3.0, 1e300])
+    @pytest.mark.parametrize("K", [3, 16])
+    def test_underflowing_roots(self, mu, c, K):
+        # Q^{-1}(mu, k/K) underflows to 0 for small mu, and Q(mu, 0) = 1
+        # entered the mean: `lambda --mu 1e-3 --c 3 --K 3` printed 0.7775
+        # for 0.6663, and `--mu 1e-308` printed 1.  At mu = 1e-308 every
+        # root and c times it lie below the double range, where
+        # Q(mu, c x) = 1 - c^mu (1 - k/K) = k/K but for some 1e-305, so
+        # Lambda_K = (K + 1) / (2K); at mu = 1e-3 the 30-digit mean of
+        # lambda_k_mpmath, whose roots at K = 16 lie on both sides of the
+        # smallest normal float
+        want = (lambda_k_mpmath(mu, c, K) if mu > 1e-300
+                else (K + 1) / (2 * K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_k(mu, c, K) == pytest.approx(want, rel=1e-15,
+                                                       abs=0)
 
     @pytest.mark.parametrize("mu", [1e308, 5e-324])
     def test_failed_closed_form_raises(self, mu):
